@@ -8,14 +8,27 @@ iff they agree up to that symmetry.
 
 Vertex ids of a complex are dense: they form the range [0, n_vertices).
 Complexes are immutable after construction; all operations here are pure.
+
+Face incidence lives in one place, the Incidence index of a complex
+(CubeComplex.incidence()). Per dimension k it holds
+  - position(k): each k-cell -> its index in cells[k];
+  - facets(k): for each k-cell, the indices of its 2k facets in cells[k-1],
+    in cube_faces order, with their boundary coefficients. For axis i, a
+    cube with corner array Q contributes (-1)^i (Q|_{x_i=1} - Q|_{x_i=0}),
+    and the sign of canonicalising each facet is folded into its entry;
+  - star(k): for each vertex, the indices of the k-cells containing it.
+Cofaces, the rim (ridges in exactly one facet) and the maximal cells are
+read off the facet table. Each part is built the first time it is asked
+for, so a complex pays only for what its callers use. Caching it on the
+complex is sound because complexes never change after construction.
 """
 
 from __future__ import annotations
 
-import json
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 FVector = tuple[int, ...]
@@ -168,13 +181,95 @@ class BoundReport:
     cube_bound_ok: bool | None
 
 
+def _transpose(table: Sequence[int], width: int, n: int) -> tuple[array, array]:
+    """Invert a flat table whose row r is table[width*r : width*(r+1)] and
+    whose entries lie in [0, n): (ptr, rows), where the rows that contain j
+    are rows[ptr[j]:ptr[j + 1]], ascending."""
+    ptr = array("l", [0]) * (n + 1)
+    for j in table:
+        ptr[j + 1] += 1
+    for j in range(n):
+        ptr[j + 1] += ptr[j]
+    fill = ptr[:n]
+    rows = array("l", [0]) * len(table)
+    for t, j in enumerate(table):
+        rows[fill[j]] = t // width
+        fill[j] += 1
+    return ptr, rows
+
+
+class Incidence:
+    """The face incidence index of one complex (see the module docstring).
+    Cell indices refer to positions in the complex's sorted cell tuples."""
+
+    __slots__ = ("dim", "n_vertices", "cells", "_position", "_facets", "_star")
+
+    def __init__(self, C: "CubeComplex"):
+        self.dim = C.dim
+        self.n_vertices = C.n_vertices
+        self.cells = C.cells
+        self._position: dict[int, dict[tuple[int, ...], int]] = {}
+        self._facets: dict[int, tuple[array, array]] = {}
+        self._star: dict[int, tuple[array, array]] = {}
+
+    def position(self, k: int) -> dict[tuple[int, ...], int]:
+        got = self._position.get(k)
+        if got is None:
+            got = {c: i for i, c in enumerate(self.cells.get(k, ()))}
+            self._position[k] = got
+        return got
+
+    def facets(self, k: int) -> tuple[array, array]:
+        """(ids, coeffs): the facets of the i-th k-cell are the (k-1)-cells
+        ids[2k*i : 2k*(i+1)], with boundary coefficients coeffs[...] = ±1."""
+        got = self._facets.get(k)
+        if got is None:
+            ids, coeffs = array("l"), array("b")
+            level = self.cells.get(k, ())
+            if k > 0 and level:
+                pos = self.position(k - 1)
+                try:
+                    for cell in level:
+                        # facet t lies on axis t >> 1, side t & 1
+                        for t, face in enumerate(cube_faces(cell)):
+                            canon, sign = canonical_with_sign(face)
+                            ids.append(pos[canon])
+                            coeffs.append(sign if ((t >> 1) + t) & 1 else -sign)
+                except KeyError:
+                    raise CubeComplexError(
+                        "complex is not closed under faces") from None
+            got = self._facets[k] = (ids, coeffs)
+        return got
+
+    def cofaces(self, k: int) -> tuple[array, array]:
+        """(ptr, owners): the (k+1)-cells with the j-th k-cell as a facet are
+        owners[ptr[j]:ptr[j + 1]]. Derived from facets(k + 1), not cached."""
+        return _transpose(self.facets(k + 1)[0], 2 * (k + 1),
+                          len(self.cells.get(k, ())))
+
+    def star(self, k: int) -> tuple[array, array]:
+        """(ptr, owners): the k-cells containing vertex v are
+        owners[ptr[v]:ptr[v + 1]]."""
+        got = self._star.get(k)
+        if got is None:
+            corners = array("l", chain.from_iterable(self.cells.get(k, ())))
+            got = self._star[k] = _transpose(corners, 1 << k, self.n_vertices)
+        return got
+
+    def rim(self) -> list[tuple[int, ...]]:
+        """The (d-1)-cells that are a facet of exactly one d-cell."""
+        ptr, _ = self.cofaces(self.dim - 1)
+        return [c for i, c in enumerate(self.cells.get(self.dim - 1, ()))
+                if ptr[i + 1] - ptr[i] == 1]
+
+
 class CubeComplex:
     """Immutable cube complex, closed under faces, cells stored canonically.
 
     cells: dict dim -> sorted tuple of canonical corner tuples.
     """
 
-    __slots__ = ("dim", "n_vertices", "cells", "_maximal")
+    __slots__ = ("dim", "n_vertices", "cells", "_maximal", "_incidence")
 
     def __init__(self, dim: int, n_vertices: int,
                  cells: dict[int, tuple[tuple[int, ...], ...]]):
@@ -182,6 +277,12 @@ class CubeComplex:
         self.n_vertices = n_vertices
         self.cells = cells
         self._maximal: dict[int, tuple[tuple[int, ...], ...]] | None = None
+        self._incidence: Incidence | None = None
+
+    def incidence(self) -> Incidence:
+        if self._incidence is None:
+            self._incidence = Incidence(self)
+        return self._incidence
 
     # -- construction ------------------------------------------------------
 
@@ -205,30 +306,21 @@ class CubeComplex:
 
     def has_cell(self, corners: Sequence[int]) -> bool:
         c = canonical(corners)
-        k = len(c).bit_length() - 1
-        return c in set(self.cells.get(k, ()))
+        return c in self.incidence().position(len(c).bit_length() - 1)
 
     def maximal_cells(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """Cells that are not a proper face of any other cell."""
         if self._maximal is None:
-            covered: set[tuple[int, ...]] = set()
             out: dict[int, tuple[tuple[int, ...], ...]] = {}
             for k in range(self.dim, -1, -1):
-                level = [c for c in self.cells.get(k, ()) if c not in covered]
-                out[k] = tuple(level)
-                if k:
-                    for c in self.cells.get(k, ()):
-                        for f in cube_faces(c):
-                            covered.add(canonical(f))
+                ptr, _ = self.incidence().cofaces(k)
+                out[k] = tuple(c for i, c in enumerate(self.cells.get(k, ()))
+                               if ptr[i] == ptr[i + 1])
             self._maximal = out
         return self._maximal
 
     def vertices_used(self) -> set[int]:
-        used: set[int] = set()
-        for level in self.maximal_cells().values():
-            for c in level:
-                used.update(c)
-        return used
+        return set(chain.from_iterable(chain.from_iterable(self.cells.values())))
 
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return self.cells.get(1, ())
@@ -345,14 +437,13 @@ def _shared_face(cell: tuple[int, ...], shared: frozenset[int]) -> tuple[int, ..
     return canonical(face)
 
 
-def validate(C: CubeComplex, restrict_to: set[int] | None = None) -> ValidationReport:
+def validate(C: CubeComplex) -> ValidationReport:
     """Check the defining property: any two cells meet in a common face.
 
     It suffices to check pairs of maximal cells (faces of cubes meet in faces,
     and a common face of two cubes induces common faces of all their faces).
     Pairs are prefiltered through a vertex index: only pairs sharing at least
-    two vertices can violate. With restrict_to, only pairs sharing a vertex
-    of that set are examined (seam-local mode after gluing).
+    two vertices can violate.
     """
     maximal: list[tuple[int, ...]] = []
     for k in sorted(C.maximal_cells(), reverse=True):
@@ -362,17 +453,12 @@ def validate(C: CubeComplex, restrict_to: set[int] | None = None) -> ValidationR
         for v in cell:
             by_vertex.setdefault(v, []).append(idx)
     pair_counts: dict[tuple[int, int], int] = {}
-    for v, members in by_vertex.items():
-        if restrict_to is not None and v not in restrict_to:
-            continue
+    for members in by_vertex.values():
         for a, b in combinations(members, 2):
             key = (a, b)
             pair_counts[key] = pair_counts.get(key, 0) + 1
     violations: list[tuple[tuple[int, ...], tuple[int, ...], str]] = []
     for (a, b), cnt in pair_counts.items():
-        if restrict_to is not None:
-            # counts may miss shared vertices outside the seam; recount
-            cnt = len(set(maximal[a]) & set(maximal[b]))
         if cnt < 2:
             continue
         ca, cb = maximal[a], maximal[b]
@@ -397,30 +483,34 @@ def pseudomanifold_check(C: CubeComplex) -> bool:
     maximal = C.maximal_cells()
     if any(maximal[k] for k in maximal if k != d):
         return False
-    ridge_map: dict[tuple[int, ...], list[int]] = {}
-    for idx, cell in enumerate(facets):
-        for f in cube_faces(cell):
-            ridge_map.setdefault(canonical(f), []).append(idx)
-    if any(len(v) != 2 for v in ridge_map.values()):
+    inc = C.incidence()
+    ridges, _ = inc.facets(d)
+    ptr, owners = inc.cofaces(d - 1)
+    if any(ptr[r + 1] - ptr[r] != 2 for r in range(len(ptr) - 1)):
         return False
-    # connectivity over the facet adjacency graph
-    parent = list(range(len(facets)))
+    w = 2 * d
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def across(x: int) -> list[int]:
+        return [owners[p] for r in ridges[w * x:w * x + w]
+                for p in range(ptr[r], ptr[r + 1])]
 
-    for a, b in ridge_map.values():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(facets))}) == 1
+    return len(_reachable(0, across)) == len(facets)
 
 
 # ---------------------------------------------------------------------------
 # links and manifold checks
+
+def _reachable(start: int, neighbors: Callable[[int], Iterable[int]]) -> set[int]:
+    """The nodes reachable from start in the graph given by neighbors."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
 
 def vertex_link(C: CubeComplex, v: int) -> set[frozenset[int]]:
     """Abstract simplicial link: each k-cube at v contributes the (k-1)-simplex
@@ -429,13 +519,12 @@ def vertex_link(C: CubeComplex, v: int) -> set[frozenset[int]]:
         raise CubeComplexError(f"vertex {v} out of range")
     simplices: set[frozenset[int]] = set()
     for k in range(1, C.dim + 1):
-        for cell in C.cells.get(k, ()):
-            for pos, w in enumerate(cell):
-                if w != v:
-                    continue
-                nb = frozenset(cell[pos ^ (1 << j)] for j in range(k))
-                simplices.add(nb)
-                break
+        level = C.cells.get(k, ())
+        ptr, owners = C.incidence().star(k)
+        for i in owners[ptr[v]:ptr[v + 1]]:
+            cell = level[i]
+            pos = cell.index(v)
+            simplices.add(frozenset(cell[pos ^ (1 << j)] for j in range(k)))
     closure: set[frozenset[int]] = set()
     for s in simplices:
         closure.add(s)
@@ -445,36 +534,37 @@ def vertex_link(C: CubeComplex, v: int) -> set[frozenset[int]]:
     return closure
 
 
+def _link_graph(link: set[frozenset[int]]) -> dict[int, list[int]] | None:
+    """Vertex -> neighbours in the 1-skeleton of a link; None if an edge has
+    an endpoint that is not a vertex of the link."""
+    adj: dict[int, list[int]] = {next(iter(s)): [] for s in link if len(s) == 1}
+    for s in link:
+        if len(s) == 2:
+            a, b = s
+            if a not in adj or b not in adj:
+                return None
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
+
+
 def _link_is_single_cycle(link: set[frozenset[int]]) -> bool:
-    verts = {next(iter(s)) for s in link if len(s) == 1}
-    edges = [tuple(sorted(s)) for s in link if len(s) == 2]
-    if not verts or len(edges) != len(verts):
+    adj = _link_graph(link)
+    if not adj or any(len(ns) != 2 for ns in adj.values()):
         return False
-    deg: dict[int, int] = {v: 0 for v in verts}
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in edges:
-        if a not in deg or b not in deg:
-            return False
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(d != 2 for d in deg.values()):
+    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj)
+
+
+def _link_path(link: set[frozenset[int]]) -> bool:
+    adj = _link_graph(link)
+    if not adj or len(adj) < 2:
         return False
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
+    if sorted(map(len, adj.values())) != [1, 1] + [2] * (len(adj) - 2):
+        return False
+    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj)
 
 
 def _link_is_2_sphere(link: set[frozenset[int]]) -> bool:
-    verts = {next(iter(s)) for s in link if len(s) == 1}
     edges = {s for s in link if len(s) == 2}
     tris = {s for s in link if len(s) == 3}
     if not tris:
@@ -488,24 +578,10 @@ def _link_is_2_sphere(link: set[frozenset[int]]) -> bool:
             edge_count[e] += 1
     if any(c != 2 for c in edge_count.values()):
         return False
-    # connected?
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for e in edges:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(verts):
+    adj = _link_graph(link)
+    if not adj or len(_reachable(next(iter(adj)), adj.__getitem__)) != len(adj):
         return False
-    return len(verts) - len(edges) + len(tris) == 2
+    return len(adj) - len(edges) + len(tris) == 2
 
 
 def manifold_check(C: CubeComplex, d: int) -> bool:
@@ -580,78 +656,3 @@ def bipartite_classes(C: CubeComplex) -> tuple[frozenset[int], frozenset[int]]:
     zero = frozenset(v for v, c in color.items() if c == 0)
     one = frozenset(v for v, c in color.items() if c == 1)
     return zero, one
-
-
-# ---------------------------------------------------------------------------
-# interchange format
-
-def to_text(C: CubeComplex) -> str:
-    """Serialize: header line, then one `cube` line per maximal cell in
-    canonical sorted order. Round-trips bit-exactly."""
-    lines = [f"cubecomplex {C.dim} {C.n_vertices}"]
-    maximal = C.maximal_cells()
-    for k in sorted(maximal):
-        for cell in maximal[k]:
-            lines.append(f"cube {k} " + " ".join(map(str, cell)))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> CubeComplex:
-    dim = n_vertices = None
-    tops: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "cubecomplex":
-            if dim is not None:
-                raise MalformedCubeError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
-                raise MalformedCubeError(f"line {lineno}: bad header")
-            dim, n_vertices = int(parts[1]), int(parts[2])
-        elif parts[0] == "cube":
-            if dim is None:
-                raise MalformedCubeError(f"line {lineno}: cube before header")
-            k = int(parts[1])
-            corners = tuple(int(x) for x in parts[2:])
-            if len(corners) != 1 << k:
-                raise MalformedCubeError(
-                    f"line {lineno}: cube {k} needs {1 << k} corners, got {len(corners)}")
-            tops.append(corners)
-        elif parts[0] == "bmap":
-            continue  # fill certificates carry trailing bmap lines
-        else:
-            raise MalformedCubeError(f"line {lineno}: unknown record {parts[0]!r}")
-    if dim is None:
-        raise MalformedCubeError("missing cubecomplex header")
-    return build_complex(dim, tops, n_vertices)
-
-
-def to_json_obj(C: CubeComplex) -> dict:
-    maximal = C.maximal_cells()
-    cubes = [list(cell) for k in sorted(maximal) for cell in maximal[k]]
-    return {"dim": C.dim, "n_vertices": C.n_vertices, "cubes": cubes}
-
-
-def from_json_obj(obj: dict) -> CubeComplex:
-    return build_complex(int(obj["dim"]),
-                         [tuple(c) for c in obj["cubes"]],
-                         int(obj["n_vertices"]))
-
-
-def save_complex(C: CubeComplex, path: str, fmt: str = "cc") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            json.dump(to_json_obj(C), fh, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(to_text(C))
-
-
-def load_complex(path: str, fmt: str | None = None) -> CubeComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "json" or (fmt is None and text.lstrip().startswith("{")):
-        return from_json_obj(json.loads(text))
-    return from_text(text)

@@ -32,7 +32,6 @@ from .core import (
     build_complex,
     bipartite_classes,
     canonical,
-    cube_faces,
     manifold_check,
     upper_bound_checks,
     validate,
@@ -499,22 +498,12 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
     if not rep.is_complex:
         raise AssemblyError(
             f"pillow fills do not assemble: {rep.violations[:2]}")
-    rim = _rim(cyl)
+    rim = set(cyl.incidence().rim())
     want = set(Q.cells[2]) | {tuple(T0 + x for x in t) for t in Qpp.cells[2]}
     if rim != want:
         raise AssemblyError("cylinder boundary is not the two ends")
     census["inset_cubes"] = len(cyl.cells[3])
     return CylinderReport(cyl, Qpp, tuple(requests), "full", (), census)
-
-
-def _rim(C: CubeComplex) -> set[tuple[int, ...]]:
-    """Squares lying in exactly one cube."""
-    count: dict[tuple[int, ...], int] = {}
-    for cube in C.cells[3]:
-        for f in cube_faces(cube):
-            key = canonical(f)
-            count[key] = count.get(key, 0) + 1
-    return {f for f, m in count.items() if m == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +621,7 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
             f"handlebody pieces do not assemble: {rep.violations[:2]}")
 
     bmap = {v: qmap[2 * v] for v in range(Qpp.n_vertices)}
-    rim = _rim(H)
+    rim = set(H.incidence().rim())
     want = {canonical([bmap[v] for v in t]) for t in Qpp.cells[2]}
     if rim != want:
         raise AssemblyError("handlebody boundary is not the input surface")

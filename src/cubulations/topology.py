@@ -1,8 +1,7 @@
 """Cellular homology over Z, Q and prime fields, plus surface classification.
 
-Chain convention: a k-cube with corner array Q contributes, for coordinate i,
-the signed facet pair (-1)^i (Q|_{x_i=1} - Q|_{x_i=0}); facets are stored
-canonically, so the canonicalization sign is folded into each entry.
+Boundary matrices are read off the complex's incidence index, whose docstring
+in core fixes the chain convention.
 """
 
 from __future__ import annotations
@@ -13,8 +12,11 @@ from math import gcd
 from .core import (
     CubeComplex,
     CubeComplexError,
-    canonical_with_sign,
-    cube_faces,
+    _link_is_single_cycle,
+    _link_path,
+    _reachable,
+    pseudomanifold_check,
+    vertex_link,
 )
 
 SNF_DEFAULT_THRESHOLD = 20000
@@ -37,69 +39,21 @@ class NonSurfaceLinkError(CubeComplexError):
 
 
 @dataclass(frozen=True)
-class BoundaryMatrix:
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    entries: dict[tuple[int, int], int]  # (row index, col index) -> ±1
-
-    def columns(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in self.cols]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
-
-@dataclass(frozen=True)
 class HomologyProfile:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     euler: int
 
 
-def boundary_matrix(C: CubeComplex, k: int) -> BoundaryMatrix:
+def boundary_columns(C: CubeComplex, k: int) -> list[dict[int, int]]:
+    """Columns of partial_k: column j maps the index in C.cells[k - 1] of
+    each facet of the j-th k-cell to its coefficient."""
     if not 1 <= k <= C.dim:
         raise CubeComplexError(f"boundary dimension {k} out of range 1..{C.dim}")
-    rows = C.cells.get(k - 1, ())
-    cols = C.cells.get(k, ())
-    row_index = {cell: i for i, cell in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, cell in enumerate(cols):
-        for axis, face in enumerate(cube_faces(cell)):
-            # cube_faces yields (axis 0 bottom, axis 0 top, axis 1 bottom, ...)
-            side = axis & 1
-            i_axis = axis >> 1
-            canon, sign = canonical_with_sign(face)
-            coeff = sign * (-1) ** i_axis * (1 if side else -1)
-            key = (row_index[canon], j)
-            v = entries.get(key, 0) + coeff
-            if v:
-                entries[key] = v
-            else:
-                entries.pop(key, None)
-    return BoundaryMatrix(k, rows, cols, entries)
-
-
-def _boundary_columns(C: CubeComplex, k: int) -> tuple[list[dict[int, int]], int]:
-    """Columns of partial_k without building the dataclass (cheaper at scale)."""
-    rows = C.cells.get(k - 1, ())
-    row_index = {cell: i for i, cell in enumerate(rows)}
-    cols_out: list[dict[int, int]] = []
-    for cell in C.cells.get(k, ()):
-        col: dict[int, int] = {}
-        for axis, face in enumerate(cube_faces(cell)):
-            side = axis & 1
-            i_axis = axis >> 1
-            canon, sign = canonical_with_sign(face)
-            coeff = sign * (-1) ** i_axis * (1 if side else -1)
-            i = row_index[canon]
-            v = col.get(i, 0) + coeff
-            if v:
-                col[i] = v
-            else:
-                col.pop(i, None)
-        cols_out.append(col)
-    return cols_out, len(rows)
+    ids, coeffs = C.incidence().facets(k)
+    w = 2 * k
+    return [dict(zip(ids[i:i + w], coeffs[i:i + w]))
+            for i in range(0, len(ids), w)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,74 +300,22 @@ def orientation_assignment(
     return True, {squares[i]: s for i, s in sign.items()}, None
 
 
-def _closed_surface_data(C: CubeComplex):
-    """(edge -> incident squares, oriented) for a connected closed orientable
-    pure 2-complex, else None. All certificate conditions are checked, not
-    assumed."""
-    if C.dim != 2:
-        return None
-    squares = C.cells.get(2, ())
-    edges = C.cells.get(1, ())
-    if not squares:
-        return None
-    maximal = C.maximal_cells()
-    if maximal.get(1) or maximal.get(0):
-        return None
-    edge_sq: dict[tuple[int, ...], list[int]] = {e: [] for e in edges}
-    for idx, cell in enumerate(squares):
-        for f in cube_faces(cell):
-            key = tuple(sorted(f))
-            edge_sq[key].append(idx)
-    if any(len(v) != 2 for v in edge_sq.values()):
-        return None
-    # connected 1-skeleton
-    adj: dict[int, list[int]] = {v: [] for v in range(C.n_vertices)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != C.n_vertices:
-        return None
+def _is_closed_oriented_surface(C: CubeComplex) -> bool:
+    """Whether C is a connected closed orientable pure 2-complex. All
+    certificate conditions are checked, not assumed."""
+    # pseudomanifold_check: pure, every edge in two squares, dual graph
+    # connected (needed for the rank F-1 witness)
+    if C.dim != 2 or not pseudomanifold_check(C) or not _connected_skeleton(C):
+        return False
     ok, signs, _ = orientation_assignment(C)
     if not ok:
-        return None
-    # dual graph connected (needed for the rank F-1 witness)
-    dseen = {0}
-    dstack = [0]
-    while dstack:
-        x = dstack.pop()
-        for f in cube_faces(squares[x]):
-            key = tuple(sorted(f))
-            for other in edge_sq[key]:
-                if other not in dseen:
-                    dseen.add(other)
-                    dstack.append(other)
-    if len(dseen) != len(squares):
-        return None
+        return False
     # the orientation vector must lie in ker(partial_2); verify by summation
-    acc: dict[tuple[int, ...], int] = {}
-    for cell in squares:
-        s = signs[cell]
-        for axis, face in enumerate(cube_faces(cell)):
-            side = axis & 1
-            i_axis = axis >> 1
-            canon, csign = canonical_with_sign(face)
-            coeff = s * csign * (-1) ** i_axis * (1 if side else -1)
-            v = acc.get(canon, 0) + coeff
-            if v:
-                acc[canon] = v
-            else:
-                acc.pop(canon, None)
-    if acc:
-        return None
-    return edge_sq, signs
+    acc = [0] * len(C.cells[1])
+    for cell, col in zip(C.cells[2], boundary_columns(C, 2)):
+        for e, coeff in col.items():
+            acc[e] += signs[cell] * coeff
+    return not any(acc)
 
 
 def _surface_profile(C: CubeComplex) -> HomologyProfile | None:
@@ -421,8 +323,7 @@ def _surface_profile(C: CubeComplex) -> HomologyProfile | None:
     surface: rank(partial_1) = V-1 and rank(partial_2) = F-1, both witnessed
     by unit triangular minors, so every invariant factor is 1 and the answer
     is torsion-free without running SNF."""
-    data = _closed_surface_data(C)
-    if data is None:
+    if not _is_closed_oriented_surface(C):
         return None
     f = C.f_vector()
     v, e, fc = f
@@ -474,7 +375,7 @@ def betti_numbers(
     ranks = [0] * (d + 2)  # ranks[k] = rank of partial_k, 1-indexed
     factors: list[list[int]] = [[] for _ in range(d + 2)]
     for k in range(1, d + 1):
-        cols, _ = _boundary_columns(C, k)
+        cols = boundary_columns(C, k)
         if kind == "z":
             inv = smith_invariant_factors(cols)
             ranks[k] = len(inv)
@@ -497,18 +398,13 @@ def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
     vertex. Genus is reported for connected closed orientable surfaces."""
     if C.dim != 2:
         raise CubeComplexError("surface_invariants needs a 2-complex")
-    from .core import vertex_link  # local import keeps module load cheap
-
     for v in range(C.n_vertices):
         link = vertex_link(C, v)
-        if not (_link_cycle(link) or _link_path(link)):
+        if not (_link_is_single_cycle(link) or _link_path(link)):
             raise NonSurfaceLinkError(v)
-    squares = C.cells.get(2, ())
-    edge_count: dict[tuple[int, ...], int] = {e: 0 for e in C.cells.get(1, ())}
-    for cell in squares:
-        for f in cube_faces(cell):
-            edge_count[tuple(sorted(f))] += 1
-    closed = bool(squares) and all(c == 2 for c in edge_count.values())
+    ptr, _ = C.incidence().cofaces(1)
+    closed = bool(C.cells.get(2)) and all(
+        ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
     orientable, _, _ = orientation_assignment(C)
     genus: int | None = None
     if closed and orientable and _connected_skeleton(C):
@@ -519,53 +415,13 @@ def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
 
 
 def _connected_skeleton(C: CubeComplex) -> bool:
+    if not C.n_vertices:
+        return True
     adj: dict[int, list[int]] = {v: [] for v in range(C.n_vertices)}
     for a, b in C.cells.get(1, ()):
         adj[a].append(b)
         adj[b].append(a)
-    if not adj:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == C.n_vertices
-
-
-def _link_cycle(link: set[frozenset[int]]) -> bool:
-    from .core import _link_is_single_cycle
-
-    return _link_is_single_cycle(link)
-
-
-def _link_path(link: set[frozenset[int]]) -> bool:
-    verts = {next(iter(s)) for s in link if len(s) == 1}
-    edges = [tuple(sorted(s)) for s in link if len(s) == 2]
-    if len(verts) < 2 or len(edges) != len(verts) - 1:
-        return False
-    deg = {v: 0 for v in verts}
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if sorted(deg.values()) != [1, 1] + [2] * (len(verts) - 2):
-        return False
-    start = next(iter(sorted(verts)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
+    return len(_reachable(0, adj.__getitem__)) == C.n_vertices
 
 
 def homology_sphere_check(

@@ -15,7 +15,6 @@ from .core import (
     CubeComplexError,
     build_complex,
     canonical,
-    cube_faces,
     relabel,
     relabel_dense,
     validate,
@@ -149,14 +148,9 @@ def check_template(g: GadgetTemplate) -> None:
     assert pattern.n_vertices == (1 << k) + g.n_new_vertices
     rep = validate(pattern)
     assert rep.is_complex, rep.violations
-    outer = {canonical(f) for f in cube_faces(cell)}
-    count: dict[tuple[int, ...], int] = {}
-    for c in pattern.cells[k]:
-        for f in cube_faces(c):
-            key = canonical(f)
-            count[key] = count.get(key, 0) + 1
-    boundary = {f for f, n in count.items() if n == 1}
-    assert boundary == outer, "pattern boundary differs from the replaced cell"
+    outer = set(build_complex(k, [cell]).cells[k - 1])
+    assert set(pattern.incidence().rim()) == outer, \
+        "pattern boundary differs from the replaced cell"
 
 
 def apply_gadget(C: CubeComplex, cell, g) -> CubeComplex:
@@ -172,11 +166,12 @@ def apply_gadget(C: CubeComplex, cell, g) -> CubeComplex:
         raise CubeComplexError(
             f"gadget {g.name} replaces {g.cell_dim}-cells, got a {k}-cell")
     target = canonical(corners)
-    maximal = C.maximal_cells()
-    if target not in set(maximal.get(k, ())):
-        if target in set(C.cells.get(k, ())):
-            raise CubeComplexError("cell is a face of a higher cell")
+    inc = C.incidence()
+    if target not in inc.position(k):
         raise CubeComplexError(f"cell {corners} not in complex")
+    if inc.position(k)[target] in inc.facets(k + 1)[0]:
+        raise CubeComplexError("cell is a face of a higher cell")
+    maximal = C.maximal_cells()
     tops: list[tuple[int, ...]] = []
     for kk in sorted(maximal):
         for c in maximal[kk]:
@@ -213,17 +208,14 @@ def _identified_cells(C: CubeComplex, verts: set[int]) -> dict[int, set[tuple[in
     return out
 
 
-def glue(A: CubeComplex, B: CubeComplex, m, *,
-         full_validation: bool = True,
-         with_map: bool = False):
+def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
     """Glue B onto A along the vertex identification m (B ids -> A ids).
 
     The identified vertex sets must span isomorphic subcomplexes cell by
     cell. Passing the same object as A and B performs a self-identification
     (quotient), e.g. closing an interval into a cycle. The result is
-    re-validated: fully by default, or only near the seam with
-    full_validation=False. With with_map=True, returns (complex, mapping of
-    B vertices into the result).
+    re-validated. With with_map=True, returns (complex, mapping of B
+    vertices into the result).
     """
     pairs = dict(m.pairs) if isinstance(m, VertexMap) else dict(m)
     if len(set(pairs.values())) != len(pairs):
@@ -239,8 +231,7 @@ def glue(A: CubeComplex, B: CubeComplex, m, *,
                     raise GlueError(f"self-gluing degenerates cell {c}")
         quot = relabel(A, mapping, n_vertices=A.n_vertices)
         dense, old_to_new = relabel_dense(quot)
-        seam = {old_to_new[v] for v in pairs.values() if v in old_to_new}
-        rep = validate(dense, restrict_to=None if full_validation else seam)
+        rep = validate(dense)
         if not rep.is_complex:
             raise GlueError(f"gluing produced an invalid complex: "
                             f"{rep.violations[:3]}")
@@ -278,7 +269,7 @@ def glue(A: CubeComplex, B: CubeComplex, m, *,
         for c in level:
             tops.append(tuple(b_to_out[v] for v in c))
     out = build_complex(max(A.dim, B.dim), tops, n_vertices=fresh)
-    rep = validate(out, restrict_to=None if full_validation else image)
+    rep = validate(out)
     if not rep.is_complex:
         raise GlueError(f"gluing produced an invalid complex: {rep.violations[:3]}")
     if with_map:
@@ -291,14 +282,15 @@ def _link_cycle_data(C: CubeComplex, v: int):
     In a square (v, a, x, b) the link edge joins the neighbors a and b."""
     adj: dict[int, list[int]] = {}
     pair_sq: dict[frozenset[int], int] = {}
-    for idx, cell in enumerate(C.cells.get(2, ())):
-        for pos, w in enumerate(cell):
-            if w == v:
-                a, b = cell[pos ^ 1], cell[pos ^ 2]
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-                pair_sq[frozenset((a, b))] = idx
-                break
+    squares = C.cells.get(2, ())
+    ptr, owners = C.incidence().star(2)
+    for idx in owners[ptr[v]:ptr[v + 1]]:
+        cell = squares[idx]
+        pos = cell.index(v)
+        a, b = cell[pos ^ 1], cell[pos ^ 2]
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        pair_sq[frozenset((a, b))] = idx
     return adj, pair_sq
 
 
@@ -318,18 +310,15 @@ def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
         raise CutError("curve too short")
     if len(set(curve)) != L:
         raise CutError("curve is not simple")
-    edge_set = set(S.cells.get(1, ()))
+    edge_pos = S.incidence().position(1)
     for t in range(L):
         e = canonical((curve[t], curve[(t + 1) % L]))
-        if e not in edge_set:
+        if e not in edge_pos:
             raise CutError(f"curve step {e} is not an edge of the complex")
 
     curve_pos = {v: i for i, v in enumerate(curve)}
     squares = S.cells.get(2, ())
-    edge_sq: dict[tuple[int, ...], list[int]] = {}
-    for idx, cell in enumerate(squares):
-        for f in cube_faces(cell):
-            edge_sq.setdefault(tuple(sorted(f)), []).append(idx)
+    ptr, owners = S.incidence().cofaces(1)
 
     # the two arcs of each curve vertex's link, as square index sets
     arcs_of: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
@@ -367,7 +356,8 @@ def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
     for i in range(L):
         v = curve[i]
         nxt = curve[(i + 1) % L]
-        flank = edge_sq[tuple(sorted((v, nxt)))]
+        e = edge_pos[canonical((v, nxt))]
+        flank = owners[ptr[e]:ptr[e + 1]]
         if len(flank) != 2:
             raise CutError(f"curve edge ({v},{nxt}) not interior to the surface")
         kept_v = arcs_of[v][side_of[v]]
@@ -394,15 +384,9 @@ def boundary_complex(C: CubeComplex, with_map: bool = False):
     """Subcomplex of (d-1)-cells lying in exactly one d-cell, relabeled to
     dense ids (order preserving); with_map also returns new id -> old id."""
     d = C.dim
-    facets = C.cells.get(d, ())
-    if not facets:
+    if not C.cells.get(d):
         raise CubeComplexError("complex has no top-dimensional cells")
-    count: dict[tuple[int, ...], int] = {}
-    for cell in facets:
-        for f in cube_faces(cell):
-            key = canonical(f)
-            count[key] = count.get(key, 0) + 1
-    rim = [f for f, n in count.items() if n == 1]
+    rim = C.incidence().rim()
     if not rim:
         raise CubeComplexError("complex is closed; boundary is empty")
     used = sorted({v for f in rim for v in f})
@@ -419,7 +403,7 @@ def remove_facet(C: CubeComplex, F) -> CubeComplex:
     corners = tuple(F.corners if isinstance(F, Cube) else F)
     target = canonical(corners)
     d = C.dim
-    if target not in set(C.cells.get(d, ())):
+    if target not in C.incidence().position(d):
         raise CubeComplexError(f"{corners} is not a facet")
     cells = {k: v for k, v in C.cells.items()}
     cells[d] = tuple(c for c in cells[d] if c != target)

@@ -1,6 +1,6 @@
 """Core cube model: canonical forms, closure, validation, links."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from cubulations.core import (
     BoundReport,
     Cube,
     CubeComplex,
+    CubeComplexError,
     MalformedCubeError,
     OddCycleError,
     bipartite_classes,
@@ -16,17 +17,15 @@ from cubulations.core import (
     canonical,
     canonical_with_sign,
     cube_faces,
-    from_json_obj,
-    from_text,
     manifold_check,
     pseudomanifold_check,
     relabel_dense,
-    to_json_obj,
-    to_text,
     upper_bound_checks,
     validate,
     vertex_link,
 )
+from cubulations.topology import boundary_columns
+from cubulations.transforms import boundary_complex
 
 SOLID_CUBE = (0, 1, 2, 3, 4, 5, 6, 7)
 
@@ -61,11 +60,11 @@ def _orbit_with_signs(corners):
 
 
 @st.composite
-def small_cubes(draw):
+def small_cubes(draw, max_id=60):
     k = draw(st.integers(min_value=0, max_value=3))
     ids = draw(
         st.lists(
-            st.integers(min_value=0, max_value=60),
+            st.integers(min_value=0, max_value=max_id),
             min_size=1 << k,
             max_size=1 << k,
             unique=True,
@@ -197,14 +196,6 @@ def test_boundary_cube_is_valid_closed_pseudomanifold():
     assert rep.is_complex and rep.is_closed_pseudomanifold
 
 
-def test_restricted_validation_sees_seam_violations():
-    C = build_complex(2, [(0, 1, 2, 3), (3, 4, 0, 5)])
-    rep = validate(C, restrict_to={0, 3})
-    assert not rep.is_complex
-    rep2 = validate(C, restrict_to={1})
-    assert rep2.is_complex  # the bad pair does not meet the restricted seam
-
-
 # ---------------------------------------------------------------------------
 # links, manifolds, bounds, bipartition
 
@@ -266,28 +257,99 @@ def test_bipartite_classes_odd_cycle():
 
 
 # ---------------------------------------------------------------------------
-# interchange format
+# the incidence index against brute force
 
 
-def test_text_round_trip():
-    C = boundary_c3()
-    text = to_text(C)
-    assert text.splitlines()[0] == "cubecomplex 2 8"
-    assert from_text(text) == C
-    assert to_text(from_text(text)) == text
+@st.composite
+def small_complexes(draw):
+    """Closure of a few random cubes, some hollowed to their facets, on a
+    small vertex pool (so they overlap), with ids made dense."""
+    tops = []
+    for cube in draw(st.lists(small_cubes(max_id=11), min_size=1, max_size=5)):
+        if len(cube) >= 4 and draw(st.booleans()):
+            tops.extend(cube_faces(cube))
+        else:
+            tops.append(cube)
+    dense = {v: i for i, v in enumerate(sorted({v for c in tops for v in c}))}
+    dim = max(len(c).bit_length() - 1 for c in tops)
+    return build_complex(dim, [tuple(dense[v] for v in c) for c in tops])
 
 
-def test_text_comments_and_errors():
-    good = "# comment\ncubecomplex 2 4\ncube 2 0 1 2 3  # inline\n"
-    assert from_text(good).f_vector() == (4, 4, 1)
-    with pytest.raises(MalformedCubeError, match="header"):
-        from_text("cube 2 0 1 2 3\n")
-    with pytest.raises(MalformedCubeError, match="corners"):
-        from_text("cubecomplex 2 4\ncube 2 0 1 2\n")
-    with pytest.raises(MalformedCubeError, match="unknown"):
-        from_text("cubecomplex 2 4\nsquare 0 1 2 3\n")
+def _link_by_scan(C, v):
+    simplices = set()
+    for k in range(1, C.dim + 1):
+        for cell in C.cells[k]:
+            if v in cell:
+                pos = cell.index(v)
+                simplices.add(frozenset(cell[pos ^ (1 << j)] for j in range(k)))
+    return {frozenset(sub) for s in simplices
+            for r in range(1, len(s) + 1) for sub in combinations(s, r)}
 
 
-def test_json_round_trip():
-    C = build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5)])
-    assert from_json_obj(to_json_obj(C)) == C
+def _boundary_by_canonicalising(C, k):
+    row = {c: i for i, c in enumerate(C.cells[k - 1])}
+    cols = []
+    for cell in C.cells[k]:
+        col = {}
+        for t, face in enumerate(cube_faces(cell)):
+            canon, sign = canonical_with_sign(face)
+            col[row[canon]] = sign * (-1) ** (t >> 1) * (1 if t & 1 else -1)
+        cols.append(col)
+    return cols
+
+
+def _facets_by_canonicalising(C, k):
+    return {canonical(f) for c in C.cells.get(k, ()) for f in cube_faces(c)}
+
+
+def _rim_by_count(C):
+    count = {}
+    for cell in C.cells[C.dim]:
+        for f in cube_faces(cell):
+            count[canonical(f)] = count.get(canonical(f), 0) + 1
+    return {f for f, n in count.items() if n == 1}
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_vertex_link_matches_a_scan_of_all_cells(C):
+    for v in range(C.n_vertices):
+        assert vertex_link(C, v) == _link_by_scan(C, v)
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_boundary_columns_match_canonical_signs(C):
+    for k in range(1, C.dim + 1):
+        cols = boundary_columns(C, k)
+        assert cols == _boundary_by_canonicalising(C, k)
+        if k > 1:
+            low = boundary_columns(C, k - 1)
+            for col in cols:
+                prod = {}
+                for i, v in col.items():
+                    for r, w in low[i].items():
+                        prod[r] = prod.get(r, 0) + v * w
+                assert not any(prod.values())
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_maximal_cells_match_a_scan(C):
+    m = C.maximal_cells()
+    assert sorted(m) == list(range(C.dim + 1))
+    for k in range(C.dim + 1):
+        covered = _facets_by_canonicalising(C, k + 1)
+        assert m[k] == tuple(c for c in C.cells[k] if c not in covered)
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_boundary_complex_rim_matches_a_face_count(C):
+    rim = _rim_by_count(C)
+    if not rim:
+        with pytest.raises(CubeComplexError, match="closed"):
+            boundary_complex(C)
+        return
+    B, back = boundary_complex(C, with_map=True)
+    assert {canonical([back[v] for v in c]) for c in B.cells[C.dim - 1]} == rim

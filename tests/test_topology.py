@@ -3,14 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubulations.core import build_complex, cube_faces, relabel
+from cubulations.core import CubeComplexError, build_complex, cube_faces, relabel
 from cubulations.topology import (
-    BoundaryMatrix,
     HomologyProfile,
     NonSurfaceLinkError,
     SnfTooLargeError,
     betti_numbers,
-    boundary_matrix,
+    boundary_columns,
     h1_trivial,
     homology_sphere_check,
     orientation_assignment,
@@ -63,16 +62,14 @@ def klein_4x4():
 
 def test_single_edge_matrix():
     C = build_complex(1, [(0, 1)])
-    bm = boundary_matrix(C, 1)
-    assert bm.rows == ((0,), (1,))
-    assert bm.cols == ((0, 1),)
-    assert bm.entries == {(0, 0): -1, (1, 0): 1}
+    assert C.cells[0] == ((0,), (1,))
+    assert C.cells[1] == ((0, 1),)
+    assert boundary_columns(C, 1) == [{0: -1, 1: 1}]
 
 
 def test_single_square_columns_sum_to_zero():
     C = build_complex(2, [(0, 1, 2, 3)])
-    bm = boundary_matrix(C, 2)
-    col = bm.columns()[0]
+    col = boundary_columns(C, 2)[0]
     assert sorted(col.values()) == [-1, -1, 1, 1]
     assert sum(col.values()) == 0
 
@@ -81,19 +78,17 @@ def test_boundary_squared_is_zero():
     for C in (boundary_c3(), boundary_c4(), torus_4x4(), klein_4x4(),
               build_complex(3, [SOLID_CUBE])):
         for k in range(2, C.dim + 1):
-            low = boundary_matrix(C, k - 1)
-            high = boundary_matrix(C, k)
-            prod = {}
-            for (i, j), v in high.entries.items():
-                for (r, i2), w in low.entries.items():
-                    if i2 == i:
-                        prod[(r, j)] = prod.get((r, j), 0) + v * w
-            assert all(x == 0 for x in prod.values())
+            low = boundary_columns(C, k - 1)
+            for col in boundary_columns(C, k):
+                prod = {}
+                for i, v in col.items():
+                    for r, w in low[i].items():
+                        prod[r] = prod.get(r, 0) + v * w
+                assert all(x == 0 for x in prod.values())
 
 
 def test_rank_of_boundary2_of_cube_boundary():
-    bm = boundary_matrix(boundary_c3(), 2)
-    cols = bm.columns()
+    cols = boundary_columns(boundary_c3(), 2)
     assert len(smith_invariant_factors(cols)) == 5
     assert rank_mod_p(cols, 2) == 5
     assert rank_mod_p(cols, 97) == 5
@@ -101,12 +96,10 @@ def test_rank_of_boundary2_of_cube_boundary():
 
 
 def test_boundary_matrix_k_out_of_range():
-    from cubulations.core import CubeComplexError
-
     with pytest.raises(CubeComplexError):
-        boundary_matrix(boundary_c3(), 3)
+        boundary_columns(boundary_c3(), 3)
     with pytest.raises(CubeComplexError):
-        boundary_matrix(boundary_c3(), 0)
+        boundary_columns(boundary_c3(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +178,8 @@ def test_torus_betti():
 
 def test_torus_fast_path_agrees_with_generic_elimination():
     C = torus_4x4()
-    cols1 = boundary_matrix(C, 1).columns()
-    cols2 = boundary_matrix(C, 2).columns()
+    cols1 = boundary_columns(C, 1)
+    cols2 = boundary_columns(C, 2)
     r1 = len(smith_invariant_factors(cols1))
     r2 = len(smith_invariant_factors(cols2))
     f = C.f_vector()

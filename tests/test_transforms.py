@@ -220,7 +220,7 @@ def test_glue_rejects_bad_maps():
 def test_glue_seam_only_validation():
     A = solid_cube()
     B = solid_cube()
-    C = glue(A, B, VertexMap({0: 4, 1: 5, 2: 6, 3: 7}), full_validation=False)
+    C = glue(A, B, VertexMap({0: 4, 1: 5, 2: 6, 3: 7}))
     assert C.f_vector() == (12, 20, 11, 2)
 
 
