@@ -24,6 +24,13 @@ from cubulations.core import (
     validate,
     vertex_link,
 )
+from cubulations.fileio import (
+    FormatError,
+    dumps_complex,
+    dumps_json,
+    loads_complex,
+    loads_json,
+)
 from cubulations.topology import boundary_columns
 from cubulations.transforms import boundary_complex
 
@@ -254,6 +261,34 @@ def test_bipartite_classes_odd_cycle():
     C = CubeComplex.from_cells(1, 3, {1: [(0, 1), (0, 2), (1, 2)], 0: [(0,), (1,), (2,)]})
     with pytest.raises(OddCycleError):
         bipartite_classes(C)
+
+
+# ---------------------------------------------------------------------------
+# interchange format (fileio is the one serializer)
+
+
+def test_text_round_trip():
+    C = boundary_c3()
+    text = dumps_complex(C)
+    assert text.splitlines()[0] == "cubecomplex 2 8"
+    assert loads_complex(text) == C
+    assert dumps_complex(loads_complex(text)) == text
+
+
+def test_text_comments_and_errors():
+    good = "# comment\ncubecomplex 2 4\ncube 2 0 1 2 3  # inline\n"
+    assert loads_complex(good).f_vector() == (4, 4, 1)
+    with pytest.raises(FormatError, match="cubecomplex"):
+        loads_complex("cube 2 0 1 2 3\n")
+    with pytest.raises(FormatError, match="corners"):
+        loads_complex("cubecomplex 2 4\ncube 2 0 1 2\n")
+    with pytest.raises(FormatError, match="'cube' line"):
+        loads_complex("cubecomplex 2 4\nsquare 0 1 2 3\n")
+
+
+def test_json_round_trip():
+    C = build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5)])
+    assert loads_json(dumps_json(C)) == C
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ def samples():
         build_complex(3, [tuple(range(8))]),
         build_complex(2, [(0, 1, 2, 3), (4, 5)]),  # mixed-dim maximal cells
         build_complex(0, [(0,), (1,), (2,)]),
-        build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5)]),
     ]
 
 
@@ -59,8 +58,6 @@ def test_comments_and_blank_lines_ignored():
     noisy = ["# header to ignore", "", body[0] + "  # trailing",
              "   "] + body[1:]
     assert loads_complex("\n".join(noisy)) == S
-    inline = "# comment\ncubecomplex 2 4\ncube 2 0 1 2 3  # inline\n"
-    assert loads_complex(inline).f_vector() == (4, 4, 1)
 
 
 def test_malformed_inputs_rejected():
@@ -68,8 +65,6 @@ def test_malformed_inputs_rejected():
         loads_complex("# nothing here\n")
     with pytest.raises(FormatError, match="cubecomplex"):
         loads_complex("complex 2 8\n")
-    with pytest.raises(FormatError, match="cubecomplex"):
-        loads_complex("cube 2 0 1 2 3\n")  # cube before the header
     with pytest.raises(FormatError, match="integers"):
         loads_complex("cubecomplex two 8\n")
     with pytest.raises(FormatError, match="cube"):
