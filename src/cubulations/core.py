@@ -232,8 +232,13 @@ class Incidence:
                     for cell in level:
                         # facet t lies on axis t >> 1, side t & 1
                         for t, face in enumerate(cube_faces(cell)):
-                            canon, sign = canonical_with_sign(face)
-                            ids.append(pos[canon])
+                            if t & 1:
+                                face, sign = canonical_with_sign(face)
+                            else:
+                                # a side-0 facet keeps the cell's corner 0
+                                # and its ascending neighbours: canonical
+                                sign = 1
+                            ids.append(pos[face])
                             coeffs.append(sign if ((t >> 1) + t) & 1 else -sign)
                 except KeyError:
                     raise CubeComplexError(

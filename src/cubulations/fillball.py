@@ -48,7 +48,7 @@ from .core import (
     validate,
 )
 from .fileio import FormatError, dumps_complex, loads_complex
-from .topology import SnfTooLargeError, betti_numbers, surface_invariants
+from .topology import betti_numbers, surface_invariants
 from .transforms import boundary_complex
 
 __all__ = [
@@ -534,10 +534,7 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     if not rep.is_complex:
         return FillCheck(False, "ball is not a valid complex",
                          rep.violations[0] if rep.violations else None)
-    try:
-        prof = betti_numbers(ball)
-    except SnfTooLargeError as e:
-        return FillCheck(False, f"homology not checkable: {e}")
+    prof = betti_numbers(ball)
     if prof.betti != (1, 0, 0, 0) or any(prof.torsion):
         return FillCheck(False,
                          f"ball homology {prof.betti} differs from a ball")

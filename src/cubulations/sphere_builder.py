@@ -667,11 +667,10 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     rep = validate(A)
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
-    prof = betti_numbers(A, "z") if sum(A.f_vector()) <= 20_000 \
-        else betti_numbers(A, "q")
-    if prof.betti != (1, 0, 0, 1):
-        raise AssemblyError(f"assembled homology is {prof.betti}, "
-                            "not a 3-sphere's")
+    prof = betti_numbers(A, "z")
+    if prof.betti != (1, 0, 0, 1) or any(prof.torsion):
+        raise AssemblyError(f"assembled homology is {prof.betti} with "
+                            f"torsion {prof.torsion}, not a 3-sphere's")
     if not manifold_check(A, 3):
         raise AssemblyError("assembled complex has a bad vertex link")
     return A

@@ -1,5 +1,7 @@
 """Homology: boundary operators, SNF, field ranks, surface classification."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,6 @@ from cubulations.core import CubeComplexError, build_complex, cube_faces, relabe
 from cubulations.topology import (
     HomologyProfile,
     NonSurfaceLinkError,
-    SnfTooLargeError,
     betti_numbers,
     boundary_columns,
     h1_trivial,
@@ -18,6 +19,7 @@ from cubulations.topology import (
     smith_invariant_factors,
     surface_invariants,
 )
+from test_core import small_complexes
 
 SOLID_CUBE = tuple(range(8))
 
@@ -53,6 +55,43 @@ def klein_4x4():
             tops.append((v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
     for j in range(4):
         tops.append((v(3, j), v(0, -j), v(3, j + 1), v(0, -j - 1)))
+    return build_complex(2, tops)
+
+
+def sphere_wedge_moore_space(n=35):
+    """S^2 v M(Z/3, 1): the boundary of the grid cube [0, n]^3, and a 6x6
+    grid disc whose 24 boundary edges wrap three times around an 8-edge
+    circle through the sphere's vertex (0, 0, 0)."""
+    ids = {}
+
+    def vid(key):
+        return ids.setdefault(key, len(ids))
+
+    tops = []
+    for axis in range(3):
+        u, w = (x for x in range(3) if x != axis)
+        for side in (0, n):
+            for a in range(n):
+                for b in range(n):
+                    corners = []
+                    for j in (0, 1):
+                        for i in (0, 1):
+                            p = [0, 0, 0]
+                            p[axis], p[u], p[w] = side, a + i, b + j
+                            corners.append(vid(tuple(p)))
+                    tops.append(tuple(corners))
+    circle = [vid((0, 0, 0))] + [vid(("circle", i)) for i in range(1, 8)]
+
+    def disc(i, j):
+        if 0 < i < 6 and 0 < j < 6:
+            return vid(("disc", i, j))
+        # position on the 24-edge boundary walk, wrapped onto the circle
+        walk = i if j == 0 else 6 + j if i == 6 else 18 - i if j == 6 \
+            else 24 - j
+        return circle[walk % 8]
+
+    tops += [(disc(i, j), disc(i + 1, j), disc(i, j + 1), disc(i + 1, j + 1))
+             for i in range(6) for j in range(6)]
     return build_complex(2, tops)
 
 
@@ -197,17 +236,75 @@ def test_klein_bottle_torsion():
 
 
 def test_snf_size_guard():
+    # integer homology has no size limit; every ring is exact on the ball
     C = build_complex(3, [SOLID_CUBE])
-    with pytest.raises(SnfTooLargeError, match="use field coefficients"):
-        betti_numbers(C, "z", snf_threshold=3)
-    prof = betti_numbers(C, "q", snf_threshold=3)  # modular fallback path
-    assert prof.betti == (1, 0, 0, 0)
+    for coeff in ("z", "q", 2, 3):
+        prof = betti_numbers(C, coeff)
+        assert prof.betti == (1, 0, 0, 0)
+        assert not any(prof.torsion)
 
 
 def test_surface_fast_path_ignores_threshold():
-    # closed orientable surfaces stay exact even above the SNF limit
-    prof = betti_numbers(torus_4x4(), "z", snf_threshold=3)
-    assert prof.betti == (1, 2, 1)
+    # the closed-surface certificate is exact in every coefficient ring
+    for coeff in ("z", "q", 2, 3):
+        prof = betti_numbers(torus_4x4(), coeff)
+        assert prof.betti == (1, 2, 1)
+        assert not any(prof.torsion)
+
+
+def test_odd_torsion_is_seen_above_twenty_thousand_cells():
+    X = sphere_wedge_moore_space()
+    assert sum(X.f_vector()) == 29538
+    assert not homology_sphere_check(X, 2)
+    prof = betti_numbers(X, "z")
+    assert prof.betti == (1, 0, 1)
+    assert prof.torsion[1] == (3,)
+    assert not h1_trivial(X)
+    assert betti_numbers(X, 3).betti == (1, 1, 2)
+    assert betti_numbers(X, 2).betti == (1, 0, 1)
+
+
+def _betti_by_full_matrices(C, coeff):
+    """Reference: invariant factors or ranks of the full boundary matrices."""
+    d, f = C.dim, C.f_vector()
+    cols = [None] + [boundary_columns(C, k) for k in range(1, d + 1)]
+    inv = [[]] + [smith_invariant_factors(cols[k]) for k in range(1, d + 1)] \
+        + [[]]
+    if coeff in ("z", "q"):
+        ranks = [len(x) for x in inv]
+    else:
+        ranks = [0] + [rank_mod_p(cols[k], coeff) for k in range(1, d + 1)] \
+            + [0]
+    betti = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    torsion = tuple(tuple(x for x in inv[k + 1] if x > 1) if coeff == "z"
+                    else () for k in range(d + 1))
+    return betti, torsion
+
+
+def _assert_matches_full_matrices(C):
+    for coeff in ("z", "q", 2, 3):
+        prof = betti_numbers(C, coeff)
+        assert (prof.betti, prof.torsion) == _betti_by_full_matrices(C, coeff)
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_reduced_homology_matches_full_matrices(C):
+    _assert_matches_full_matrices(C)
+
+
+def test_reduced_homology_matches_full_matrices_on_fixed_complexes():
+    for C in (torus_4x4(), klein_4x4(), boundary_c4()):
+        _assert_matches_full_matrices(C)
+
+
+def test_betti_numbers_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        betti_numbers(boundary_c4())
+    records = [r for r in caplog.records if r.name == "cubulations.topology"]
+    assert len(records) == 1
+    # the 3-sphere reduces to a single 3-cell
+    assert "remainder [0, 0, 0, 0, 1]" in records[0].getMessage()
 
 
 @given(st.permutations(list(range(16))))
