@@ -18,16 +18,21 @@ Face incidence lives in one place, the Incidence index of a complex
     and the sign of canonicalising each facet is folded into its entry;
   - star(k): for each vertex, the indices of the k-cells containing it.
 Cofaces, the rim (ridges in exactly one facet) and the maximal cells are
-read off the facet table. Each part is built the first time it is asked
-for, so a complex pays only for what its callers use. Caching it on the
-complex is sound because complexes never change after construction.
+read off the facet table. build_complex fills the facet table in: its
+closure computes every cell's facets anyway, and hands them over remapped
+to sorted positions. Every other constructor (from_cells, relabel,
+products) leaves it to be built the first time it is asked for, as are the
+other parts, so a complex pays only for what its callers use. Caching it on
+the complex is sound because complexes never change after construction.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -114,6 +119,38 @@ def cube_faces(corners: Sequence[int]) -> Iterator[tuple[int, ...]]:
     for j in range(k):
         for side in (0, 1):
             yield tuple(corners[c] for c in range(m) if (c >> j) & 1 == side)
+
+
+@lru_cache(maxsize=None)
+def _facet_sides(k: int) -> tuple[tuple[Callable, bool, int], ...]:
+    """Per facet t of a k-cube, in cube_faces order: a getter of its corner
+    tuple, whether it lies on side 1, and its boundary coefficient before
+    canonicalisation, (-1)^i on side 1 and -(-1)^i on side 0 of axis i."""
+    out = []
+    for t in range(2 * k):
+        idx = [c for c in range(1 << k) if (c >> (t >> 1)) & 1 == t & 1]
+        get = itemgetter(*idx) if k > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+        out.append((get, bool(t & 1), 1 if ((t >> 1) + t) & 1 else -1))
+    return tuple(out)
+
+
+def _facet_rows(level: Iterable[tuple[int, ...]], k: int,
+                face_id: Callable[[tuple[int, ...]], int]) -> tuple[array, array]:
+    """Facet ids and boundary coefficients of canonical k-cells, 2k per cell
+    in cube_faces order; face_id maps a canonical (k-1)-cell to its id.
+    A side-0 facet keeps the cell's corner 0 and its ascending neighbours,
+    so it is canonical as it is; only side-1 facets are canonicalised."""
+    ids, coeffs = array("l"), array("b")
+    sides = _facet_sides(k)
+    for cell in level:
+        for get, side1, coeff in sides:
+            face = get(cell)
+            if side1:
+                face, sign = canonical_with_sign(face)
+                coeff *= sign
+            ids.append(face_id(face))
+            coeffs.append(coeff)
+    return ids, coeffs
 
 
 class Cube:
@@ -204,12 +241,13 @@ class Incidence:
 
     __slots__ = ("dim", "n_vertices", "cells", "_position", "_facets", "_star")
 
-    def __init__(self, C: "CubeComplex"):
+    def __init__(self, C: "CubeComplex",
+                 facets: dict[int, tuple[array, array]] | None = None):
         self.dim = C.dim
         self.n_vertices = C.n_vertices
         self.cells = C.cells
         self._position: dict[int, dict[tuple[int, ...], int]] = {}
-        self._facets: dict[int, tuple[array, array]] = {}
+        self._facets: dict[int, tuple[array, array]] = dict(facets or {})
         self._star: dict[int, tuple[array, array]] = {}
 
     def position(self, k: int) -> dict[tuple[int, ...], int]:
@@ -224,26 +262,16 @@ class Incidence:
         ids[2k*i : 2k*(i+1)], with boundary coefficients coeffs[...] = ±1."""
         got = self._facets.get(k)
         if got is None:
-            ids, coeffs = array("l"), array("b")
             level = self.cells.get(k, ())
             if k > 0 and level:
-                pos = self.position(k - 1)
                 try:
-                    for cell in level:
-                        # facet t lies on axis t >> 1, side t & 1
-                        for t, face in enumerate(cube_faces(cell)):
-                            if t & 1:
-                                face, sign = canonical_with_sign(face)
-                            else:
-                                # a side-0 facet keeps the cell's corner 0
-                                # and its ascending neighbours: canonical
-                                sign = 1
-                            ids.append(pos[face])
-                            coeffs.append(sign if ((t >> 1) + t) & 1 else -sign)
+                    got = _facet_rows(level, k, self.position(k - 1).__getitem__)
                 except KeyError:
                     raise CubeComplexError(
                         "complex is not closed under faces") from None
-            got = self._facets[k] = (ids, coeffs)
+            else:
+                got = array("l"), array("b")
+            self._facets[k] = got
         return got
 
     def cofaces(self, k: int) -> tuple[array, array]:
@@ -344,35 +372,48 @@ class CubeComplex:
         return f"CubeComplex(dim={self.dim}, f={self.f_vector()})"
 
 
+class _Ids(dict):
+    """Cell -> id, numbering each new cell in order of first lookup."""
+
+    def __missing__(self, cell: tuple[int, ...]) -> int:
+        i = self[cell] = len(self)
+        return i
+
+
 def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
                   n_vertices: int | None = None) -> CubeComplex:
     """Build a complex from top cells: canonicalize, close under faces, dedup.
 
+    The closure runs one dimension at a time, from the top down: all k-cells
+    are known before their facets are taken. Each k-cell's facet row is
+    computed once, in sorted order, against provisional ids of the
+    (k-1)-cells, which are remapped to sorted positions once that level is
+    complete. The complex's Incidence receives the finished facet table.
+
     Vertex ids must be dense; n_vertices defaults to max id + 1 and is checked.
     """
-    by_dim: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(dim + 1)}
+    ids = [_Ids() for _ in range(dim + 1)]
     used: set[int] = set()
-    frontier: list[tuple[int, ...]] = []
     for corners in top_cubes:
         cube = Cube(corners)
         if cube.dim > dim:
             raise MalformedCubeError(
                 f"cube of dimension {cube.dim} exceeds complex dimension {dim}")
         used.update(cube.corners)
-        if cube.canon not in by_dim[cube.dim]:
-            by_dim[cube.dim].add(cube.canon)
-            frontier.append(cube.canon)
-    # downward closure
-    while frontier:
-        c = frontier.pop()
-        k = len(c).bit_length() - 1
-        if k == 0:
-            continue
-        for f in cube_faces(c):
-            fc = canonical(f)
-            if fc not in by_dim[k - 1]:
-                by_dim[k - 1].add(fc)
-                frontier.append(fc)
+        ids[cube.dim][cube.canon]  # numbers the cell if it is new
+    cells: dict[int, tuple[tuple[int, ...], ...]] = {}
+    facets: dict[int, tuple[array, array]] = {}
+    for k in range(dim, -1, -1):
+        level = cells[k] = tuple(sorted(ids[k]))
+        if k < dim:
+            rank = array("l", [0]) * len(level)
+            for i, p in enumerate(map(ids[k].__getitem__, level)):
+                rank[p] = i
+            rows, coeffs = facets[k + 1]
+            facets[k + 1] = array("l", map(rank.__getitem__, rows)), coeffs
+        ids[k] = None  # spent: free them before the level below grows
+        if k > 0:
+            facets[k] = _facet_rows(level, k, ids[k - 1].__getitem__)
     if n_vertices is None:
         n_vertices = (max(used) + 1) if used else 0
     if used and (min(used) < 0 or max(used) >= n_vertices):
@@ -384,7 +425,9 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
         raise MalformedCubeError(
             f"vertex ids not dense: {missing} unused ids in [0, {n_vertices}), "
             f"first gap at {gap}")
-    return CubeComplex.from_cells(dim, n_vertices, by_dim)
+    C = CubeComplex(dim, n_vertices, {k: cells[k] for k in range(dim + 1)})
+    C._incidence = Incidence(C, facets)
+    return C
 
 
 def relabel(C: CubeComplex, mapping: dict[int, int],

@@ -43,6 +43,7 @@ from typing import Iterator
 from .core import (
     CubeComplex,
     CubeComplexError,
+    _reachable,
     build_complex,
     canonical,
     validate,
@@ -347,34 +348,23 @@ def _next_boundary(state: frozenset[Square], bd: _Boundary,
                 return None
             if shared not in {frozenset(e) for e in _sq_edges(sq)}:
                 return None
-    count: dict[tuple[int, int], int] = {}
+    at: dict[tuple[int, int], list[Square]] = {}
     verts: set[int] = set()
     for sq in new_state:
         verts.update(sq)
         for u, w in _sq_edges(sq):
             e = (u, w) if u < w else (w, u)
-            count[e] = count.get(e, 0) + 1
-    if any(k != 2 for k in count.values()):
-        return None
-    if len(verts) - len(count) + len(new_state) != 2:
-        return None
-    at: dict[tuple[int, int], list[Square]] = {}
-    for sq in new_state:
-        for u, w in _sq_edges(sq):
-            e = (u, w) if u < w else (w, u)
             at.setdefault(e, []).append(sq)
-    first = next(iter(sorted(new_state)))
-    seen = {first}
-    stack = [first]
-    while stack:
-        sq = stack.pop()
-        for u, w in _sq_edges(sq):
-            e = (u, w) if u < w else (w, u)
-            for nb in at[e]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    if len(seen) != len(new_state):
+    if any(len(sqs) != 2 for sqs in at.values()):
+        return None
+    if len(verts) - len(at) + len(new_state) != 2:
+        return None
+
+    def across(sq: Square) -> list[Square]:
+        return [nb for u, w in _sq_edges(sq)
+                for nb in at[(u, w) if u < w else (w, u)]]
+
+    if len(_reachable(min(new_state), across)) != len(new_state):
         return None
     return new_state
 

@@ -19,10 +19,14 @@ FillRequests describing exactly the spheres a full run would have to fill.
 induct_dimension raises dimension by doubling: remove one facet from a
 d-sphere S, take the product of the remaining ball with two intervals, and
 return the boundary.  Vertices grow exactly 4x and facets at least 2x.
+Each step emits one DEBUG record under cubulations.sphere_builder with the
+input and output f-vectors and the seconds each of its stages took.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -68,6 +72,8 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+log = logging.getLogger(__name__)
 
 # a product cylinder beyond this many cubes is censused but not materialized
 PRODUCT_BUILD_LIMIT = 20_000
@@ -789,16 +795,22 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     d = S.dim
     if d < 2:
         raise AssemblyError("dimension raising needs a sphere of dim >= 2")
+    t0 = time.perf_counter()
     rep = validate(S)
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
         raise AssemblyError("input is not a closed pseudomanifold")
+    t1 = time.perf_counter()
     if not homology_sphere_check(S, d):
         raise AssemblyError("input does not have sphere homology")
+    t2 = time.perf_counter()
 
     target = canonical(facet) if facet is not None else S.cells[d][0]
     Q = _remove_facet(S, target)
     P = cartesian_product(Q, interval_complex(1))
-    out = boundary_complex(cartesian_product(P, interval_complex(1)))
+    R = cartesian_product(P, interval_complex(1))
+    t3 = time.perf_counter()
+    out = boundary_complex(R)
+    t4 = time.perf_counter()
 
     if out.n_vertices != 4 * S.n_vertices:
         raise AssemblyError("vertex count is off; input was not a sphere")
@@ -806,6 +818,11 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
         raise AssemblyError("facet count did not double")
     if not homology_sphere_check(out, d + 1):
         raise AssemblyError("doubling lost the sphere homology")
+    t5 = time.perf_counter()
+    log.debug("induct_dimension: f %s -> %s; validate %.3f s, products "
+              "%.3f s, boundary %.3f s, homology checks %.3f s in + %.3f s "
+              "out", S.f_vector(), out.f_vector(), t1 - t0, t3 - t2,
+              t4 - t3, t2 - t1, t5 - t4)
     return out
 
 

@@ -7,6 +7,8 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import (
@@ -34,26 +36,32 @@ class CutError(CubeComplexError):
 
 
 def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
-    """Product complex. Vertex (a, b) becomes a * B.n_vertices + b; in a
-    product cube the factor-A coordinates occupy the low bit positions."""
+    """Product complex of two closed complexes with canonical cells and
+    dense vertex ids. Vertex (a, b) becomes a * B.n_vertices + b.
+
+    Each cell is written directly: the product of a k_A-cell a and a
+    k_B-cell b has the vertex (a[ca], b[cb]) at corner index cb | (ca << k_B),
+    so the factor-B coordinates occupy the low bit positions. That array is
+    canonical already: corner 0 is the least, and B's axes, whose
+    neighbours carry smaller labels, come before A's. The product of two
+    closed complexes is closed, so its k-cells are the cells of A_i x B_(k-i).
+    """
     nb = B.n_vertices
-    tops: list[tuple[int, ...]] = []
-    amax = A.maximal_cells()
-    bmax = B.maximal_cells()
-    for ka in sorted(amax):
-        for pa in amax[ka]:
-            for kb in sorted(bmax):
-                for pb in bmax[kb]:
-                    size = 1 << (ka + kb)
-                    corners = [0] * size
-                    for cq in range(1 << kb):
-                        base = pb[cq]
-                        shifted = cq << ka
-                        for cp in range(1 << ka):
-                            corners[shifted | cp] = pa[cp] * nb + base
-                    tops.append(tuple(corners))
-    return build_complex(A.dim + B.dim, tops,
-                         n_vertices=A.n_vertices * B.n_vertices)
+    # one int object per product vertex, shared by every cell at it
+    table = [list(range(a * nb, (a + 1) * nb)) for a in range(A.n_vertices)]
+    b_cells = [[itemgetter(*cb) for cb in B.cells.get(j, ())]
+               for j in range(B.dim + 1)]
+    levels: list[list[tuple[int, ...]]] = [[] for _ in range(A.dim + B.dim + 1)]
+    for i in range(A.dim + 1):
+        for ca in A.cells.get(i, ()):
+            rows = [table[a] for a in ca]
+            # a getter of one B-vertex returns an int, of more a tuple
+            levels[i].extend(tuple(map(get, rows)) for get in b_cells[0])
+            for j in range(1, B.dim + 1):
+                levels[i + j].extend(tuple(chain.from_iterable(map(get, rows)))
+                                     for get in b_cells[j])
+    return CubeComplex(A.dim + B.dim, A.n_vertices * nb,
+                       {k: tuple(sorted(level)) for k, level in enumerate(levels)})
 
 
 def interval_complex(k: int) -> CubeComplex:

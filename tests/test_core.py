@@ -321,16 +321,23 @@ def _link_by_scan(C, v):
             for r in range(1, len(s) + 1) for sub in combinations(s, r)}
 
 
-def _boundary_by_canonicalising(C, k):
+def _facet_table_by_canonicalising(C, k):
+    """(ids, coeffs) of every k-cell's facets, in cube_faces order."""
     row = {c: i for i, c in enumerate(C.cells[k - 1])}
-    cols = []
+    ids, coeffs = [], []
     for cell in C.cells[k]:
-        col = {}
         for t, face in enumerate(cube_faces(cell)):
             canon, sign = canonical_with_sign(face)
-            col[row[canon]] = sign * (-1) ** (t >> 1) * (1 if t & 1 else -1)
-        cols.append(col)
-    return cols
+            ids.append(row[canon])
+            coeffs.append(sign * (-1) ** (t >> 1) * (1 if t & 1 else -1))
+    return ids, coeffs
+
+
+def _boundary_by_canonicalising(C, k):
+    ids, coeffs = _facet_table_by_canonicalising(C, k)
+    w = 2 * k
+    return [dict(zip(ids[w * i:w * i + w], coeffs[w * i:w * i + w]))
+            for i in range(len(C.cells[k]))]
 
 
 def _facets_by_canonicalising(C, k):
@@ -350,6 +357,33 @@ def _rim_by_count(C):
 def test_vertex_link_matches_a_scan_of_all_cells(C):
     for v in range(C.n_vertices):
         assert vertex_link(C, v) == _link_by_scan(C, v)
+
+
+def _check_handed_facet_table(C):
+    """build_complex fills in C's facet table; it must equal the one the
+    index builds lazily on a copy, and the brute-force reference."""
+    assert sorted(C.incidence()._facets) == list(range(1, C.dim + 1))
+    lazy = CubeComplex.from_cells(C.dim, C.n_vertices, C.cells).incidence()
+    assert not lazy._facets
+    for k in range(1, C.dim + 1):
+        ids, coeffs = C.incidence().facets(k)
+        want = _facet_table_by_canonicalising(C, k)
+        assert (list(ids), list(coeffs)) == want
+        ids, coeffs = lazy.facets(k)
+        assert (list(ids), list(coeffs)) == want
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_build_complex_hands_its_facet_table_to_the_index(C):
+    _check_handed_facet_table(C)
+
+
+@given(st.permutations(range(16)))
+@settings(max_examples=20, deadline=None)
+def test_handed_facet_table_of_a_relabelled_4_cube(perm):
+    _check_handed_facet_table(build_complex(4, [tuple(perm)]))
+    _check_handed_facet_table(build_complex(3, list(cube_faces(perm))))
 
 
 @given(small_complexes())

@@ -1,5 +1,7 @@
 """Sphere assembly: refining cylinders, handlebodies, the pipeline, doubling."""
 
+import logging
+import re
 import time
 from dataclasses import asdict
 
@@ -361,6 +363,18 @@ def test_doubling_is_facet_invariant():
     outcomes = {induct_dimension(C4, facet=f).f_vector()
                 for f in C4.cells[3]}
     assert outcomes == {(64, 192, 232, 136, 34)}
+
+
+def test_induct_dimension_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cubulations.sphere_builder"):
+        induct_dimension(boundary_c4())
+    records = [r for r in caplog.records
+               if r.name == "cubulations.sphere_builder"]
+    assert len(records) == 1
+    msg = records[0].getMessage()
+    assert "(16, 32, 24, 8) -> (64, 192, 232, 136, 34)" in msg
+    for stage in ("validate", "products", "boundary", "homology checks"):
+        assert re.search(stage + r" \d+\.\d{3} s", msg), stage
 
 
 def test_doubling_rejects_non_spheres():

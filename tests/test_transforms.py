@@ -7,6 +7,7 @@ from cubulations.core import (
     CubeComplexError,
     bipartite_classes,
     build_complex,
+    canonical,
     cube_faces,
     manifold_check,
     validate,
@@ -28,6 +29,7 @@ from cubulations.transforms import (
     torus_complex,
     warmup_complex,
 )
+from test_core import small_complexes
 
 SOLID_CUBE = tuple(range(8))
 
@@ -73,6 +75,52 @@ def test_product_f_vector_convolution():
     assert P.euler_characteristic() == (
         A.euler_characteristic() * B.euler_characteristic()
     )
+
+
+def _product_by_closure(A, B):
+    """Reference product: the products of the factors' maximal cells, with
+    the factor-A coordinates in the low bits, closed by build_complex."""
+    nb = B.n_vertices
+    amax, bmax = A.maximal_cells(), B.maximal_cells()
+    tops = []
+    for ka in amax:
+        for pa in amax[ka]:
+            for kb in bmax:
+                for pb in bmax[kb]:
+                    tops.append(tuple(pa[cp] * nb + pb[cq]
+                                      for cq in range(1 << kb)
+                                      for cp in range(1 << ka)))
+    return build_complex(A.dim + B.dim, tops,
+                         n_vertices=A.n_vertices * B.n_vertices)
+
+
+def _check_product(A, B):
+    P = cartesian_product(A, B)
+    assert P == _product_by_closure(A, B)
+    for level in P.cells.values():
+        for c in level:
+            assert canonical(c) == c
+    fa, fb = A.f_vector(), B.f_vector()
+    assert P.f_vector() == tuple(
+        sum(fa[i] * fb[k - i] for i in range(len(fa)) if 0 <= k - i < len(fb))
+        for k in range(P.dim + 1))
+
+
+@given(small_complexes(), st.integers(min_value=1, max_value=3),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_product_with_an_interval_matches_the_closure(A, k, interval_first):
+    I = interval_complex(k)
+    if interval_first:
+        _check_product(I, A)
+    else:
+        _check_product(A, I)
+
+
+@given(small_complexes(), small_complexes())
+@settings(max_examples=50, deadline=None)
+def test_product_of_two_complexes_matches_the_closure(A, B):
+    _check_product(A, B)
 
 
 def test_cylinder_counts():
