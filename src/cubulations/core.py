@@ -29,11 +29,12 @@ the complex is sound because complexes never change after construction.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 
 FVector = tuple[int, ...]
@@ -548,15 +549,21 @@ def pseudomanifold_check(C: CubeComplex) -> bool:
 # ---------------------------------------------------------------------------
 # links and manifold checks
 
-def _reachable(start: int, neighbors: Callable[[int], Iterable[int]]) -> set[int]:
-    """The nodes reachable from start in the graph given by neighbors."""
+def _reachable(start: Hashable, neighbors: Callable[[Any], Iterable[Any]],
+               until: Iterable[Hashable] | None = None) -> set:
+    """The nodes reachable from start in the graph given by neighbors, found
+    breadth first. Given `until`, the walk stops once it has seen every node
+    of it and returns the nodes seen so far."""
     seen = {start}
-    stack = [start]
-    while stack:
-        for y in neighbors(stack.pop()):
+    left = None if until is None else set(until) - seen
+    todo = deque([start])
+    while todo and (left is None or left):
+        for y in neighbors(todo.popleft()):
             if y not in seen:
                 seen.add(y)
-                stack.append(y)
+                todo.append(y)
+                if left is not None:
+                    left.discard(y)
     return seen
 
 

@@ -26,6 +26,18 @@ sphere, so fillings needing a large excavation are not found. Both can
 hide a fill that a slower search would reach; neither can produce a
 wrong one.
 
+A search frame indexes its boundary once, and no candidate copies it.
+Building a candidate cube and splitting its faces into dropped and
+added squares costs a few dictionary lookups. The legality check runs
+only on a move the search is about to take, and it reads only the at
+most six changed squares and the squares around them: the face test,
+edge counts and the Euler characteristic change only there, and the
+connectivity walk stops once it has met every square next to the
+change, which is exact because the boundary it starts from is
+connected. The next boundary is built only for a legal move. Each
+call logs one DEBUG record under cubulations.fillball with its work
+counts.
+
 Soundness does not rest on the search. Every certificate is passed
 through verify_filling before it is returned, and the verifier rederives
 the boundary of the ball from scratch. An exhausted budget raises
@@ -36,6 +48,8 @@ see read_certificate.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -62,6 +76,8 @@ __all__ = [
     "verify_filling",
     "write_certificate",
 ]
+
+log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 50_000
 GROWTH_SLACK = 16
@@ -117,11 +133,16 @@ class FillCheck:
 
 
 Square = tuple[int, int, int, int]
+Edge = tuple[int, int]
 
 
-def _sq_edges(sq: Square) -> tuple[tuple[int, int], ...]:
+def _sq_edges(sq: Square) -> tuple[Edge, ...]:
     a, b, c, d = sq  # boundary walk a-b-d-c
     return ((a, b), (b, d), (d, c), (c, a))
+
+
+def _edge_keys(sq: Square) -> list[Edge]:
+    return [(u, w) if u < w else (w, u) for u, w in _sq_edges(sq)]
 
 
 def _neighbors(sq: Square, v: int) -> tuple[int, int]:
@@ -141,14 +162,13 @@ class _Boundary:
     def __init__(self, squares: frozenset[Square]):
         self.squares = squares
         self.star: dict[int, list[Square]] = {}
-        self.at_edge: dict[tuple[int, int], list[Square]] = {}
+        self.at_edge: dict[Edge, list[Square]] = {}
         self.by_vset: dict[frozenset[int], Square] = {}
         for sq in sorted(squares):
             self.by_vset[frozenset(sq)] = sq
             for v in sq:
                 self.star.setdefault(v, []).append(sq)
-            for u, w in _sq_edges(sq):
-                e = (u, w) if u < w else (w, u)
+            for e in _edge_keys(sq):
                 self.at_edge.setdefault(e, []).append(sq)
 
     def with_three(self, a: int, b: int, c: int) -> list[Square]:
@@ -262,15 +282,16 @@ def _cube_squares(cube: tuple[int, ...]) -> list[Square]:
     return out
 
 
-def _cube_profile(cube: tuple[int, ...]
+def _cube_profile(cube: tuple[int, ...], squares: list[Square]
                   ) -> tuple[set[frozenset[int]], dict[frozenset[int], Square]]:
-    """Edge set and face-set -> canonical-square map of one cube."""
+    """Edge set and face-set -> canonical-square map of one cube, given
+    its six canonical squares."""
     edges: set[frozenset[int]] = set()
     for i in range(8):
         for j in (1, 2, 4):
             if not i & j:
                 edges.add(frozenset((cube[i], cube[i | j])))
-    faces = {frozenset(f): f for f in _cube_squares(cube)}
+    faces = {frozenset(f): f for f in squares}
     return edges, faces
 
 
@@ -296,45 +317,59 @@ def _cubes_meet_in_face(c1: tuple[int, ...], p1, c2: tuple[int, ...], p2
     return False
 
 
-def _next_boundary(state: frozenset[Square], bd: _Boundary,
-                   glued: tuple[Square, ...],
-                   cube: tuple[int, ...]) -> frozenset[Square] | None:
-    """Boundary after gluing, or None when the move is illegal.
+# a cube's six squares, the squares gluing it drops, and those it adds
+Move = tuple[list[Square], tuple[Square, ...], list[Square]]
+
+
+def _delta(state: frozenset[Square], bd: _Boundary,
+           glued: tuple[Square, ...], cube: tuple[int, ...]) -> Move | None:
+    """The cube's six squares and the squares its gluing drops and adds,
+    or None when the move is rejected before any legality check.
 
     The glued squares leave the boundary; each remaining cube face
-    cancels an equal boundary square or joins the boundary. The result
-    must stay a closed surface of sphere characteristic: every edge on
-    exactly two squares, connected, Euler characteristic 2, and any two
-    squares meeting in a common face.
+    cancels an equal boundary square or joins the boundary. A face on
+    the four vertices of a boundary square with the other diagonal can
+    do neither. It costs two lookups per square and walks nothing.
     """
-    faces = _cube_squares(cube)
-    glued_set = set(glued)
-    drop = set(glued)
+    squares = _cube_squares(cube)
+    drop = list(glued)
     add: list[Square] = []
-    for f in faces:
-        if f in glued_set:
+    for f in squares:
+        if f in glued:
             continue
         if f in state:
-            if f in drop:
-                return None
-            drop.add(f)
+            drop.append(f)
+        elif frozenset(f) in bd.by_vset:
+            return None
         else:
-            hit = bd.by_vset.get(frozenset(f))
-            if hit is not None:
-                return None  # same four vertices, incompatible diagonal
             add.append(f)
-    new_state = (state - drop) | set(add)
-    if not new_state:
-        return new_state
-    # any two squares must meet in a common face; only pairs involving
-    # an added square are new
-    survivors = [sq for sq in new_state if sq not in set(add)]
-    index: dict[int, list[Square]] = {}
-    for sq in survivors:
-        for v in sq:
-            index.setdefault(v, []).append(sq)
+    return squares, tuple(drop), add
+
+
+def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
+           ) -> bool:
+    """Whether the boundary of bd, less drop and plus add, is a sphere.
+
+    It must stay a closed surface of sphere characteristic: every edge
+    on exactly two squares, connected, Euler characteristic 2, and any
+    two squares meeting in a common face. bd is a state the search
+    reached, so it already is one, and only the changed squares are
+    read: the face test pairs each added square with the squares at
+    its vertices, edge and vertex counts change only on the changed
+    squares, and the Euler characteristic by their difference. The
+    walk for connectivity stops once it has met every frontier square:
+    each added square and each survivor across an edge of a dropped
+    one. That is exact: in the connected parent, a shortest path from
+    any survivor to a dropped square passes only survivors, each step
+    over an edge whose two squares both survive and so stay adjacent,
+    and its last survivor is a frontier square.
+    """
+    if not add and len(drop) == len(bd.squares):
+        return True
+    dropped = set(drop)
     for i, f in enumerate(add):
-        others = {sq for v in f for sq in index.get(v, ())}
+        others = {sq for v in f for sq in bd.star.get(v, ())
+                  if sq not in dropped}
         others.update(add[:i])
         fs = set(f)
         fe = {frozenset(e) for e in _sq_edges(f)}
@@ -343,34 +378,60 @@ def _next_boundary(state: frozenset[Square], bd: _Boundary,
             if len(shared) < 2:
                 continue
             if len(shared) != 2:
-                return None
+                return False
             if shared not in fe:
-                return None
+                return False
             if shared not in {frozenset(e) for e in _sq_edges(sq)}:
-                return None
-    at: dict[tuple[int, int], list[Square]] = {}
-    verts: set[int] = set()
-    for sq in new_state:
-        verts.update(sq)
-        for u, w in _sq_edges(sq):
-            e = (u, w) if u < w else (w, u)
-            at.setdefault(e, []).append(sq)
-    if any(len(sqs) != 2 for sqs in at.values()):
-        return None
-    if len(verts) - len(at) + len(new_state) != 2:
-        return None
+                return False
+    # squares at each edge of a changed square, after the move
+    at: dict[Edge, list[Square]] = {}
+    for sq in (*drop, *add):
+        for e in _edge_keys(sq):
+            if e not in at:
+                at[e] = [x for x in bd.at_edge.get(e, ())
+                         if x not in dropped]
+    for f in add:
+        for e in _edge_keys(f):
+            at[e].append(f)
+    euler = len(add) - len(drop)
+    for e, sqs in at.items():
+        if len(sqs) not in (0, 2):
+            return False
+        euler -= (len(sqs) > 0) - (e in bd.at_edge)
+    star: dict[int, int] = {}
+    for squares, step in ((drop, -1), (add, 1)):
+        for sq in squares:
+            for v in sq:
+                star[v] = star.get(v, len(bd.star.get(v, ()))) + step
+    for v, n in star.items():
+        euler += (n > 0) - (v in bd.star)
+    if euler:
+        return False
+    frontier = set(add)
+    for sq in drop:
+        for e in _edge_keys(sq):
+            frontier.update(at[e])
 
     def across(sq: Square) -> list[Square]:
-        return [nb for u, w in _sq_edges(sq)
-                for nb in at[(u, w) if u < w else (w, u)]]
+        return [nb for e in _edge_keys(sq)
+                for nb in (at[e] if e in at else bd.at_edge[e])]
 
-    if len(_reachable(min(new_state), across)) != len(new_state):
-        return None
-    return new_state
+    return frontier <= _reachable(min(frontier), across, until=frontier)
 
 
-def _moves(state: frozenset[Square], nid: int, cap: int
-           ) -> Iterator[tuple[tuple[int, ...], frozenset[Square], int]]:
+@dataclass
+class _Tally:
+    """Work counts of one fill_ball call, for its log record."""
+    steps: int = 0
+    glued: int = 0
+    states: int = 0
+    candidates: int = 0     # cubes built and split into drop and add
+    checked: int = 0        # of those, moves that ran the legality check
+
+
+def _moves(state: frozenset[Square], nid: int, cap: int, tally: _Tally
+           ) -> Iterator[tuple[tuple[int, ...], list[Square],
+                               frozenset[Square], int]]:
     """Legal moves from one boundary state, best first.
 
     Corner moves come before roofs before bumps; within a kind, moves
@@ -379,10 +440,37 @@ def _moves(state: frozenset[Square], nid: int, cap: int
     order fixes the certificate the search returns. Moves whose
     boundary would exceed `cap` squares are not offered, which keeps
     the cost of a search step proportional to the input. Yields (cube,
-    next boundary, next fresh id).
+    its squares, next boundary, next fresh id).
+
+    A frame indexes its state once. Every candidate then costs one
+    _delta, a few dictionary lookups, which also gives the size the
+    corner order needs. The legality check, which reads only the
+    changed squares and their neighbourhood (see _legal), runs when a
+    move comes up to be yielded, and the next boundary is built only
+    for a legal move. Illegal moves are never yielded, so the order of
+    the yielded moves is the one a check of every candidate up front
+    would give.
     """
     bd = _Boundary(state)
-    corners: list[tuple[tuple, tuple[tuple[int, ...], frozenset[Square], int]]]
+
+    def size(move: Move) -> int:
+        return len(state) - len(move[1]) + len(move[2])
+
+    def offer(glued: tuple[Square, ...], cube: tuple[int, ...]
+              ) -> Move | None:
+        tally.candidates += 1
+        move = _delta(state, bd, glued, cube)
+        return move if move is not None and size(move) <= cap else None
+
+    def take(cube: tuple[int, ...], nid2: int, move: Move | None):
+        if move is None:
+            return None
+        squares, drop, add = move
+        tally.checked += 1
+        if not _legal(bd, drop, add):
+            return None
+        return cube, squares, state.difference(drop).union(add), nid2
+
     corners = []
     for v in sorted(bd.star):
         st = bd.star[v]
@@ -394,15 +482,16 @@ def _moves(state: frozenset[Square], nid: int, cap: int
         got = _corner_cube(bd, v, A, B, C, nid)
         if got is not None:
             cube, nid2 = got
-            nxt = _next_boundary(state, bd, (A, B, C), cube)
-            if nxt is not None and len(nxt) <= cap:
-                corners.append(((nid2 - nid, len(nxt), cube),
-                                (cube, nxt, nid2)))
-    corners.sort(key=lambda kv: kv[0])
-    for _, mv in corners:
-        yield mv
-    # roofs and bumps are rarely consumed, so their boundary updates are
-    # computed only when the corner moves above are exhausted
+            move = offer((A, B, C), cube)
+            if move is not None:
+                corners.append(((nid2 - nid, size(move), cube), nid2, move))
+    corners.sort(key=lambda c: c[0])
+    for (_, _, cube), nid2, move in corners:
+        mv = take(cube, nid2, move)
+        if mv is not None:
+            yield mv
+    # roofs and bumps are rarely consumed, so even their cheap part runs
+    # only when the corner moves above are exhausted
     roofs = []
     for e in sorted(bd.at_edge):
         A, B = bd.at_edge[e]
@@ -411,16 +500,15 @@ def _moves(state: frozenset[Square], nid: int, cap: int
             roofs.append(((got[1] - nid, got[0]), got[0], got[1], (A, B)))
     roofs.sort(key=lambda r: r[0])
     for _, cube, nid2, glued in roofs:
-        nxt = _next_boundary(state, bd, glued, cube)
-        if nxt is not None and len(nxt) <= cap:
-            yield cube, nxt, nid2
+        mv = take(cube, nid2, offer(glued, cube))
+        if mv is not None:
+            yield mv
     if len(state) + 4 <= cap:
         for A in sorted(state):
             cube, nid2 = _bump_cube(A, nid)
-            nxt = _next_boundary(state, bd, (A,), cube)
-            if nxt is not None:
-                yield cube, nxt, nid2
-
+            mv = take(cube, nid2, offer((A,), cube))
+            if mv is not None:
+                yield mv
 
 def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
               slack: int = GROWTH_SLACK) -> FillCertificate:
@@ -435,15 +523,38 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
     verify_filling; its boundary map is the identity on the sphere's
     vertex ids. The cube count is whatever the search found first, no
     bound on it is promised.
+
+    Each call emits one DEBUG record under cubulations.fillball: the
+    outcome ("filled" or the exception's name), the input squares,
+    steps, glued cubes, boundary states, candidate moves generated and
+    fully checked, and seconds.
     """
+    t0 = time.perf_counter()
+    tally = _Tally()
+    outcome = "filled"
+    try:
+        return _fill(S, budget, slack, tally)
+    except Exception as e:
+        outcome = type(e).__name__
+        raise
+    finally:
+        log.debug("fill_ball: %s; %d squares in, %d steps, %d glued cubes, "
+                  "%d states, %d candidates generated, %d fully checked, "
+                  "%.3f s", outcome, len(S.cells.get(2, ())), tally.steps,
+                  tally.glued, tally.states, tally.candidates, tally.checked,
+                  time.perf_counter() - t0)
+
+
+def _fill(S: CubeComplex, budget: int, slack: int,
+          tally: _Tally) -> FillCertificate:
+    """fill_ball's checks and search, counting its work in tally."""
     if S.dim != 2:
         raise FillError(f"fill_ball needs a 2-complex, got dimension {S.dim}")
     if not validate(S).is_complex:
         raise FillError("input sphere is not a valid complex")
-    count: dict[tuple[int, int], int] = {}
+    count: dict[Edge, int] = {}
     for sq in S.cells.get(2, ()):
-        for u, w in _sq_edges(sq):
-            e = (u, w) if u < w else (w, u)
+        for e in _edge_keys(sq):
             count[e] = count.get(e, 0) + 1
     if not count or any(k != 2 for k in count.values()):
         raise FillError("input surface is not closed")
@@ -461,10 +572,9 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
     start = frozenset(S.cells[2])
     cap = len(start) + slack
     visited: set[frozenset[Square]] = {start}
-    steps = 0
-    glued = 0
+    tally.states = 1
     best = len(start)
-    frames: list[Iterator] = [_moves(start, S.n_vertices, cap)]
+    frames: list[Iterator] = [_moves(start, S.n_vertices, cap, tally)]
     cubes: list[tuple[int, ...]] = []
     profiles: list[tuple] = []
     final: frozenset[Square] | None = None
@@ -476,19 +586,20 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
                 cubes.pop()
                 profiles.pop()
             continue
-        steps += 1  # every examined candidate counts, or pruning is free
-        if steps > budget:
-            raise FillFailed(steps - 1, glued, len(visited), best,
+        if tally.steps == budget:
+            raise FillFailed(tally.steps, tally.glued, tally.states, best,
                              len(start), budget)
-        cube, nxt, nid = got
+        tally.steps += 1  # every examined candidate counts, or pruning is free
+        cube, squares, nxt, nid = got
         if nxt in visited:
             continue
-        prof = _cube_profile(cube)
+        prof = _cube_profile(cube, squares)
         if any(not _cubes_meet_in_face(cube, prof, c, p)
                for c, p in zip(cubes, profiles)):
             continue
-        glued += 1
+        tally.glued += 1
         visited.add(nxt)
+        tally.states += 1
         cubes.append(cube)
         profiles.append(prof)
         if not nxt:
@@ -496,9 +607,10 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
             break
         if len(nxt) < best:
             best = len(nxt)
-        frames.append(_moves(nxt, nid, cap))
+        frames.append(_moves(nxt, nid, cap, tally))
     if final is None:
-        raise FillFailed(steps, glued, len(visited), best, len(start), budget)
+        raise FillFailed(tally.steps, tally.glued, tally.states, best,
+                         len(start), budget)
     ball = build_complex(3, cubes)
     cert = FillCertificate(ball, {v: v for v in range(S.n_vertices)})
     check = verify_filling(cert, S)

@@ -17,8 +17,9 @@ in two levels: "full" carries the complexes, "structural" carries verified
 FillRequests describing exactly the spheres a full run would have to fill.
 
 induct_dimension raises dimension by doubling: remove one facet from a
-d-sphere S, take the product of the remaining ball with two intervals, and
-return the boundary.  Vertices grow exactly 4x and facets at least 2x.
+d-sphere S, take the product of the remaining ball with a square, and
+return its boundary, written by the product formula.  Vertices grow
+exactly 4x and facets at least 2x.
 Each step emits one DEBUG record under cubulations.sphere_builder with the
 input and output f-vectors and the seconds each of its stages took.
 """
@@ -36,6 +37,7 @@ from .core import (
     build_complex,
     bipartite_classes,
     canonical,
+    cube_faces,
     manifold_check,
     upper_bound_checks,
     validate,
@@ -787,10 +789,17 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False,
 def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     """One doubling step: a cubulated d-sphere to a (d+1)-sphere.
 
-    Remove the interior of one facet (the first in canonical order by
-    default), thicken the remaining ball by two interval products, and
-    take the boundary.  The output has exactly 4 * f0(S) vertices and at
+    Remove the interior of one facet F (the first in canonical order by
+    default), thicken the remaining ball Q by the square I x I, and take
+    the boundary.  The output has exactly 4 * f0(S) vertices and at
     least twice as many facets, and is checked to be a homology sphere.
+
+    The boundary is written by its product formula, with bd for the
+    boundary: bd(Q x I x I) = Q x bd(I x I)  u  bd(F) x I x I, two
+    products that are closed and canonical and overlap in
+    bd(F) x bd(I x I); their cells are merged in sorted order.  bd(I x I)
+    is the rim of the square's own product, so vertex (q, i, j) is
+    4q + 2i + j, as in the product Q x I x I.
     """
     d = S.dim
     if d < 2:
@@ -806,13 +815,21 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
 
     target = canonical(facet) if facet is not None else S.cells[d][0]
     Q = _remove_facet(S, target)
-    P = cartesian_product(Q, interval_complex(1))
-    R = cartesian_product(P, interval_complex(1))
+    level, faces = {target}, {}
+    for k in range(d - 1, -1, -1):
+        level = faces[k] = {canonical(f) for c in level for f in cube_faces(c)}
+    rim_F = CubeComplex.from_cells(d - 1, S.n_vertices, faces)
+    square = cartesian_product(interval_complex(1), interval_complex(1))
+    sides = cartesian_product(Q, boundary_complex(square))
+    ends = cartesian_product(rim_F, square)
     t3 = time.perf_counter()
-    out = boundary_complex(R)
+    out = CubeComplex(d + 1, 4 * S.n_vertices, {
+        k: tuple(sorted(set(sides.cells[k]).union(ends.cells[k])))
+        for k in range(d + 2)})
     t4 = time.perf_counter()
 
-    if out.n_vertices != 4 * S.n_vertices:
+    # out has 4 * n ids by construction; count the vertices it has
+    if len(out.cells[0]) != 4 * S.n_vertices:
         raise AssemblyError("vertex count is off; input was not a sphere")
     if len(out.cells[d + 1]) < 2 * len(S.cells[d]):
         raise AssemblyError("facet count did not double")

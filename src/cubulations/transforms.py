@@ -36,8 +36,9 @@ class CutError(CubeComplexError):
 
 
 def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
-    """Product complex of two closed complexes with canonical cells and
-    dense vertex ids. Vertex (a, b) becomes a * B.n_vertices + b.
+    """Product complex of two closed complexes with canonical cells.
+    Vertex (a, b) becomes a * B.n_vertices + b, so the product's ids are
+    dense when both factors' are.
 
     Each cell is written directly: the product of a k_A-cell a and a
     k_B-cell b has the vertex (a[ca], b[cb]) at corner index cb | (ca << k_B),

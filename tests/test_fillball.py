@@ -1,18 +1,33 @@
 """Filling quadrangulated 2-spheres with cubulated 3-balls."""
 
+import logging
+import re
+import time
+from collections import Counter
+
 import pytest
 
-from cubulations.core import build_complex, cube_faces, validate
+from cubulations import fillball
+from cubulations.core import (
+    _reachable,
+    build_complex,
+    canonical,
+    cube_faces,
+    validate,
+)
 from cubulations.fileio import FormatError
 from cubulations.fillball import (
     FillCertificate,
     FillError,
     FillFailed,
+    _cube_squares,
+    _sq_edges,
     fill_ball,
     read_certificate,
     verify_filling,
     write_certificate,
 )
+from cubulations.sphere_builder import sphere3
 from cubulations.transforms import apply_gadget, torus_complex
 
 
@@ -37,6 +52,13 @@ def pinwheel_pair():
     T = apply_gadget(S, S.cells[2][0], "square_10")
     return apply_gadget(T, next(t for t in T.cells[2] if max(t) < 8),
                         "square_10")
+
+
+def opposite_pinwheel():
+    """Two square-to-ten replacements on opposite squares of the cube."""
+    S = boundary_c3()
+    T = apply_gadget(S, (0, 2, 4, 6), "square_10")
+    return apply_gadget(T, (1, 3, 5, 7), "square_10")
 
 
 def gadget_corpus():
@@ -259,3 +281,180 @@ def test_gadget_corpus_fills_or_fails_explicitly():
     assert len(filled) >= 17
     # the two pinwheel spheres exceed what the bounded search explores
     assert outcomes["pinwheel_pair"][0] == "failed"
+
+
+def _next_boundary_by_rebuild(state, bd, glued, cube):
+    """Boundary after gluing, or None when the move is illegal, decided by
+    rebuilding the edge index of the whole next boundary and walking all
+    of it. The reference for fillball's local check (_delta, _legal)."""
+    faces = _cube_squares(cube)
+    glued_set = set(glued)
+    drop = set(glued)
+    add = []
+    for f in faces:
+        if f in glued_set:
+            continue
+        if f in state:
+            if f in drop:
+                return None
+            drop.add(f)
+        else:
+            hit = bd.by_vset.get(frozenset(f))
+            if hit is not None:
+                return None  # same four vertices, incompatible diagonal
+            add.append(f)
+    return _sphere_by_rebuild(state, drop, add)
+
+
+def _sphere_by_rebuild(state, drop, add):
+    """state less drop plus add when it is a sphere state, else None."""
+    new_state = (state - drop) | set(add)
+    if not new_state:
+        return new_state
+    survivors = [sq for sq in new_state if sq not in set(add)]
+    index = {}
+    for sq in survivors:
+        for v in sq:
+            index.setdefault(v, []).append(sq)
+    for i, f in enumerate(add):
+        others = {sq for v in f for sq in index.get(v, ())}
+        others.update(add[:i])
+        fs = set(f)
+        fe = {frozenset(e) for e in _sq_edges(f)}
+        for sq in others:
+            shared = fs & set(sq)
+            if len(shared) < 2:
+                continue
+            if len(shared) != 2:
+                return None
+            if shared not in fe:
+                return None
+            if shared not in {frozenset(e) for e in _sq_edges(sq)}:
+                return None
+    at = {}
+    verts = set()
+    for sq in new_state:
+        verts.update(sq)
+        for u, w in _sq_edges(sq):
+            e = (u, w) if u < w else (w, u)
+            at.setdefault(e, []).append(sq)
+    if any(len(sqs) != 2 for sqs in at.values()):
+        return None
+    if len(verts) - len(at) + len(new_state) != 2:
+        return None
+
+    def across(sq):
+        return [nb for u, w in _sq_edges(sq)
+                for nb in at[(u, w) if u < w else (w, u)]]
+
+    if len(_reachable(min(new_state), across)) != len(new_state):
+        return None
+    return new_state
+
+
+def _hand_made_moves():
+    """(name, state, drop, add) on the cube boundary, each dropping one
+    square or two. No search has generated a move that only the Euler
+    characteristic or only the connectivity walk rejects, so these do.
+    """
+    cube = tuple(range(8))
+    state = frozenset(canonical(f) for f in cube_faces(cube))
+    bottom, top = canonical((0, 1, 2, 3)), canonical((4, 5, 6, 7))
+
+    def faces(c):
+        return [canonical(f) for f in cube_faces(c)]
+    bump = [f for f in faces((0, 1, 2, 3, 14, 15, 16, 17)) if f != bottom]
+    # a second cube boundary at the antipodes 0 and 7: two spheres that
+    # share no edge, only two vertices, so V - E + F is still 2
+    twin = faces((0, 8, 9, 10, 11, 12, 13, 7))
+    # a tube from the bottom hole to the top hole through a ring of fresh
+    # vertices: a torus, connected and with every edge on two squares
+    ring = (0, 1, 2, 3), (8, 9, 10, 11), (4, 5, 6, 7)
+    tube = [canonical((lo[a], lo[b], hi[a], hi[b]))
+            for lo, hi in zip(ring, ring[1:])
+            for a, b in ((0, 1), (1, 3), (3, 2), (2, 0))]
+    return [("bump", state, (bottom,), bump),
+            ("pinched twin", state, (bottom,), bump + twin),
+            ("torus", state, (bottom, top), tube)]
+
+
+def test_local_check_matches_the_rebuild(monkeypatch):
+    """Every candidate move the searches generate, and each hand-made
+    move, gets the same verdict, and a legal one the same next boundary,
+    from the local check as from a rebuild of the whole boundary."""
+    for name, state, drop, add in _hand_made_moves():
+        want = _sphere_by_rebuild(state, set(drop), add)
+        legal = fillball._legal(fillball._Boundary(state), drop, add)
+        assert legal == (want is not None) == (name == "bump"), name
+    real = fillball._delta
+    verdicts = Counter()
+    mismatches = []
+
+    def delta(state, bd, glued, cube):
+        move = real(state, bd, glued, cube)
+        want = _next_boundary_by_rebuild(state, bd, glued, cube)
+        if move is None:
+            got, kind = None, "rejected early"
+        else:
+            _, drop, add = move
+            legal = fillball._legal(bd, drop, add)
+            got = state.difference(drop).union(add) if legal else None
+            kind = "legal" if legal else "illegal"
+        verdicts[kind] += 1
+        if got != want:
+            mismatches.append((sorted(state), glued, cube))
+        return move
+
+    monkeypatch.setattr(fillball, "_delta", delta)
+    spheres = [(S, budget) for _, S, budget in gadget_corpus()]
+    spheres += [(pinwheel_pair(), 1200), (opposite_pinwheel(), 500)]
+    for S, budget in spheres:
+        try:
+            fill_ball(S, budget=budget)
+        except (FillFailed, FillError):
+            pass
+    assert not mismatches, mismatches[0]
+    assert verdicts["legal"] > 1000 and verdicts["illegal"] > 1000, verdicts
+
+
+def test_handlebody_sphere_search_stays_local():
+    """A search on a 1218-square sphere costs per step what its moves
+    touch, not a copy and a walk of the whole boundary per candidate."""
+    report, _ = sphere3(11, k=4, structural=True)
+    S = report.requests[42].sphere
+    assert len(S.cells[2]) == 1218
+    start = time.perf_counter()
+    with pytest.raises(FillFailed) as ei:
+        fill_ball(S, budget=25)
+    elapsed = time.perf_counter() - start
+    e = ei.value
+    assert (e.steps, e.glued, e.states, e.best) == (25, 25, 26, 1118)
+    assert elapsed < 60
+
+
+RECORD = re.compile(
+    r"fill_ball: (\w+); (\d+) squares in, (\d+) steps, (\d+) glued cubes, "
+    r"(\d+) states, (\d+) candidates generated, (\d+) fully checked, "
+    r"\d+\.\d{3} s$")
+
+
+def test_fill_ball_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cubulations.fillball"):
+        cert = fill_ball(pillar_sphere(1))
+        with pytest.raises(FillFailed) as ei:
+            fill_ball(pinwheel_pair(), budget=50)
+        with pytest.raises(FillError):
+            fill_ball(torus_complex(2))
+    records = [r for r in caplog.records if r.name == "cubulations.fillball"]
+    assert len(records) == 3
+    got = [RECORD.match(r.getMessage()) for r in records]
+    assert all(got), [r.getMessage() for r in records]
+    filled, failed, rejected = (m.groups() for m in got)
+    assert filled[:2] == ("filled", "10")
+    assert int(filled[3]) == cert.n_cubes
+    e = ei.value
+    assert failed[:6] == ("FillFailed", "24", "50", str(e.glued),
+                          str(e.states), failed[5])
+    assert rejected[:3] == ("FillError", "16", "0")
+    for outcome, _, steps, _, _, generated, checked in (filled, failed):
+        assert int(generated) >= int(checked) >= int(steps) > 0

@@ -1,6 +1,7 @@
 """Sphere assembly: refining cylinders, handlebodies, the pipeline, doubling."""
 
 import logging
+import random
 import re
 import time
 from dataclasses import asdict
@@ -9,13 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubulations.core import (
+    CubeComplex,
     build_complex,
     cube_faces,
     manifold_check,
+    relabel,
     validate,
 )
 from cubulations.topology import betti_numbers, surface_invariants
-from cubulations.transforms import torus_complex
+from cubulations.transforms import (
+    boundary_complex,
+    cartesian_product,
+    interval_complex,
+    remove_facet,
+    torus_complex,
+)
 from cubulations.basis import canonical_basis, refine_report
 from cubulations.surface_gen import surface_report
 from cubulations.sphere_builder import (
@@ -363,6 +372,34 @@ def test_doubling_is_facet_invariant():
     outcomes = {induct_dimension(C4, facet=f).f_vector()
                 for f in C4.cells[3]}
     assert outcomes == {(64, 192, 232, 136, 34)}
+
+
+def _doubling_by_closure(S, facet):
+    """The doubling step built as the product Q x I x I and the closure of
+    its rim, the reference for induct_dimension's product formula."""
+    Q = remove_facet(S, facet)
+    R = cartesian_product(cartesian_product(Q, interval_complex(1)),
+                          interval_complex(1))
+    return boundary_complex(R)
+
+
+def test_doubling_matches_the_closure_of_the_rim():
+    C4 = boundary_c4()
+    perm = list(range(16))
+    random.Random(7).shuffle(perm)
+    shuffled = relabel(C4, dict(enumerate(perm)))
+    for S in (C4, shuffled):
+        for f in S.cells[3]:
+            assert induct_dimension(S, facet=f) == _doubling_by_closure(S, f)
+
+
+def test_doubling_rejects_an_unused_vertex_id():
+    # the product has 4 * n_vertices ids by construction; the guard counts
+    # the vertices it has
+    C4 = boundary_c4()
+    S = CubeComplex.from_cells(3, 17, C4.cells)
+    with pytest.raises(AssemblyError, match="vertex count"):
+        induct_dimension(S)
 
 
 def test_induct_dimension_logs_one_debug_record(caplog):
