@@ -19,19 +19,26 @@ boundary, which fixes the order of crossing points along every edge.
 A corner fan contains each interior edge at most once per endpoint, so
 a curve crosses an edge at most twice. The bound, the canonical
 intersection pattern, and unimodularity are verified, never assumed.
+Unimodularity is read off topology.smith_invariant_factors: an n x n
+pairing matrix is unimodular exactly when it has n invariant factors,
+all equal to 1.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CubeComplex, CubeComplexError, build_complex, validate
-from .topology import orientation_assignment
+from .topology import orientation_assignment, smith_invariant_factors
 from .transforms import _insert_square_5
 
 Edge = tuple[int, int]
+
+log = logging.getLogger(__name__)
 
 
 class BasisError(CubeComplexError):
@@ -449,6 +456,18 @@ def _segment_cross_sign(p1: int, q1: int, p2: int, q2: int) -> int:
     return 1 if start_in else -1
 
 
+class _LastArrangement:
+    """The last input of arrangement_crossings and its result. The input
+    is compared by value, never by identity, so a new curve family that
+    equals the last one reuses its result, and any other is computed."""
+    key: tuple | None = None
+    value: tuple[dict, dict]
+    hits = 0
+
+
+_last_arrangement = _LastArrangement()
+
+
 def arrangement_crossings(Q: CubeComplex, curves: Sequence[CurveOnSurface]
                           ) -> tuple[dict[tuple[int, int], int],
                                      dict[tuple[int, int], int]]:
@@ -458,7 +477,24 @@ def arrangement_crossings(Q: CubeComplex, curves: Sequence[CurveOnSurface]
     segments cross exactly when their endpoints interleave around the
     face boundary. Keys are (i, j) with i <= j; the signed value is the
     contribution to curve_i . curve_j, the unsigned value the plain
-    count (i == j reports self-crossings, zero for embedded curves)."""
+    count (i == j reports self-crossings, zero for embedded curves).
+
+    The last result is kept and reused when Q and the curves equal the
+    last call's; the dicts returned are fresh copies either way."""
+    key = (Q, tuple(curves))
+    last = _last_arrangement
+    if last.key == key:
+        last.hits += 1
+    else:
+        last.key, last.value = key, _arrangement(Q, key[1])
+    signed, unsigned = last.value
+    return dict(signed), dict(unsigned)
+
+
+def _arrangement(Q: CubeComplex, curves: Sequence[CurveOnSurface]
+                 ) -> tuple[dict[tuple[int, int], int],
+                            dict[tuple[int, int], int]]:
+    """arrangement_crossings, computed."""
     face_cycles = oriented_face_cycles(Q)
     pos = _face_positions(face_cycles, curves)
     by_face: dict[int, list[tuple[int, int, int]]] = {}
@@ -571,42 +607,59 @@ def _crossing_sign(face_cycles: list[tuple[int, ...]], ev: Crossing) -> int:
 def pairing_matrix(Q: CubeComplex, B: CurveBasis) -> list[list[int]]:
     """M[i][j] = signed crossings of curve i with the j-th fundamental
     loop. The curves are a homology basis exactly when det M = +-1."""
-    face_cycles = oriented_face_cycles(Q)
-    loops = _spanning_loops(Q, B)
+    return _pairing(oriented_face_cycles(Q), _spanning_loops(Q, B),
+                    B.curves)
+
+
+def _pairing(face_cycles: list[tuple[int, ...]],
+             loops: list[dict[Edge, int]],
+             curves: Sequence[CurveOnSurface]) -> list[list[int]]:
+    """pairing_matrix from the loops: each loop's edges are indexed
+    once, and a crossing adds its signed contribution only to the loops
+    through its edge."""
+    through: dict[Edge, list[tuple[int, int]]] = {}
+    for j, mult in enumerate(loops):
+        for e, m in mult.items():
+            if m:
+                through.setdefault(e, []).append((j, m))
     M = []
-    for c in B.curves:
-        row = []
-        for mult in loops:
-            total = 0
-            for ev in c.crossings:
-                m = mult.get(ev.edge)
-                if m:
-                    total += m * _crossing_sign(face_cycles, ev)
-            row.append(total)
+    for c in curves:
+        row = [0] * len(loops)
+        for ev in c.crossings:
+            hits = through.get(ev.edge)
+            if hits:
+                s = _crossing_sign(face_cycles, ev)
+                for j, m in hits:
+                    row[j] += m * s
         M.append(row)
     return M
 
 
-def _det(M: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
+def _invariant_factors(M: list[list[int]]) -> list[int] | None:
+    """The invariant factors of a square integer matrix, None when M is
+    not square. M is unimodular exactly when it has len(M) factors, all
+    equal to 1."""
     n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
+    if any(len(row) != n for row in M):
+        return None
+    return smith_invariant_factors(
+        [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(n)])
+
+
+def _unimodular(M: list[list[int]]) -> bool:
+    """Whether M is a square integer matrix with determinant +-1."""
+    return _invariant_factors(M) == [1] * len(M)
+
+
+@dataclass
+class _VerifyTally:
+    """Work counts of one verify_basis call on curves, for its log record."""
+    events: int = 0         # crossings of curves with edges
+    crossings: int = 0      # crossings of curves with each other
+    loop_edges: int = 0     # edges of the fundamental loops, summed
+    nonzeros: int = 0       # of the pairing matrix
+    factors: int = 0        # invariant factors of the pairing matrix
+    reused: bool = False    # the arrangement was the last one computed
 
 
 def verify_basis(Q: CubeComplex, B: CurveBasis | EdgePathBasis) -> bool:
@@ -618,18 +671,52 @@ def verify_basis(Q: CubeComplex, B: CurveBasis | EdgePathBasis) -> bool:
     intersection pairing is unimodular, so the curve classes form a
     basis of first homology over the integers. Accepts either normal
     curves on Q or closed edge paths in the one-skeleton of Q.
+
+    A check of normal curves emits one DEBUG record under
+    cubulations.basis: the verdict (or the exception's name), the
+    curves, crossing events, curve-pair crossings, fundamental-loop
+    edges, nonzeros of the pairing matrix, its invariant factors,
+    whether the arrangement was reused, and seconds.
     """
     if isinstance(B, EdgePathBasis):
         return _verify_edge_paths(Q, B)
+    t0 = time.perf_counter()
+    tally = _VerifyTally()
+    outcome = "rejected"
+    try:
+        ok = _verify_curves(Q, B, tally)
+        if ok:
+            outcome = "accepted"
+        return ok
+    except Exception as e:
+        outcome = type(e).__name__
+        raise
+    finally:
+        log.debug("verify_basis: %s; %d curves, %d crossing events, %d "
+                  "curve-pair crossings, %d loop edges, %d nonzeros in the "
+                  "pairing matrix, %d invariant factors, arrangement %s, "
+                  "%.3f s", outcome, len(B.curves), tally.events,
+                  tally.crossings, tally.loop_edges, tally.nonzeros,
+                  tally.factors, "reused" if tally.reused else "computed",
+                  time.perf_counter() - t0)
+
+
+def _verify_curves(Q: CubeComplex, B: CurveBasis, tally: _VerifyTally
+                   ) -> bool:
+    """verify_basis on normal curves, counting its work in tally."""
     g = B.genus
     if len(B.curves) != 2 * g:
         return False
     if g == 0:
         return True
+    tally.events = sum(len(c) for c in B.curves)
     for c in B.curves:
         if any(k > 2 for k in c.edges_crossed().values()):
             return False
+    hits = _last_arrangement.hits
     signed, unsigned = arrangement_crossings(Q, B.curves)
+    tally.reused = _last_arrangement.hits > hits
+    tally.crossings = sum(unsigned.values())
     for (i, j), k in unsigned.items():
         if i == j:
             return False  # self-crossing
@@ -641,8 +728,13 @@ def verify_basis(Q: CubeComplex, B: CurveBasis | EdgePathBasis) -> bool:
             return False
         if signed.get((2 * s, 2 * s + 1), 0) != 1:
             return False
-    M = pairing_matrix(Q, B)
-    return abs(_det(M)) == 1
+    loops = _spanning_loops(Q, B)
+    tally.loop_edges = sum(len(mult) for mult in loops)
+    M = _pairing(oriented_face_cycles(Q), loops, B.curves)
+    tally.nonzeros = sum(1 for row in M for x in row if x)
+    factors = _invariant_factors(M)
+    tally.factors = len(factors or ())
+    return factors == [1] * len(M)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,4 +1408,4 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
             want = 1 if (i // 2 == j // 2) else 0
             if M[i][j] != want:
                 ok = False
-    return ok and abs(_det(M)) == 1
+    return ok and _unimodular(M)

@@ -273,12 +273,22 @@ def _bump_cube(A: Square, nid: int) -> tuple[tuple[int, ...], int]:
     return _cube_tuple(pos), nid + 4
 
 
+# corner positions of a cube's six squares, in axis/side order; each
+# lists its square's corners in bitmask order
+_SQUARE_CORNERS = tuple(tuple(i for i in range(8) if (i >> j) & 1 == side)
+                        for j in range(3) for side in (0, 1))
+
+
 def _cube_squares(cube: tuple[int, ...]) -> list[Square]:
+    """The six squares of a cube, each in the form core.canonical gives
+    it, written directly: the least corner, its two neighbours in
+    ascending order, then the corner opposite it."""
     out = []
-    for j in range(3):
-        for side in (0, 1):
-            out.append(canonical(
-                tuple(cube[i] for i in range(8) if (i >> j) & 1 == side)))
+    for idx in _SQUARE_CORNERS:
+        p = [cube[i] for i in idx]
+        t = p.index(min(p))
+        a, b, d = p[t ^ 1], p[t ^ 2], p[t ^ 3]
+        out.append((p[t], a, b, d) if a < b else (p[t], b, a, d))
     return out
 
 

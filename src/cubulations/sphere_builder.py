@@ -54,7 +54,7 @@ from .transforms import (
 from .transforms import remove_facet as _remove_facet
 from .fillball import DEFAULT_BUDGET, FillFailed, fill_ball
 from .basis import EdgePathBasis, RefineReport, canonical_basis, refine_report, \
-    regularize_with_chains
+    regularize_with_chains, verify_neighborhoods
 from .surface_gen import _is_odd_prime, surface_report
 
 __all__ = [
@@ -699,7 +699,10 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False,
     n must be an odd prime at least 11; k (the product cylinder length)
     defaults to n^3.  Returns the complex and its census on full
     success, otherwise a StructuralReport whose FillRequests have all
-    been verified against the filling lemma's hypotheses.
+    been verified against the filling lemma's hypotheses.  The ribbon
+    surgery's regular-neighbourhood certificates are re-checked on the
+    refined surface with verify_neighborhoods before anything is built
+    on it.
     """
     if not _is_odd_prime(n) or n < 11:
         raise AssemblyError("n must be an odd prime at least 11")
@@ -711,8 +714,11 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False,
     Q, _srep = surface_report(n)
     B = canonical_basis(Q)
     rep = refine_report(Q, B)
-    Q2, B2, _certs, chains2 = regularize_with_chains(
+    Q2, B2, certs, chains2 = regularize_with_chains(
         rep.complex, rep.basis, rep.edge_chains)
+    if not verify_neighborhoods(Q2, B2, certs):
+        raise AssemblyError("a regular-neighbourhood certificate of the "
+                            "refined basis does not hold")
 
     cyl = refining_cylinder(Q, Q2, B2, chains=chains2,
                             structural=structural, budget=budget)

@@ -1,17 +1,26 @@
 """Homology bases: construction, refinement to edge paths, ribbon surgery."""
 
+import logging
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubulations.basis import (
     BasisError,
+    Crossing,
     CurveBasis,
+    CurveOnSurface,
     EdgePathBasis,
+    _crossing_sign,
+    _spanning_loops,
+    _unimodular,
     arrangement_crossings,
     canonical_basis,
     intersection_matrix,
+    oriented_face_cycles,
+    pairing_matrix,
     refine_census,
     refine_report,
     refine_with_basis,
@@ -43,6 +52,47 @@ def klein_bottle():
         for j in range(4)
     ]
     return build_complex(2, sqs)
+
+
+def _pairing_by_scan(Q, B):
+    """The pairing matrix by the direct triple loop: every crossing of
+    every curve against every fundamental loop."""
+    face_cycles = oriented_face_cycles(Q)
+    loops = _spanning_loops(Q, B)
+    M = []
+    for c in B.curves:
+        row = []
+        for mult in loops:
+            total = 0
+            for ev in c.crossings:
+                m = mult.get(ev.edge)
+                if m:
+                    total += m * _crossing_sign(face_cycles, ev)
+            row.append(total)
+        M.append(row)
+    return M
+
+
+def _det(M):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [row[:] for row in M]
+    prev = 1
+    sign = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +167,7 @@ def test_every_root_gives_a_verified_basis(root):
     B = canonical_basis(T, root=root)
     assert B.genus == 1
     assert verify_basis(T, B)
+    assert pairing_matrix(T, B) == _pairing_by_scan(T, B)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +194,16 @@ def test_unimodular_pattern_n31(n31):
     assert verify_basis(Q, B)
 
 
+def test_pairing_matrix_matches_the_scan(n31):
+    T = torus_complex(2)
+    B = canonical_basis(T)
+    assert pairing_matrix(T, B) == _pairing_by_scan(T, B)
+    Q, B = n31
+    M = pairing_matrix(Q, B)
+    assert M == _pairing_by_scan(Q, B)
+    assert len(M) == 122 and all(len(row) == 122 for row in M)
+
+
 def test_intersection_matrix_is_symplectic_n31(n31):
     _, B = n31
     M = B.intersection_matrix
@@ -162,6 +223,113 @@ def test_arrangement_agrees_with_matrix():
     signed, unsigned = arrangement_crossings(T, B.curves)
     assert signed == {(0, 1): 1}
     assert unsigned == {(0, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# unimodularity by Smith normal form
+
+
+@st.composite
+def matrices_of_known_det(draw):
+    """diag(d, 1, ..., 1) under random row additions and swaps, which
+    keep |det| = |d|; d = 0 gives singular matrices."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.sampled_from([-2, -1, 0, 1, 2]))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    M[0][0] = d
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for (i, j), k in draw(st.lists(st.tuples(pairs, st.integers(-3, 3)),
+                                   max_size=12)):
+        if i == j:
+            continue
+        if k == 0:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    return M, abs(d)
+
+
+small_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices_of_known_det())
+def test_unimodular_matches_the_determinant(case):
+    M, abs_det = case
+    assert abs(_det(M)) == abs_det
+    assert _unimodular(M) == (abs_det == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=small_matrices)
+def test_unimodular_matches_the_determinant_on_any_matrix(M):
+    assert _unimodular(M) == (abs(_det(M)) == 1)
+
+
+def test_non_square_pairing_is_not_unimodular():
+    assert not _unimodular([[1, 0]])
+    assert not _unimodular([[1], [0]])
+
+
+# ---------------------------------------------------------------------------
+# the kept arrangement
+
+
+def _copy_curve(c):
+    return CurveOnSurface(tuple(
+        Crossing(x.edge, x.vertex, x.depth, x.f_from, x.f_to)
+        for x in c.crossings))
+
+
+def test_kept_arrangement_is_sound():
+    T = torus_complex(2)
+    B = canonical_basis(T)
+    assert verify_basis(T, B)
+    a, b = B.curves
+    for curves in ((a, a), (a, b.reversed_()), (b, a)):
+        forged = CurveBasis(B.genus, curves, B.intersection_matrix,
+                            B.handle_edges, B.spur_edges)
+        assert not verify_basis(T, forged)
+        assert verify_basis(T, B)
+    signed, unsigned = arrangement_crossings(T, B.curves)
+    signed[(0, 1)] = -7
+    unsigned.clear()
+    want = ({(0, 1): 1}, {(0, 1): 1})
+    assert arrangement_crossings(T, B.curves) == want
+    # an equal family of other objects gets the same answer
+    assert arrangement_crossings(T, [_copy_curve(c) for c in B.curves]) \
+        == want
+
+
+RECORD = re.compile(
+    r"verify_basis: (\w+); (\d+) curves, (\d+) crossing events, (\d+) "
+    r"curve-pair crossings, (\d+) loop edges, (\d+) nonzeros in the pairing "
+    r"matrix, (\d+) invariant factors, arrangement (reused|computed), "
+    r"\d+\.\d{3} s$")
+
+
+def test_verify_basis_logs_one_debug_record(caplog):
+    T = torus_complex(2)
+    B = canonical_basis(T)
+    forged = CurveBasis(B.genus, (B.curves[0], B.curves[0]),
+                        B.intersection_matrix, B.handle_edges, B.spur_edges)
+    got = []
+    for basis in (B, B, forged):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cubulations.basis"):
+            verify_basis(T, basis)
+        records = [r for r in caplog.records if r.name == "cubulations.basis"]
+        assert len(records) == 1
+        m = RECORD.match(records[0].getMessage())
+        assert m, records[0].getMessage()
+        got.append(m.groups())
+    # the canonical basis flips a curve after its own arrangement, so the
+    # first check computes one; the second reuses it
+    assert got[0] == ("accepted", "2", "24", "1", "8", "2", "2", "computed")
+    assert got[1] == got[0][:-1] + ("reused",)
+    assert got[2][0] == "rejected" and got[2][-1] == "computed"
 
 
 # ---------------------------------------------------------------------------

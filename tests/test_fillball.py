@@ -417,6 +417,31 @@ def test_local_check_matches_the_rebuild(monkeypatch):
     assert verdicts["legal"] > 1000 and verdicts["illegal"] > 1000, verdicts
 
 
+def test_cube_squares_match_canonical(monkeypatch):
+    """The closed form of a built cube's squares equals the generic
+    canonical form, on every cube the searches build."""
+    real = fillball._cube_squares
+    cubes = set()
+
+    def squares(cube):
+        cubes.add(cube)
+        return real(cube)
+
+    monkeypatch.setattr(fillball, "_cube_squares", squares)
+    spheres = [(S, budget) for _, S, budget in gadget_corpus()]
+    for S, budget in spheres + [(pinwheel_pair(), 1200)]:
+        try:
+            fill_ball(S, budget=budget)
+        except (FillFailed, FillError):
+            pass
+    assert len(cubes) > 1000, len(cubes)
+    for cube in cubes:
+        want = [canonical(tuple(cube[i] for i in range(8)
+                                if (i >> j) & 1 == side))
+                for j in range(3) for side in (0, 1)]
+        assert real(cube) == want, cube
+
+
 def test_handlebody_sphere_search_stays_local():
     """A search on a 1218-square sphere costs per step what its moves
     touch, not a copy and a walk of the whole boundary per candidate."""

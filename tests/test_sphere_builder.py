@@ -25,7 +25,12 @@ from cubulations.transforms import (
     remove_facet,
     torus_complex,
 )
-from cubulations.basis import canonical_basis, refine_report
+from cubulations import sphere_builder
+from cubulations.basis import (
+    RegularNeighborhoodCert,
+    canonical_basis,
+    refine_report,
+)
 from cubulations.surface_gen import surface_report
 from cubulations.sphere_builder import (
     AssemblyError,
@@ -341,6 +346,23 @@ def test_pipeline_input_validation():
             sphere3(n, k=1, structural=True)
     with pytest.raises(AssemblyError, match="k must be"):
         sphere3(11, k=0, structural=True)
+
+
+def test_sphere3_rejects_a_forged_neighborhood_certificate(monkeypatch):
+    """sphere3 checks the ribbon surgery's certificates against the
+    refined surface; at n=11 the basis is empty, so one certificate is
+    one too many."""
+    real = sphere_builder.regularize_with_chains
+
+    def forged(Qp, Bp, chains):
+        Q2, B2, certs, chains2 = real(Qp, Bp, chains)
+        a, b = Q2.cells[2][:2]
+        return Q2, B2, certs + (RegularNeighborhoodCert(0, ((a, b),)),), \
+            chains2
+
+    monkeypatch.setattr(sphere_builder, "regularize_with_chains", forged)
+    with pytest.raises(AssemblyError, match="neighbourhood certificate"):
+        sphere3(11, k=4, structural=True)
 
 
 # ---------------------------------------------------------------------------
