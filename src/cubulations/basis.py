@@ -771,7 +771,7 @@ class RefineReport:
 
 
 def refine_census(Q: CubeComplex, B: CurveBasis) -> RefineCensus:
-    """Cell counts refine_with_basis would produce, without building.
+    """Cell counts refine_report would produce, without building.
 
     Each event subdivides one edge of Q, each crossing subdivides two
     curve arcs, halving doubles every arrangement edge, a polygon with
@@ -1032,13 +1032,6 @@ def refine_report(Q: CubeComplex, B: CurveBasis) -> RefineReport:
                         chains)
 
 
-def refine_with_basis(Q: CubeComplex, B: CurveBasis
-                      ) -> tuple[CubeComplex, EdgePathBasis]:
-    """Subdivide Q until the basis curves are closed edge paths."""
-    r = refine_report(Q, B)
-    return r.complex, r.basis
-
-
 # ---------------------------------------------------------------------------
 # regular neighborhoods: cut along each curve, glue back a ribbon
 
@@ -1242,11 +1235,15 @@ def regularize_with_chains(Qp: CubeComplex, Bp: EdgePathBasis,
                            ) -> tuple[CubeComplex, EdgePathBasis,
                                       tuple[RegularNeighborhoodCert, ...],
                                       dict[Edge, tuple[int, ...]]]:
-    """Ribbon surgery with tracked vertex chains carried through.
+    """Give every basis curve a regular neighborhood isomorphic to
+    curve x I2 by cutting along it and gluing back a cubulated ribbon;
+    the curve becomes the ribbon's middle line. Pairs are independent:
+    only the two curves of a handle meet, at their single crossing,
+    where both detour through the other's ribbon.
 
-    Every chain crossing a curve picks up the detour through that
-    curve's ribbon, two extra edges per crossing, so subdivision
-    parities are preserved.
+    Tracked vertex chains are carried through: every chain crossing a
+    curve picks up the detour through that curve's ribbon, two extra
+    edges per crossing, so subdivision parities are preserved.
     """
     g = Bp.genus
     if g == 0:
@@ -1291,18 +1288,6 @@ def regularize_with_chains(Qp: CubeComplex, Bp: EdgePathBasis,
                              "curve x I2 structure")
         certs.append(cert)
     return C, B2, tuple(certs), chains2
-
-
-def regularize_neighborhoods(Qp: CubeComplex, Bp: EdgePathBasis
-                             ) -> tuple[CubeComplex, EdgePathBasis,
-                                        tuple[RegularNeighborhoodCert, ...]]:
-    """Give every basis curve a regular neighborhood isomorphic to
-    curve x I2 by cutting along it and gluing back a cubulated ribbon;
-    the curve becomes the ribbon's middle line. Pairs are independent:
-    only the two curves of a handle meet, at their single crossing,
-    where both detour through the other's ribbon."""
-    C, B2, certs, _ = regularize_with_chains(Qp, Bp, {})
-    return C, B2, certs
 
 
 def verify_neighborhoods(Q: CubeComplex, B: EdgePathBasis,

@@ -24,20 +24,31 @@ to sorted positions. Every other constructor (from_cells, relabel,
 products) leaves it to be built the first time it is asked for, as are the
 other parts, so a complex pays only for what its callers use. Caching it on
 the complex is sound because complexes never change after construction.
+
+The structural checks read corner positions and canonicalise nothing.
+validate decides each pair of maximal cells sharing 2^m corners from their
+positions: an m-subcube of each cell, with the same edges in both. A
+k-cell at v spans the link simplex of the corners at v's position with
+one bit flipped, read off star(k); the link checks use degree counts, one
+walk and, for a 2-sphere, the Euler characteristic.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 
 FVector = tuple[int, ...]
+
+log = logging.getLogger(__name__)
 
 
 class CubeComplexError(Exception):
@@ -347,9 +358,9 @@ class CubeComplex:
         if self._maximal is None:
             out: dict[int, tuple[tuple[int, ...], ...]] = {}
             for k in range(self.dim, -1, -1):
-                ptr, _ = self.incidence().cofaces(k)
+                covered = set(self.incidence().facets(k + 1)[0])
                 out[k] = tuple(c for i, c in enumerate(self.cells.get(k, ()))
-                               if ptr[i] == ptr[i + 1])
+                               if i not in covered)
             self._maximal = out
         return self._maximal
 
@@ -455,35 +466,37 @@ def relabel_dense(C: CubeComplex) -> tuple[CubeComplex, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # validation
 
-def _spread(sub: int, positions: Sequence[int]) -> int:
-    out = 0
-    i = 0
-    while sub:
-        if sub & 1:
-            out |= 1 << positions[i]
-        sub >>= 1
-        i += 1
-    return out
-
-
-def _shared_face(cell: tuple[int, ...], shared: frozenset[int]) -> tuple[int, ...] | None:
-    """If the positions of `shared` in `cell` form a subcube, its canonical
-    corner array; else None."""
-    pos = [i for i, v in enumerate(cell) if v in shared]
-    if len(pos) != len(shared):
-        return None
-    t = pos[0]
-    offsets = {p ^ t for p in pos}
-    mask = 0
-    for x in offsets:
-        mask |= x
-    bits = [j for j in range(mask.bit_length()) if (mask >> j) & 1]
-    if len(offsets) != 1 << len(bits):
-        return None
-    if any(x & ~mask for x in offsets):
-        return None
-    face = tuple(cell[t ^ _spread(s, bits)] for s in range(1 << len(bits)))
-    return canonical(face)
+def _meets_in_face(ca: tuple[int, ...], cb: tuple[int, ...], n: int) -> bool:
+    """Whether two cells sharing n >= 2 corners meet in a common face, read
+    off the corners' positions. Two corners are a face when their positions
+    differ in one bit in both cells. 2^m corners are one when their
+    positions differ in exactly m bits in each cell (an m-subcube) and the
+    two faces are the same cube: a square is fixed by the corner opposite
+    any one corner, a larger face by its edges."""
+    pa = [p for p, x in enumerate(ca) if x in cb]
+    if n == 2:
+        d = pa[0] ^ pa[1]
+        e = cb.index(ca[pa[0]]) ^ cb.index(ca[pa[1]])
+        return not (d & (d - 1) or e & (e - 1))
+    m = n.bit_length() - 1
+    if n != 1 << m:
+        return False
+    pb = [cb.index(ca[p]) for p in pa]
+    span_a = reduce(or_, pa) ^ reduce(and_, pa)
+    span_b = reduce(or_, pb) ^ reduce(and_, pb)
+    if span_a.bit_count() != m or span_b.bit_count() != m:
+        return False
+    if m == 2:
+        return ca[pa[0] ^ span_a] == cb[pb[0] ^ span_b]
+    at = dict(zip(pa, pb))
+    axes = [1 << j for j in range(span_a.bit_length()) if span_a >> j & 1]
+    for p in pa:
+        for axis in axes:
+            if not p & axis:
+                e = at[p] ^ at[p | axis]
+                if e & (e - 1):
+                    return False
+    return True
 
 
 def validate(C: CubeComplex) -> ValidationReport:
@@ -491,9 +504,13 @@ def validate(C: CubeComplex) -> ValidationReport:
 
     It suffices to check pairs of maximal cells (faces of cubes meet in faces,
     and a common face of two cubes induces common faces of all their faces).
-    Pairs are prefiltered through a vertex index: only pairs sharing at least
-    two vertices can violate.
+    Pairs are counted through a vertex index: only pairs sharing at least
+    two vertices can violate, and each is decided from the positions of
+    its shared corners (_meets_in_face). Emits one DEBUG record under
+    cubulations.core: maximal cells, pairs by shared-vertex count,
+    violations and seconds.
     """
+    t0 = time.perf_counter()
     maximal: list[tuple[int, ...]] = []
     for k in sorted(C.maximal_cells(), reverse=True):
         maximal.extend(C.maximal_cells()[k])
@@ -501,25 +518,20 @@ def validate(C: CubeComplex) -> ValidationReport:
     for idx, cell in enumerate(maximal):
         for v in cell:
             by_vertex.setdefault(v, []).append(idx)
-    pair_counts: dict[tuple[int, int], int] = {}
-    for members in by_vertex.values():
-        for a, b in combinations(members, 2):
-            key = (a, b)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+    shared = Counter(chain.from_iterable(
+        combinations(members, 2) for members in by_vertex.values()))
     violations: list[tuple[tuple[int, ...], tuple[int, ...], str]] = []
-    for (a, b), cnt in pair_counts.items():
-        if cnt < 2:
-            continue
-        ca, cb = maximal[a], maximal[b]
-        shared = frozenset(ca) & frozenset(cb)
-        fa = _shared_face(ca, shared)
-        fb = _shared_face(cb, shared)
-        if fa is None or fb is None or fa != fb:
-            reason = "shared-diagonal" if len(shared) == 2 else "non-face intersection"
-            violations.append((ca, cb, reason))
+    for (a, b), n in shared.items():
+        if n > 1 and not _meets_in_face(maximal[a], maximal[b], n):
+            reason = "shared-diagonal" if n == 2 else "non-face intersection"
+            violations.append((maximal[a], maximal[b], reason))
     violations.sort()
     is_complex = not violations
     closed_pm = pseudomanifold_check(C) if is_complex else False
+    log.debug("validate: %d maximal cells, pairs by shared vertices %s, "
+              "%d violations, %.3f s", len(maximal),
+              dict(sorted(Counter(shared.values()).items())),
+              len(violations), time.perf_counter() - t0)
     return ValidationReport(is_complex, closed_pm, tuple(violations))
 
 
@@ -540,8 +552,9 @@ def pseudomanifold_check(C: CubeComplex) -> bool:
     w = 2 * d
 
     def across(x: int) -> list[int]:
-        return [owners[p] for r in ridges[w * x:w * x + w]
-                for p in range(ptr[r], ptr[r + 1])]
+        # ridge r's two owners are owners[2r] and owners[2r + 1]
+        return [owners[2 * r] ^ owners[2 * r + 1] ^ x
+                for r in ridges[w * x:w * x + w]]
 
     return len(_reachable(0, across)) == len(facets)
 
@@ -567,76 +580,76 @@ def _reachable(start: Hashable, neighbors: Callable[[Any], Iterable[Any]],
     return seen
 
 
+@lru_cache(maxsize=None)
+def _neighbour_getters(k: int) -> tuple[Callable, ...]:
+    """Per corner position p of a k-cube, a getter of the tuple of its k
+    neighbours, in axis order."""
+    if k == 1:
+        return itemgetter(slice(1, 2)), itemgetter(slice(0, 1))
+    return tuple(itemgetter(*(p ^ (1 << j) for j in range(k)))
+                 for p in range(1 << k))
+
+
+def _link_spans(C: CubeComplex, v: int, k: int) -> list[tuple[int, ...]]:
+    """The link simplices that the k-cells at v span, read off star(k): per
+    k-cell containing v, in star order, its k corners adjacent to v."""
+    level = C.cells.get(k, ())
+    ptr, owners = C.incidence().star(k)
+    get = _neighbour_getters(k)
+    return [get[cell.index(v)](cell)
+            for cell in map(level.__getitem__, owners[ptr[v]:ptr[v + 1]])]
+
+
 def vertex_link(C: CubeComplex, v: int) -> set[frozenset[int]]:
     """Abstract simplicial link: each k-cube at v contributes the (k-1)-simplex
     of its k edge-neighbors of v. Closed under faces."""
     if not 0 <= v < C.n_vertices:
         raise CubeComplexError(f"vertex {v} out of range")
-    simplices: set[frozenset[int]] = set()
-    for k in range(1, C.dim + 1):
-        level = C.cells.get(k, ())
-        ptr, owners = C.incidence().star(k)
-        for i in owners[ptr[v]:ptr[v + 1]]:
-            cell = level[i]
-            pos = cell.index(v)
-            simplices.add(frozenset(cell[pos ^ (1 << j)] for j in range(k)))
-    closure: set[frozenset[int]] = set()
-    for s in simplices:
-        closure.add(s)
-        for r in range(1, len(s)):
-            for sub in combinations(sorted(s), r):
-                closure.add(frozenset(sub))
-    return closure
+    return {frozenset(face) for k in range(1, C.dim + 1)
+            for s in _link_spans(C, v, k)
+            for r in range(1, k + 1) for face in combinations(s, r)}
 
 
-def _link_graph(link: set[frozenset[int]]) -> dict[int, list[int]] | None:
-    """Vertex -> neighbours in the 1-skeleton of a link; None if an edge has
-    an endpoint that is not a vertex of the link."""
-    adj: dict[int, list[int]] = {next(iter(s)): [] for s in link if len(s) == 1}
-    for s in link:
-        if len(s) == 2:
-            a, b = s
-            if a not in adj or b not in adj:
-                return None
-            adj[a].append(b)
-            adj[b].append(a)
-    return adj
+def _link_skeleton(C: CubeComplex, v: int
+                   ) -> tuple[dict[int, list[int]], set[tuple[int, int]]]:
+    """The 1-skeleton of the link of v: neighbour -> adjacent neighbours,
+    and the link edges as ascending pairs. Squares at v that span the same
+    pair give one link edge, as in vertex_link."""
+    edges = {(a, b) if a < b else (b, a) for a, b in _link_spans(C, v, 2)}
+    adj: dict[int, list[int]] = {a: [] for (a,) in _link_spans(C, v, 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj, edges
 
 
-def _link_is_single_cycle(link: set[frozenset[int]]) -> bool:
-    adj = _link_graph(link)
-    if not adj or any(len(ns) != 2 for ns in adj.values()):
-        return False
-    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj)
+def _link_shape(C: CubeComplex, v: int) -> str | None:
+    """"cycle" or "path" when the link of v in a 2-complex is a single
+    cycle, or a single path with at least one edge; None otherwise. A
+    connected graph whose degrees are all 1 or 2 is one of the two, so
+    this takes the degree counts and one breadth-first walk."""
+    adj, _ = _link_skeleton(C, v)
+    degrees = {len(ns) for ns in adj.values()}
+    if not adj or degrees - {1, 2} \
+            or len(_reachable(next(iter(adj)), adj.__getitem__)) != len(adj):
+        return None
+    return "path" if 1 in degrees else "cycle"
 
 
-def _link_path(link: set[frozenset[int]]) -> bool:
-    adj = _link_graph(link)
-    if not adj or len(adj) < 2:
-        return False
-    if sorted(map(len, adj.values())) != [1, 1] + [2] * (len(adj) - 2):
-        return False
-    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj)
-
-
-def _link_is_2_sphere(link: set[frozenset[int]]) -> bool:
-    edges = {s for s in link if len(s) == 2}
-    tris = {s for s in link if len(s) == 3}
+def _link_is_sphere(C: CubeComplex, v: int) -> bool:
+    """Whether the link of v in a 3-complex is a 2-sphere: it has a
+    triangle, every link edge lies in exactly two triangles, it is
+    connected, and its Euler characteristic is 2."""
+    adj, edges = _link_skeleton(C, v)
+    tris = {tuple(sorted(s)) for s in _link_spans(C, v, 3)}
     if not tris:
         return False
-    edge_count: dict[frozenset[int], int] = {e: 0 for e in edges}
-    for t in tris:
-        for pair in combinations(sorted(t), 2):
-            e = frozenset(pair)
-            if e not in edge_count:
-                return False
-            edge_count[e] += 1
-    if any(c != 2 for c in edge_count.values()):
+    sides = Counter(chain.from_iterable(
+        ((a, b), (a, c), (b, c)) for a, b, c in tris))
+    if sides.keys() != edges or any(n != 2 for n in sides.values()):
         return False
-    adj = _link_graph(link)
-    if not adj or len(_reachable(next(iter(adj)), adj.__getitem__)) != len(adj):
-        return False
-    return len(adj) - len(edges) + len(tris) == 2
+    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj) \
+        and len(adj) - len(edges) + len(tris) == 2
 
 
 def manifold_check(C: CubeComplex, d: int) -> bool:
@@ -652,11 +665,9 @@ def manifold_check(C: CubeComplex, d: int) -> bool:
             for v in e:
                 count[v] = count.get(v, 0) + 1
         return bool(count) and all(c == 2 for c in count.values())
-    check = _link_is_single_cycle if d == 2 else _link_is_2_sphere
-    for v in range(C.n_vertices):
-        if not check(vertex_link(C, v)):
-            return False
-    return True
+    if d == 2:
+        return all(_link_shape(C, v) == "cycle" for v in range(C.n_vertices))
+    return all(_link_is_sphere(C, v) for v in range(C.n_vertices))
 
 
 def upper_bound_checks(C: CubeComplex) -> BoundReport:

@@ -39,11 +39,9 @@ from math import gcd
 from .core import (
     CubeComplex,
     CubeComplexError,
-    _link_is_single_cycle,
-    _link_path,
+    _link_shape,
     _reachable,
     pseudomanifold_check,
-    vertex_link,
 )
 
 log = logging.getLogger(__name__)
@@ -490,8 +488,7 @@ def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
     if C.dim != 2:
         raise CubeComplexError("surface_invariants needs a 2-complex")
     for v in range(C.n_vertices):
-        link = vertex_link(C, v)
-        if not (_link_is_single_cycle(link) or _link_path(link)):
+        if _link_shape(C, v) is None:
             raise NonSurfaceLinkError(v)
     ptr, _ = C.incidence().cofaces(1)
     closed = bool(C.cells.get(2)) and all(

@@ -15,6 +15,7 @@ from .core import (
     Cube,
     CubeComplex,
     CubeComplexError,
+    _link_spans,
     build_complex,
     canonical,
     relabel,
@@ -291,12 +292,8 @@ def _link_cycle_data(C: CubeComplex, v: int):
     In a square (v, a, x, b) the link edge joins the neighbors a and b."""
     adj: dict[int, list[int]] = {}
     pair_sq: dict[frozenset[int], int] = {}
-    squares = C.cells.get(2, ())
     ptr, owners = C.incidence().star(2)
-    for idx in owners[ptr[v]:ptr[v + 1]]:
-        cell = squares[idx]
-        pos = cell.index(v)
-        a, b = cell[pos ^ 1], cell[pos ^ 2]
+    for idx, (a, b) in zip(owners[ptr[v]:ptr[v + 1]], _link_spans(C, v, 2)):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
         pair_sq[frozenset((a, b))] = idx

@@ -23,8 +23,6 @@ from cubulations.basis import (
     pairing_matrix,
     refine_census,
     refine_report,
-    refine_with_basis,
-    regularize_neighborhoods,
     regularize_with_chains,
     verify_basis,
     verify_neighborhoods,
@@ -375,7 +373,8 @@ def test_torus_refinement_census():
 
 def test_torus_refined_basis_paths():
     T = torus_complex(2)
-    Qp, Bp = refine_with_basis(T, canonical_basis(T))
+    rep = refine_report(T, canonical_basis(T))
+    Qp, Bp = rep.complex, rep.basis
     assert Bp.curve_lengths() == (22, 30)
     assert verify_basis(Qp, Bp)
     assert betti_numbers(Qp).betti == betti_numbers(T).betti
@@ -485,24 +484,27 @@ def test_torus_surgery_end_to_end():
 
 def test_torus_pair_meets_in_one_vertex():
     T = torus_complex(2)
-    Qp, Bp = refine_with_basis(T, canonical_basis(T))
-    _, Bpp, _ = regularize_neighborhoods(Qp, Bp)
+    rep = refine_report(T, canonical_basis(T))
+    Qp, Bp = rep.complex, rep.basis
+    _, Bpp, _, _ = regularize_with_chains(Qp, Bp, {})
     a, b = Bpp.curves
     assert len(set(a) & set(b)) == 1
 
 
 def test_genus_zero_surgery_is_identity():
     Q, _ = surface_report(11)
-    Qp, Bp = refine_with_basis(Q, canonical_basis(Q))
-    Qpp, Bpp, certs = regularize_neighborhoods(Qp, Bp)
+    rep = refine_report(Q, canonical_basis(Q))
+    Qp, Bp = rep.complex, rep.basis
+    Qpp, Bpp, certs, _ = regularize_with_chains(Qp, Bp, {})
     assert Qpp is Qp
     assert certs == ()
 
 
 def test_forged_certificate_fails():
     T = torus_complex(2)
-    Qp, Bp = refine_with_basis(T, canonical_basis(T))
-    Qpp, Bpp, certs = regularize_neighborhoods(Qp, Bp)
+    rep = refine_report(T, canonical_basis(T))
+    Qp, Bp = rep.complex, rep.basis
+    Qpp, Bpp, certs, _ = regularize_with_chains(Qp, Bp, {})
     cert = certs[0]
     cols = list(cert.columns)
     cols[0], cols[1] = cols[1], cols[0]
@@ -512,6 +514,7 @@ def test_forged_certificate_fails():
 
 def test_duplicated_path_fails_verification():
     T = torus_complex(2)
-    Qp, Bp = refine_with_basis(T, canonical_basis(T))
+    rep = refine_report(T, canonical_basis(T))
+    Qp, Bp = rep.complex, rep.basis
     forged = EdgePathBasis(Bp.genus, (Bp.curves[0], Bp.curves[0]))
     assert not verify_basis(Qp, forged)

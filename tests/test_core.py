@@ -1,5 +1,6 @@
 """Core cube model: canonical forms, closure, validation, links."""
 
+import logging
 from itertools import combinations, permutations
 
 import pytest
@@ -12,6 +13,9 @@ from cubulations.core import (
     CubeComplexError,
     MalformedCubeError,
     OddCycleError,
+    ValidationReport,
+    _link_is_sphere,
+    _link_shape,
     bipartite_classes,
     build_complex,
     canonical,
@@ -422,3 +426,294 @@ def test_boundary_complex_rim_matches_a_face_count(C):
         return
     B, back = boundary_complex(C, with_map=True)
     assert {canonical([back[v] for v in c]) for c in B.cells[C.dim - 1]} == rim
+
+
+# ---------------------------------------------------------------------------
+# structural checks against the canonicalising oracles
+
+
+def _spread(sub, positions):
+    out = 0
+    i = 0
+    while sub:
+        if sub & 1:
+            out |= 1 << positions[i]
+        sub >>= 1
+        i += 1
+    return out
+
+
+def _shared_face(cell, shared):
+    """If the positions of `shared` in `cell` form a subcube, its canonical
+    corner array; else None."""
+    pos = [i for i, v in enumerate(cell) if v in shared]
+    if len(pos) != len(shared):
+        return None
+    t = pos[0]
+    offsets = {p ^ t for p in pos}
+    mask = 0
+    for x in offsets:
+        mask |= x
+    bits = [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+    if len(offsets) != 1 << len(bits):
+        return None
+    if any(x & ~mask for x in offsets):
+        return None
+    face = tuple(cell[t ^ _spread(s, bits)] for s in range(1 << len(bits)))
+    return canonical(face)
+
+
+def _validate_by_canonicalising(C):
+    """The pair check that canonicalises each shared face in both cells."""
+    maximal = []
+    for k in sorted(C.maximal_cells(), reverse=True):
+        maximal.extend(C.maximal_cells()[k])
+    by_vertex = {}
+    for idx, cell in enumerate(maximal):
+        for v in cell:
+            by_vertex.setdefault(v, []).append(idx)
+    pair_counts = {}
+    for members in by_vertex.values():
+        for key in combinations(members, 2):
+            pair_counts[key] = pair_counts.get(key, 0) + 1
+    violations = []
+    for (a, b), cnt in pair_counts.items():
+        if cnt < 2:
+            continue
+        ca, cb = maximal[a], maximal[b]
+        shared = frozenset(ca) & frozenset(cb)
+        fa = _shared_face(ca, shared)
+        fb = _shared_face(cb, shared)
+        if fa is None or fb is None or fa != fb:
+            reason = "shared-diagonal" if len(shared) == 2 else "non-face intersection"
+            violations.append((ca, cb, reason))
+    violations.sort()
+    is_complex = not violations
+    closed_pm = pseudomanifold_check(C) if is_complex else False
+    return ValidationReport(is_complex, closed_pm, tuple(violations))
+
+
+def _link_graph(link):
+    adj = {next(iter(s)): [] for s in link if len(s) == 1}
+    for s in link:
+        if len(s) == 2:
+            a, b = s
+            if a not in adj or b not in adj:
+                return None
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj
+
+
+def _connected(adj):
+    seen, todo = set(), [next(iter(adj))]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.extend(adj[x])
+    return len(seen) == len(adj)
+
+
+def link_is_single_cycle(link):
+    adj = _link_graph(link)
+    if not adj or any(len(ns) != 2 for ns in adj.values()):
+        return False
+    return _connected(adj)
+
+
+def link_is_path(link):
+    adj = _link_graph(link)
+    if not adj or len(adj) < 2:
+        return False
+    if sorted(map(len, adj.values())) != [1, 1] + [2] * (len(adj) - 2):
+        return False
+    return _connected(adj)
+
+
+def link_is_2_sphere(link):
+    edges = {s for s in link if len(s) == 2}
+    tris = {s for s in link if len(s) == 3}
+    if not tris:
+        return False
+    edge_count = {e: 0 for e in edges}
+    for t in tris:
+        for pair in combinations(sorted(t), 2):
+            e = frozenset(pair)
+            if e not in edge_count:
+                return False
+            edge_count[e] += 1
+    if any(c != 2 for c in edge_count.values()):
+        return False
+    adj = _link_graph(link)
+    if not adj or not _connected(adj):
+        return False
+    return len(adj) - len(edges) + len(tris) == 2
+
+
+def manifold_check_by_links(C, d):
+    """manifold_check for d = 2 and 3, from the simplicial links."""
+    check = link_is_single_cycle if d == 2 else link_is_2_sphere
+    return d == C.dim and all(check(vertex_link(C, v))
+                              for v in range(C.n_vertices))
+
+
+def assert_checks_match_the_oracles(C):
+    """validate, violations in order, manifold_check in C's dimension (2 or
+    3) and the verdict on every vertex link agree with the oracles."""
+    assert validate(C) == _validate_by_canonicalising(C)
+    if C.dim in (2, 3):
+        assert manifold_check(C, C.dim) == manifold_check_by_links(C, C.dim)
+        links = [vertex_link(C, v) for v in range(C.n_vertices)]
+    if C.dim == 2:
+        assert [_link_shape(C, v) for v in range(C.n_vertices)] == [
+            "cycle" if link_is_single_cycle(link)
+            else "path" if link_is_path(link) else None for link in links]
+    if C.dim == 3:
+        assert [_link_is_sphere(C, v) for v in range(C.n_vertices)] == [
+            link_is_2_sphere(link) for link in links]
+
+
+@st.composite
+def tangled_complexes(draw, dim=3, max_vertices=16):
+    """build_complex of a few random cubes on 8 to max_vertices vertices,
+    so that they overlap: shared diagonals, cells sharing 3, 4 or 5
+    corners, and twisted copies (the same corners in another arrangement).
+    Cubes of dimension dim + 1 are replaced by their facets."""
+    pool = range(draw(st.integers(min_value=8, max_value=max_vertices)))
+    tops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        k = draw(st.integers(min_value=1, max_value=min(dim + 1, 3)))
+        cube = tuple(draw(st.permutations(pool))[:1 << k])
+        copies = [cube]
+        if k > 1 and draw(st.booleans()):
+            copies.append(tuple(draw(st.permutations(cube))))
+        for c in copies:
+            tops.extend(cube_faces(c) if k > dim else [c])
+    dense = {v: i for i, v in enumerate(sorted({v for c in tops for v in c}))}
+    top = max(len(c).bit_length() - 1 for c in tops)
+    return build_complex(top, [tuple(dense[v] for v in c) for c in tops])
+
+
+@given(tangled_complexes())
+@settings(max_examples=300, deadline=None)
+def test_structural_checks_match_the_oracles(C):
+    assert_checks_match_the_oracles(C)
+
+
+@given(tangled_complexes(dim=2, max_vertices=10))
+@settings(max_examples=200, deadline=None)
+def test_surface_checks_match_the_oracles(C):
+    assert_checks_match_the_oracles(C)
+
+
+def test_twisted_squares_on_one_vertex_set():
+    C = build_complex(2, [(0, 1, 2, 3), (0, 1, 3, 2)])
+    rep = validate(C)
+    assert rep.violations == (((0, 1, 2, 3), (0, 1, 3, 2),
+                               "non-face intersection"),)
+    assert rep == _validate_by_canonicalising(C)
+
+
+@pytest.mark.parametrize("second, reasons", [
+    ((0, 1, 2, 8, 9, 10, 11, 12), ["non-face intersection"]),  # 3 corners
+    ((0, 1, 2, 3, 8, 9, 10, 11), []),                           # a square
+    ((0, 3, 1, 2, 8, 9, 10, 11), ["non-face intersection"]),    # twisted
+    ((0, 3, 5, 6, 8, 9, 10, 11), ["non-face intersection"]),    # no subcube
+    ((0, 1, 2, 8, 9, 10, 11, 3), ["non-face intersection"]),    # a square
+    # of the first cube, but no subcube of the second
+    ((0, 1, 2, 3, 4, 8, 9, 10), ["non-face intersection"]),     # 5 corners
+    ((0, 7, 8, 9, 10, 11, 12, 13), ["shared-diagonal"]),
+])
+def test_cubes_sharing_corners(second, reasons):
+    C = build_complex(3, [tuple(range(8)), second])
+    rep = validate(C)
+    assert [r for *_, r in rep.violations] == reasons
+    assert rep == _validate_by_canonicalising(C)
+
+
+def test_four_cubes_sharing_a_cube_or_a_twisted_one():
+    tail = tuple(range(16, 24))
+    C = build_complex(4, [tuple(range(16)), tuple(range(8)) + tail])
+    assert validate(C).is_complex
+    D = build_complex(4, [tuple(range(16)), (0, 1, 2, 3, 4, 5, 7, 6) + tail])
+    assert [r for *_, r in validate(D).violations] == ["non-face intersection"]
+    for X in (C, D):
+        assert validate(X) == _validate_by_canonicalising(X)
+
+
+def test_pinched_vertex_matches_the_oracles():
+    # two cube boundaries glued at vertex 7
+    C = build_complex(2, list(cube_faces(tuple(range(8))))
+                      + list(cube_faces(tuple(range(7, 15)))))
+    assert validate(C).is_complex and not manifold_check(C, 2)
+    assert_checks_match_the_oracles(C)
+
+
+def test_edge_in_three_squares_matches_the_oracles():
+    C = build_complex(2, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)])
+    rep = validate(C)
+    assert rep.is_complex and not rep.is_closed_pseudomanifold
+    assert not manifold_check(C, 2)
+    assert_checks_match_the_oracles(C)
+
+
+def test_two_cubes_at_a_vertex_match_the_oracles():
+    C = build_complex(3, [tuple(range(8)), tuple(range(7, 15))])
+    assert validate(C).is_complex and not manifold_check(C, 3)
+    assert_checks_match_the_oracles(C)
+
+
+def _cubical_cone(triangles):
+    """The cubes at an apex 0 whose link is the given triangulated surface
+    on vertices 1..: the cube on a < b < c has corners 0, a, b, c, one
+    vertex per link edge and one per triangle."""
+    ids = {}
+
+    def vertex(key):
+        return ids.setdefault(key, len(ids) + 1)
+
+    cubes = []
+    for t in triangles:
+        a, b, c = (vertex(x) for x in sorted(t))
+        cubes.append((0, a, b, vertex((a, b)), c, vertex((a, c)),
+                      vertex((b, c)), vertex(tuple(t))))
+    return build_complex(3, cubes)
+
+
+TORUS_7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] \
+    + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+OCTAHEDRON = [(a, b, c) for a in (10, 11) for b in (12, 13) for c in (14, 15)]
+RP2_6 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+         (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("triangles, sphere", [
+    (OCTAHEDRON, True),
+    (TORUS_7, False),                 # every edge in two triangles, chi 0
+    (RP2_6, False),                   # chi 1
+    (OCTAHEDRON + TORUS_7, False),    # chi 2, not connected
+])
+def test_apex_link_of_a_cubical_cone(triangles, sphere):
+    C = _cubical_cone(triangles)
+    assert _link_is_sphere(C, 0) is sphere
+    assert_checks_match_the_oracles(C)
+
+
+def test_boundary_c4_matches_the_oracles():
+    C = build_complex(3, list(cube_faces(tuple(range(16)))))
+    rep = validate(C)
+    assert rep.is_complex and rep.is_closed_pseudomanifold
+    assert manifold_check(C, 3)
+    assert_checks_match_the_oracles(C)
+
+
+def test_validate_logs_one_debug_record(caplog):
+    C = build_complex(2, [(0, 1, 2, 3), (3, 4, 0, 5), (5, 6, 7, 8)])
+    with caplog.at_level(logging.DEBUG, logger="cubulations.core"):
+        validate(C)
+    records = [r for r in caplog.records if r.name == "cubulations.core"]
+    assert len(records) == 1
+    msg = records[0].getMessage()
+    assert "3 maximal cells, pairs by shared vertices {1: 1, 2: 1}, " \
+        "1 violations" in msg

@@ -32,6 +32,7 @@ from cubulations.basis import (
     refine_report,
 )
 from cubulations.surface_gen import surface_report
+from test_core import assert_checks_match_the_oracles
 from cubulations.sphere_builder import (
     AssemblyError,
     StructuralReport,
@@ -277,6 +278,11 @@ def test_heegaard_sphere_from_torus(heegaard_pieces):
     assert prof.betti == (1, 0, 0, 1)
     assert all(not t for t in prof.torsion)
     assert manifold_check(S3, 3)
+
+
+def test_heegaard_sphere_checks_match_the_oracles(heegaard_pieces):
+    T, cyl, hbA, hbB = heegaard_pieces
+    assert_checks_match_the_oracles(assemble_sphere3(T, 2, cyl, hbA, hbB))
 
 
 def test_assembly_needs_full_pieces(toy_pieces):

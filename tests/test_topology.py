@@ -5,10 +5,17 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubulations.core import CubeComplexError, build_complex, cube_faces, relabel
+from cubulations.core import (
+    CubeComplexError,
+    build_complex,
+    cube_faces,
+    relabel,
+    vertex_link,
+)
 from cubulations.topology import (
     HomologyProfile,
     NonSurfaceLinkError,
+    _connected_skeleton,
     betti_numbers,
     boundary_columns,
     h1_trivial,
@@ -19,7 +26,12 @@ from cubulations.topology import (
     smith_invariant_factors,
     surface_invariants,
 )
-from test_core import small_complexes
+from test_core import (
+    link_is_path,
+    link_is_single_cycle,
+    small_complexes,
+    tangled_complexes,
+)
 
 SOLID_CUBE = tuple(range(8))
 
@@ -341,6 +353,55 @@ def test_surface_invariants_pinched_vertex_error():
     C = build_complex(2, [(0, 1, 2, 3), (3, 4, 5, 6)])
     with pytest.raises(NonSurfaceLinkError, match="3"):
         surface_invariants(C)
+
+
+def _surface_invariants_by_links(C):
+    """surface_invariants, deciding each vertex from its simplicial link."""
+    for v in range(C.n_vertices):
+        link = vertex_link(C, v)
+        if not (link_is_single_cycle(link) or link_is_path(link)):
+            raise NonSurfaceLinkError(v)
+    ptr, _ = C.incidence().cofaces(1)
+    closed = bool(C.cells.get(2)) and all(
+        ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
+    orientable, _, _ = orientation_assignment(C)
+    genus = None
+    if closed and orientable and _connected_skeleton(C):
+        genus = (2 - C.euler_characteristic()) // 2
+    return closed, orientable, genus
+
+
+def assert_surface_invariants_match_the_oracle(C):
+    """The same triple, or NonSurfaceLinkError at the same vertex."""
+    try:
+        want = _surface_invariants_by_links(C)
+    except NonSurfaceLinkError as e:
+        with pytest.raises(NonSurfaceLinkError) as got:
+            surface_invariants(C)
+        assert got.value.vertex == e.vertex
+    else:
+        assert surface_invariants(C) == want
+
+
+@given(tangled_complexes(dim=2, max_vertices=10))
+@settings(max_examples=200, deadline=None)
+def test_surface_invariants_match_the_link_oracle(C):
+    if C.dim == 2:
+        assert_surface_invariants_match_the_oracle(C)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_complex(2, [(0, 1, 2, 3), (3, 4, 5, 6)]),
+    lambda: build_complex(2, list(cube_faces(tuple(range(8))))
+                          + list(cube_faces(tuple(range(7, 15))))),
+    lambda: build_complex(2, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)]),
+    lambda: build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5)]),
+    lambda: build_complex(2, [(0, 1, 2, 3), (0, 1, 3, 2)]),
+    boundary_c3, torus_4x4, klein_4x4,
+], ids=["pinched-squares", "pinched-spheres", "edge-in-three", "disk",
+        "twisted-pair", "sphere", "torus", "klein"])
+def test_surface_invariants_fixed_cases_match_the_oracle(make):
+    assert_surface_invariants_match_the_oracle(make())
 
 
 def test_euler_equals_alternating_betti_sum():
