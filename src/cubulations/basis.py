@@ -32,8 +32,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CubeComplex, CubeComplexError, build_complex, validate
-from .topology import orientation_assignment, smith_invariant_factors
+from .core import CubeComplex, CubeComplexError, _link_cycle, build_complex, \
+    validate
+from .topology import _connected_skeleton, _is_closed, orientation_assignment, \
+    smith_invariant_factors
 from .transforms import _insert_square_5
 
 Edge = tuple[int, int]
@@ -69,16 +71,12 @@ def oriented_face_cycles(C: CubeComplex) -> list[tuple[int, ...]]:
 
 
 def _face_adjacency(C: CubeComplex) -> dict[Edge, list[int]]:
-    by_edge: dict[Edge, list[int]] = {}
-    for fi, sq in enumerate(C.cells[2]):
-        a, b, c, d = sq
-        for e in ((a, b), (b, d), (d, c), (c, a)):
-            by_edge.setdefault(_edge(*e), []).append(fi)
-    for e, faces in by_edge.items():
-        if len(faces) != 2:
-            raise BasisError(f"edge {e} lies in {len(faces)} squares; "
-                             "need a closed surface")
-    return by_edge
+    """Edge -> the two squares on it, read off cofaces(1)."""
+    if not _is_closed(C):
+        raise BasisError("an edge lies in other than two squares; need a "
+                         "closed surface")
+    _, owners = C.incidence().cofaces(1)
+    return {e: list(owners[2 * i:2 * i + 2]) for i, e in enumerate(C.cells[1])}
 
 
 def _dual_tree(C: CubeComplex, by_edge: dict[Edge, list[int]],
@@ -1195,14 +1193,12 @@ def _cut_and_ribbon(P: _Patch, path: list[int],
 
 def _curve_stars(Q: CubeComplex, B: EdgePathBasis
                  ) -> dict[int, set[tuple[int, ...]]]:
-    """vertex -> squares containing it, for basis-path vertices only."""
-    on = {v for p in B.curves for v in p}
-    stars: dict[int, set[tuple[int, ...]]] = {v: set() for v in on}
-    for t in Q.cells[2]:
-        for v in t:
-            if v in on:
-                stars[v].add(t)
-    return stars
+    """vertex -> squares containing it, read off star(2), for the
+    basis-path vertices that are vertices of Q."""
+    ptr, owners = Q.incidence().star(2)
+    squares = Q.cells[2]
+    return {v: {squares[i] for i in owners[ptr[v]:ptr[v + 1]]}
+            for v in {v for p in B.curves for v in p} if 0 <= v < Q.n_vertices}
 
 
 def _check_cert(stars: dict[int, set[tuple[int, ...]]],
@@ -1270,12 +1266,15 @@ def regularize_with_chains(Qp: CubeComplex, Bp: EdgePathBasis,
     chains2 = {k: tuple(remap[v] for v in t) for k, t in zip(keys, tracked)}
 
     stars = _curve_stars(C, B2)
+    edge_id = C.incidence().position(1)
+    ptr, owners = C.incidence().cofaces(1)
     certs = []
     for i, p in enumerate(B2.curves):
         cols = []
         for k in range(len(p)):
-            fl = sorted(t for t in stars[p[k]]
-                        if _has_edge(t, p[k], p[(k + 1) % len(p)]))
+            e = edge_id.get(_edge(p[k], p[(k + 1) % len(p)]))
+            fl = [] if e is None else \
+                [C.cells[2][j] for j in owners[ptr[e]:ptr[e + 1]]]
             if len(fl) != 2:
                 raise BasisError(f"curve {i}: edge ({p[k]}, "
                                  f"{p[(k + 1) % len(p)]}) has {len(fl)} "
@@ -1321,39 +1320,19 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
     matrix a symplectic permutation, and its unimodularity promotes the
     classes to a basis of first homology.
     """
-    # Closed + orientable + connected with the stated genus, in linear
-    # passes; surface_invariants would walk every vertex link, far too
-    # slow at refined sizes. Link circles are checked by _ring at every
-    # vertex the pattern test touches.
-    count: dict[Edge, int] = {}
-    for t in Q.cells[2]:
-        a, b, c, d = t  # boundary walk a-b-d-c
-        for u, w in ((a, b), (b, d), (d, c), (c, a)):
-            e = _edge(u, w)
-            count[e] = count.get(e, 0) + 1
-    if not count or any(k != 2 for k in count.values()):
-        return False
-    if not orientation_assignment(Q)[0]:
-        return False
-    adj: dict[int, list[int]] = {}
-    for u, w in count:
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    seen = {next(iter(adj))}
-    stack = list(seen)
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != Q.n_vertices:
+    # Closed, orientable and connected with the stated genus, in linear
+    # passes over the incidence index; surface_invariants would walk every
+    # vertex link, far too slow at refined sizes. The link of each vertex
+    # the pattern test touches is read as a cycle there.
+    if not (_is_closed(Q) and orientation_assignment(Q)[0]
+            and _connected_skeleton(Q)):
         return False
     genus = (2 - Q.euler_characteristic()) // 2
     if genus != B.genus or len(B.curves) != 2 * genus:
         return False
     if genus == 0:
         return True
-    edges = set(Q.cells[1])
+    edges = Q.incidence().position(1)
     for p in B.curves:
         if len(p) < 3 or len(p) != len(set(p)):
             return False
@@ -1364,7 +1343,6 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
     for ci, p in enumerate(B.curves):
         for t, v in enumerate(p):
             occupancy.setdefault(v, []).append((ci, t))
-    P = _Patch(Q)
     n = 2 * genus
     M = [[0] * n for _ in range(n)]
     ok = True
@@ -1377,7 +1355,10 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
         (i, ti), (j, tj) = occ
         pi, ni = B.curves[i][ti - 1], B.curves[i][(ti + 1) % len(B.curves[i])]
         pj, nj = B.curves[j][tj - 1], B.curves[j][(tj + 1) % len(B.curves[j])]
-        _, spokes = _ring(P, v)
+        cycle = _link_cycle(Q, v)
+        if cycle is None:
+            raise BasisError(f"link of vertex {v} is not a single circle")
+        _, spokes = cycle
         at = [spokes.index(u) for u in (pi, ni, pj, nj)]
         around = sorted(range(4), key=lambda t: at[t])
         # transversal exactly when the two curves alternate around v;

@@ -16,9 +16,11 @@ Face incidence lives in one place, the Incidence index of a complex
     in cube_faces order, with their boundary coefficients. For axis i, a
     cube with corner array Q contributes (-1)^i (Q|_{x_i=1} - Q|_{x_i=0}),
     and the sign of canonicalising each facet is folded into its entry;
-  - star(k): for each vertex, the indices of the k-cells containing it.
-Cofaces, the rim (ridges in exactly one facet) and the maximal cells are
-read off the facet table. build_complex fills the facet table in: its
+  - star(k): for each vertex, the indices of the k-cells containing it;
+  - cofaces(k): for each k-cell, the indices of the (k+1)-cells it is a
+    facet of, the facet table of level k+1 transposed once.
+The rim (ridges in exactly one facet) and the maximal cells are read off
+the facet table. build_complex fills the facet table in: its
 closure computes every cell's facets anyway, and hands them over remapped
 to sorted positions. Every other constructor (from_cells, relabel,
 products) leaves it to be built the first time it is asked for, as are the
@@ -30,7 +32,9 @@ validate decides each pair of maximal cells sharing 2^m corners from their
 positions: an m-subcube of each cell, with the same edges in both. A
 k-cell at v spans the link simplex of the corners at v's position with
 one bit flipped, read off star(k); the link checks use degree counts, one
-walk and, for a 2-sphere, the Euler characteristic.
+walk and, for a 2-sphere, the Euler characteristic. In a surface,
+_link_cycle reads the squares around a vertex in cyclic order off the
+same spans, for the callers that cut or cross curves there.
 """
 
 from __future__ import annotations
@@ -192,12 +196,6 @@ class Cube:
             self._canon = canonical(self.corners)
         return self._canon
 
-    def faces(self) -> list["Cube"]:
-        return [Cube(f) for f in cube_faces(self.corners)]
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.corners)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cube):
             return NotImplemented
@@ -251,7 +249,8 @@ class Incidence:
     """The face incidence index of one complex (see the module docstring).
     Cell indices refer to positions in the complex's sorted cell tuples."""
 
-    __slots__ = ("dim", "n_vertices", "cells", "_position", "_facets", "_star")
+    __slots__ = ("dim", "n_vertices", "cells", "_position", "_facets",
+                 "_cofaces", "_star")
 
     def __init__(self, C: "CubeComplex",
                  facets: dict[int, tuple[array, array]] | None = None):
@@ -260,6 +259,7 @@ class Incidence:
         self.cells = C.cells
         self._position: dict[int, dict[tuple[int, ...], int]] = {}
         self._facets: dict[int, tuple[array, array]] = dict(facets or {})
+        self._cofaces: dict[int, tuple[array, array]] = {}
         self._star: dict[int, tuple[array, array]] = {}
 
     def position(self, k: int) -> dict[tuple[int, ...], int]:
@@ -288,9 +288,12 @@ class Incidence:
 
     def cofaces(self, k: int) -> tuple[array, array]:
         """(ptr, owners): the (k+1)-cells with the j-th k-cell as a facet are
-        owners[ptr[j]:ptr[j + 1]]. Derived from facets(k + 1), not cached."""
-        return _transpose(self.facets(k + 1)[0], 2 * (k + 1),
-                          len(self.cells.get(k, ())))
+        owners[ptr[j]:ptr[j + 1]], ascending."""
+        got = self._cofaces.get(k)
+        if got is None:
+            got = self._cofaces[k] = _transpose(
+                self.facets(k + 1)[0], 2 * (k + 1), len(self.cells.get(k, ())))
+        return got
 
     def star(self, k: int) -> tuple[array, array]:
         """(ptr, owners): the k-cells containing vertex v are
@@ -346,13 +349,6 @@ class CubeComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(self.cells.get(k, ())) for k in range(self.dim + 1))
 
-    def cells_of_dim(self, k: int) -> tuple[tuple[int, ...], ...]:
-        return self.cells.get(k, ())
-
-    def has_cell(self, corners: Sequence[int]) -> bool:
-        c = canonical(corners)
-        return c in self.incidence().position(len(c).bit_length() - 1)
-
     def maximal_cells(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """Cells that are not a proper face of any other cell."""
         if self._maximal is None:
@@ -366,9 +362,6 @@ class CubeComplex:
 
     def vertices_used(self) -> set[int]:
         return set(chain.from_iterable(chain.from_iterable(self.cells.values())))
-
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self.cells.get(1, ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubeComplex):
@@ -621,6 +614,33 @@ def _link_skeleton(C: CubeComplex, v: int
         adj[a].append(b)
         adj[b].append(a)
     return adj, edges
+
+
+def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
+    """The link of v in a 2-complex as one cycle, or None when it is not
+    one: (ring, spokes), the indices in cells[2] of the squares at v in
+    cyclic order, and at i the neighbour of v on the edge that ring[i]
+    and ring[i + 1] share. The walk starts at v's first square in star
+    order and leaves it through its larger neighbour."""
+    ptr, owners = C.incidence().star(2)
+    squares = owners[ptr[v]:ptr[v + 1]]
+    spans = _link_spans(C, v, 2)
+    at: dict[int, list[tuple[int, int]]] = {}
+    for sq, (a, b) in zip(squares, spans):
+        at.setdefault(a, []).append((sq, b))
+        at.setdefault(b, []).append((sq, a))
+    if not squares or any(len(pair) != 2 for pair in at.values()):
+        return None
+    cur, spoke = squares[0], max(spans[0])
+    ring, spokes = [cur], []
+    while True:
+        spokes.append(spoke)
+        (s1, n1), (s2, n2) = at[spoke]
+        cur, spoke = (s2, n2) if s1 == cur else (s1, n1)
+        if cur == ring[0]:
+            break
+        ring.append(cur)
+    return (ring, spokes) if len(ring) == len(squares) else None
 
 
 def _link_shape(C: CubeComplex, v: int) -> str | None:

@@ -63,7 +63,7 @@ from .core import (
     validate,
 )
 from .fileio import FormatError, dumps_complex, loads_complex
-from .topology import betti_numbers, surface_invariants
+from .topology import _is_closed, betti_numbers, surface_invariants
 from .transforms import boundary_complex
 
 __all__ = [
@@ -520,14 +520,13 @@ def _moves(state: frozenset[Square], nid: int, cap: int, tally: _Tally
             if mv is not None:
                 yield mv
 
-def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
-              slack: int = GROWTH_SLACK) -> FillCertificate:
+def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET) -> FillCertificate:
     """Cubulated 3-ball whose boundary is the given quadrangulated sphere.
 
     The sphere must be a valid closed 2-complex of genus zero with an
     even number of squares; each hypothesis failure raises FillError.
     The search examines at most `budget` candidate gluings, never lets
-    the working boundary grow more than `slack` squares beyond the
+    the working boundary grow more than GROWTH_SLACK squares beyond the
     input, and raises FillFailed with frontier statistics when the
     budget runs out. A returned certificate has been passed through
     verify_filling; its boundary map is the identity on the sphere's
@@ -543,7 +542,7 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
     tally = _Tally()
     outcome = "filled"
     try:
-        return _fill(S, budget, slack, tally)
+        return _fill(S, budget, tally)
     except Exception as e:
         outcome = type(e).__name__
         raise
@@ -555,18 +554,13 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET,
                   time.perf_counter() - t0)
 
 
-def _fill(S: CubeComplex, budget: int, slack: int,
-          tally: _Tally) -> FillCertificate:
+def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     """fill_ball's checks and search, counting its work in tally."""
     if S.dim != 2:
         raise FillError(f"fill_ball needs a 2-complex, got dimension {S.dim}")
     if not validate(S).is_complex:
         raise FillError("input sphere is not a valid complex")
-    count: dict[Edge, int] = {}
-    for sq in S.cells.get(2, ()):
-        for e in _edge_keys(sq):
-            count[e] = count.get(e, 0) + 1
-    if not count or any(k != 2 for k in count.values()):
+    if not _is_closed(S):
         raise FillError("input surface is not closed")
     f2 = len(S.cells[2])
     if f2 % 2:
@@ -580,7 +574,7 @@ def _fill(S: CubeComplex, budget: int, slack: int,
         raise FillError(f"input surface has genus {genus}, not a sphere")
 
     start = frozenset(S.cells[2])
-    cap = len(start) + slack
+    cap = len(start) + GROWTH_SLACK
     visited: set[frozenset[Square]] = {start}
     tally.states = 1
     best = len(start)

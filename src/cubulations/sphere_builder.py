@@ -34,6 +34,7 @@ from typing import Sequence
 from .core import (
     CubeComplex,
     CubeComplexError,
+    _reachable,
     build_complex,
     bipartite_classes,
     canonical,
@@ -52,7 +53,7 @@ from .transforms import (
     interval_complex,
 )
 from .transforms import remove_facet as _remove_facet
-from .fillball import DEFAULT_BUDGET, FillFailed, fill_ball
+from .fillball import FillFailed, fill_ball
 from .basis import EdgePathBasis, RefineReport, canonical_basis, refine_report, \
     regularize_with_chains, verify_neighborhoods
 from .surface_gen import _is_odd_prime, surface_report
@@ -194,12 +195,6 @@ class PipelineCensus:
 # refining cylinder
 
 
-def _face_edge_keys(t: tuple[int, ...]) -> tuple[Edge, Edge, Edge, Edge]:
-    a, b, c, d = t  # boundary walk a-b-d-c
-    pairs = ((a, b), (b, d), (d, c), (c, a))
-    return tuple(tuple(sorted(p)) for p in pairs)  # type: ignore[return-value]
-
-
 def _wheel(cycle: Sequence[int], center: int) -> list[tuple[int, ...]]:
     """Disk over an even cycle: one quad per pair of consecutive edges."""
     L = len(cycle)
@@ -238,69 +233,52 @@ def _patch_map(Q: CubeComplex, Qp: CubeComplex,
     connects.  Each component is identified by intersecting, over the
     walls it touches, the pairs of base squares those walls bound.
     """
-    wall_of: dict[frozenset[int], Edge] = {}
+    inc = Qp.incidence()
+    edge_id = inc.position(1)
+    ptr, owners = inc.cofaces(1)
+    wall_of: dict[int, Edge] = {}
     for key, path in chains.items():
         for a, b in zip(path, path[1:]):
-            pe = frozenset((a, b))
-            if wall_of.setdefault(pe, key) != key:
+            e = edge_id.get((a, b) if a < b else (b, a))
+            if e is None or ptr[e + 1] - ptr[e] != 2:
+                raise AssemblyError(
+                    f"subdivided edge segment {tuple(sorted((a, b)))} is not "
+                    "an interior edge of the refinement")
+            if wall_of.setdefault(e, key) != key:
                 raise AssemblyError("two subdivided edges share a segment")
 
     sqs = Qp.cells[2]
-    by_edge: dict[frozenset[int], list[int]] = {}
-    for idx, t in enumerate(sqs):
-        a, b, c, d = t
-        for p in ((a, b), (b, d), (d, c), (c, a)):
-            by_edge.setdefault(frozenset(p), []).append(idx)
-    for pe in wall_of:
-        if len(by_edge.get(pe, ())) != 2:
-            raise AssemblyError(
-                f"subdivided edge segment {tuple(sorted(pe))} is not an "
-                "interior edge of the refinement")
+    rows, _ = inc.facets(2)
+
+    def across(i: int) -> list[int]:
+        return [j for e in rows[4 * i:4 * i + 4] if e not in wall_of
+                for j in owners[ptr[e]:ptr[e + 1]]]
 
     comp = [-1] * len(sqs)
-    n_comp = 0
+    touched: list[set[Edge]] = []
     for start in range(len(sqs)):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            a, b, c, d = sqs[i]
-            for p in ((a, b), (b, d), (d, c), (c, a)):
-                pe = frozenset(p)
-                if pe in wall_of:
-                    continue
-                for j in by_edge[pe]:
-                    if comp[j] < 0:
-                        comp[j] = n_comp
-                        stack.append(j)
-        n_comp += 1
+        if comp[start] < 0:
+            for i in _reachable(start, across):
+                comp[i] = len(touched)
+            touched.append(set())
+    for i, e in enumerate(rows):
+        if e in wall_of:
+            touched[comp[i // 4]].add(wall_of[e])
 
-    faces_of_chain: dict[Edge, set[tuple[int, ...]]] = {}
-    for F in Q.cells[2]:
-        for e in _face_edge_keys(F):
-            faces_of_chain.setdefault(e, set()).add(F)
-
-    touched: list[set[Edge]] = [set() for _ in range(n_comp)]
-    for idx, t in enumerate(sqs):
-        a, b, c, d = t
-        for p in ((a, b), (b, d), (d, c), (c, a)):
-            key = wall_of.get(frozenset(p))
-            if key is not None:
-                touched[comp[idx]].add(key)
-
+    base_id = Q.incidence().position(1)
+    base_ptr, base_owners = Q.incidence().cofaces(1)
     patches: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for ci in range(n_comp):
-        if not touched[ci]:
+    for ci, keys in enumerate(touched):
+        if not keys:
             raise AssemblyError("refinement has squares bounded by no "
                                 "subdivided edge; patches are undefined")
         cands: set[tuple[int, ...]] | None = None
-        for key in touched[ci]:
-            fs = faces_of_chain.get(key)
-            if fs is None:
+        for key in keys:
+            e = base_id.get(key)
+            if e is None:
                 raise AssemblyError(f"chain {key} is not an edge of the base")
-            cands = set(fs) if cands is None else cands & fs
+            fs = {Q.cells[2][j] for j in base_owners[base_ptr[e]:base_ptr[e + 1]]}
+            cands = fs if cands is None else cands & fs
         if not cands or len(cands) != 1:
             raise AssemblyError("patch does not sit over a unique base square")
         F = cands.pop()
@@ -315,8 +293,7 @@ def _patch_map(Q: CubeComplex, Qp: CubeComplex,
 
 def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
                       chains: dict[Edge, tuple[int, ...]] | None = None,
-                      structural: bool = False,
-                      budget: int = DEFAULT_BUDGET) -> CylinderReport:
+                      structural: bool = False) -> CylinderReport:
     """Cylinder interpolating between Q and its refinement in one step.
 
     Qp may be a RefineReport (chains and basis are taken from it) or a
@@ -382,10 +359,13 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
             raise AssemblyError(f"wall over edge {e} has odd length {L}")
         wall_half[e] = L // 2
 
+    # the four edges of each base square, off Q's facet table
+    rows, _ = Q.incidence().facets(2)
+    sides = [[Q.cells[1][e] for e in rows[i:i + 4]]
+             for i in range(0, len(rows), 4)]
     fixes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for F in Q.cells[2]:
-        total = 1 + sum(wall_half[e] for e in _face_edge_keys(F)) \
-            + len(patches[F])
+    for F, edges in zip(Q.cells[2], sides):
+        total = 1 + sum(wall_half[e] for e in edges) + len(patches[F])
         if total % 2:
             free = sorted(t for t in patches[F] if not set(t) & curve_verts)
             if not free:
@@ -410,11 +390,11 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
     if (len(Qpp.cells[2]) - len(Q.cells[2])) % 2:
         raise AssemblyError("parity fixes failed to preserve square parity")
     if curve_verts:
-        edges = set(Qpp.cells[1])
+        edge_id = Qpp.incidence().position(1)
         for path in Bpp.curves:
             for i in range(len(path)):
                 e = tuple(sorted((path[i], path[(i + 1) % len(path)])))
-                if e not in edges:
+                if e not in edge_id:
                     raise AssemblyError(
                         "a parity fix destroyed a basis curve edge")
 
@@ -458,9 +438,9 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
     requests: list[FillRequest] = []
     failed: list[int] = []
     all_cubes: list[tuple[int, ...]] = []
-    for F in Q.cells[2]:
+    for F, edges in zip(Q.cells[2], sides):
         sqs: list[tuple[int, ...]] = [F]
-        for e in _face_edge_keys(F):
+        for e in edges:
             sqs.extend(walls[e])
         sqs.extend(tuple(T0 + x for x in t) for t in patches[F])
         used = sorted({v for t in sqs for v in t})
@@ -472,7 +452,7 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
         if structural or failed:
             continue
         try:
-            cert = fill_ball(local, budget=budget)
+            cert = fill_ball(local)
         except FillFailed:
             failed.append(len(requests) - 1)
             continue
@@ -531,8 +511,7 @@ def _disk_cells(cycle: Sequence[int], base: int
 
 
 def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
-               structural: bool = False,
-               budget: int = DEFAULT_BUDGET) -> HandlebodyReport:
+               structural: bool = False) -> HandlebodyReport:
     """Handlebody bounded by Qpp, built by cutting along the given curves.
 
     Cut Qpp along each curve, cap both copies of each cut circle with a
@@ -598,7 +577,7 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
                                 census)
 
     try:
-        cert = fill_ball(sphere, budget=budget)
+        cert = fill_ball(sphere)
     except FillFailed as e:
         return HandlebodyReport(None, None, sphere, (req,), "structural",
                                 census, notes=(str(e),))
@@ -691,8 +670,7 @@ def _split_alpha_beta(B: EdgePathBasis
     return list(B.curves[0::2]), list(B.curves[1::2])
 
 
-def sphere3(n: int, k: int | None = None, *, structural: bool = False,
-            budget: int = DEFAULT_BUDGET
+def sphere3(n: int, k: int | None = None, *, structural: bool = False
             ) -> tuple[CubeComplex | StructuralReport, PipelineCensus]:
     """Run the full 3-sphere pipeline at scale n.
 
@@ -721,12 +699,11 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False,
                             "refined basis does not hold")
 
     cyl = refining_cylinder(Q, Q2, B2, chains=chains2,
-                            structural=structural, budget=budget)
+                            structural=structural)
     alpha, beta = _split_alpha_beta(B2)
-    hb_kwargs = dict(structural=structural or cyl.level != "full",
-                     budget=budget)
-    hbA = handlebody(cyl.end, alpha, **hb_kwargs)
-    hbB = handlebody(cyl.end, beta, **hb_kwargs)
+    hb_structural = structural or cyl.level != "full"
+    hbA = handlebody(cyl.end, alpha, structural=hb_structural)
+    hbB = handlebody(cyl.end, beta, structural=hb_structural)
 
     f_Q = Q.f_vector()
     predicted_v = (k + 1) * f_Q[0]
@@ -850,7 +827,7 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
 
 
 def sphere_d(d: int, n: int, k: int | None = None, *,
-             structural: bool = False, budget: int = DEFAULT_BUDGET
+             structural: bool = False
              ) -> tuple[CubeComplex | StructuralReport, PipelineCensus]:
     """d-sphere within a vertex budget of n, by doubling a 3-sphere run.
 
@@ -884,7 +861,7 @@ def sphere_d(d: int, n: int, k: int | None = None, *,
             f"no pipeline scale fits {budget3} vertices; the smallest run "
             "needs more room")
 
-    result, census = sphere3(best, k=k, structural=structural, budget=budget)
+    result, census = sphere3(best, k=k, structural=structural)
     if d == 3:
         return result, census
     if isinstance(result, StructuralReport):

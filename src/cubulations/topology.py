@@ -1,7 +1,11 @@
 """Cellular homology over Z, Q and prime fields, plus surface classification.
 
 Boundary matrices are read off the complex's incidence index, whose docstring
-in core fixes the chain convention.
+in core fixes the chain convention. So is every fact about a square surface
+that other modules ask for: orientation_assignment orients the squares by
+their boundary coefficients in facets(2), across the squares on each edge
+in cofaces(1), and _is_closed (every edge in exactly two squares) reads
+cofaces(1).
 
 Homology is exact over the integers at every size. A connected closed
 orientable surface is certified directly (see _surface_profile). Any other
@@ -337,56 +341,51 @@ def _reduced_boundaries(C: CubeComplex) -> tuple[int, list[list[dict[int, int]]]
 # ---------------------------------------------------------------------------
 # orientation and the certified closed-surface path
 
-def _square_boundary_cycle(cell: tuple[int, ...]) -> tuple[int, int, int, int]:
-    # corner order 00, 01, 11, 10 walks the boundary of the square
-    return cell[0], cell[1], cell[3], cell[2]
-
-
 def orientation_assignment(
     C: CubeComplex,
 ) -> tuple[bool, dict[tuple[int, ...], int], tuple | None]:
-    """Try to orient all squares consistently (adjacent squares traverse a
-    shared edge in opposite directions). Returns (ok, signs, conflict); the
-    conflict witness is (square, square, edge) for debugging glue mistakes.
-    Components are seeded in cell order, so the output is deterministic."""
+    """Try to orient all squares consistently: two squares on an edge are
+    coherent when their boundary coefficients on it, each times its
+    square's sign, cancel. Each square's edges and coefficients are read
+    off facets(2), the squares on an edge off cofaces(1). Returns (ok,
+    signs, conflict); the conflict witness is (square, square, edge) for
+    debugging glue mistakes. Components are seeded in cell order, so the
+    output is deterministic."""
     squares = C.cells.get(2, ())
-    edge_use: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for idx, cell in enumerate(squares):
-        a, b, d, c = _square_boundary_cycle(cell)
-        walk = (a, b, d, c, a)
-        for t in range(4):
-            u, v = walk[t], walk[t + 1]
-            key = (u, v) if u < v else (v, u)
-            direction = 1 if u < v else -1
-            edge_use.setdefault(key, []).append((idx, direction))
-    sign: dict[int, int] = {}
+    inc = C.incidence()
+    ids, coeffs = inc.facets(2)
+    ptr, owners = inc.cofaces(1)
+    sign = [0] * len(squares)
     for seed in range(len(squares)):
-        if seed in sign:
+        if sign[seed]:
             continue
         sign[seed] = 1
         stack = [seed]
         while stack:
             cur = stack.pop()
-            a, b, d, c = _square_boundary_cycle(squares[cur])
-            walk = (a, b, d, c, a)
-            for t in range(4):
-                u, v = walk[t], walk[t + 1]
-                key = (u, v) if u < v else (v, u)
-                direction = 1 if u < v else -1
-                for other, odir in edge_use[key]:
+            for t in range(4 * cur, 4 * cur + 4):
+                e = ids[t]
+                flow = sign[cur] * coeffs[t]
+                for other in owners[ptr[e]:ptr[e + 1]]:
                     if other == cur:
                         continue
-                    want = -sign[cur] * direction * odir
-                    if other not in sign:
+                    row = 4 * other
+                    want = -flow * coeffs[row + ids[row:row + 4].index(e)]
+                    if not sign[other]:
                         sign[other] = want
                         stack.append(other)
                     elif sign[other] != want:
-                        return (
-                            False,
-                            {},
-                            (squares[cur], squares[other], key),
-                        )
-    return True, {squares[i]: s for i, s in sign.items()}, None
+                        return (False, {},
+                                (squares[cur], squares[other], C.cells[1][e]))
+    return True, dict(zip(squares, sign)), None
+
+
+def _is_closed(C: CubeComplex) -> bool:
+    """Whether C has a square and every edge of C lies in exactly two
+    squares, read off cofaces(1)."""
+    ptr, _ = C.incidence().cofaces(1)
+    return bool(C.cells.get(2)) and all(
+        ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
 
 
 def _is_closed_oriented_surface(C: CubeComplex) -> bool:
@@ -490,9 +489,7 @@ def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
     for v in range(C.n_vertices):
         if _link_shape(C, v) is None:
             raise NonSurfaceLinkError(v)
-    ptr, _ = C.incidence().cofaces(1)
-    closed = bool(C.cells.get(2)) and all(
-        ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
+    closed = _is_closed(C)
     orientable, _, _ = orientation_assignment(C)
     genus: int | None = None
     if closed and orientable and _connected_skeleton(C):
@@ -522,10 +519,3 @@ def homology_sphere_check(C: CubeComplex, d: int) -> bool:
     return prof.betti == (1,) + (0,) * (d - 1) + (1,) \
         and not any(prof.torsion)
 
-
-def h1_trivial(C: CubeComplex) -> bool:
-    """b_1 = 0 with no 1-dimensional torsion over the integers."""
-    if C.dim < 1:
-        return True
-    prof = betti_numbers(C, "z")
-    return prof.betti[1] == 0 and not prof.torsion[1]

@@ -15,7 +15,7 @@ from .core import (
     Cube,
     CubeComplex,
     CubeComplexError,
-    _link_spans,
+    _link_cycle,
     build_complex,
     canonical,
     relabel,
@@ -287,19 +287,6 @@ def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
     return out
 
 
-def _link_cycle_data(C: CubeComplex, v: int):
-    """(adjacency of the link graph of v, neighbor pair -> square index).
-    In a square (v, a, x, b) the link edge joins the neighbors a and b."""
-    adj: dict[int, list[int]] = {}
-    pair_sq: dict[frozenset[int], int] = {}
-    ptr, owners = C.incidence().star(2)
-    for idx, (a, b) in zip(owners[ptr[v]:ptr[v + 1]], _link_spans(C, v, 2)):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-        pair_sq[frozenset((a, b))] = idx
-    return adj, pair_sq
-
-
 def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
     """Cut a closed surface along a simple closed edge path.
 
@@ -326,36 +313,24 @@ def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
     squares = S.cells.get(2, ())
     ptr, owners = S.incidence().cofaces(1)
 
-    # the two arcs of each curve vertex's link, as square index sets
+    # the two arcs of each curve vertex's link, as square index sets; the
+    # first holds the lower of the two squares on the edge to the previous
+    # curve vertex
     arcs_of: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
     for i, v in enumerate(curve):
         prev = curve[(i - 1) % L]
         nxt = curve[(i + 1) % L]
-        adj, pair_sq = _link_cycle_data(S, v)
-        if prev not in adj or nxt not in adj:
-            raise CutError(f"curve vertex {v} has no square on a curve edge")
-        if any(len(ws) != 2 for ws in adj.values()):
+        cycle = _link_cycle(S, v)
+        if cycle is None:
             raise CutError(f"link of curve vertex {v} is not a single cycle")
-
-        def walk(start_from: int) -> list[int]:
-            path = [prev, start_from]
-            while path[-1] != nxt:
-                a, b = adj[path[-1]]
-                path.append(b if a == path[-2] else a)
-                if len(path) > len(adj) + 2:
-                    raise CutError(
-                        f"link of curve vertex {v} is not a single cycle")
-            return path
-
-        first, second = adj[prev]
-        side1, side2 = walk(first), walk(second)
-        if len(side1) + len(side2) != len(adj) + 2:
-            raise CutError(f"curve edges do not split the link at vertex {v}")
-        a1 = frozenset(pair_sq[frozenset(p)] for p in zip(side1, side1[1:]))
-        a2 = frozenset(pair_sq[frozenset(p)] for p in zip(side2, side2[1:]))
-        if not a1 or not a2 or a1 & a2:
-            raise CutError(f"cut is ill-defined at vertex {v}")
-        arcs_of[v] = (a1, a2)
+        ring, spokes = cycle
+        if prev not in spokes or nxt not in spokes:
+            raise CutError(f"curve vertex {v} has no square on a curve edge")
+        d = len(ring)
+        p, n = spokes.index(prev), spokes.index(nxt)
+        a1, a2 = (frozenset(ring[(lo + 1 + t) % d] for t in range((hi - lo) % d))
+                  for lo, hi in ((p, n), (n, p)))
+        arcs_of[v] = (a1, a2) if ring[(p + 1) % d] < ring[p] else (a2, a1)
 
     # propagate which arc keeps the original id; anchor at curve[0]
     side_of: dict[int, int] = {curve[0]: 0}

@@ -380,6 +380,16 @@ def test_torus_refined_basis_paths():
     assert betti_numbers(Qp).betti == betti_numbers(T).betti
 
 
+def test_edge_path_verification_rejects_a_stray_edge():
+    T = torus_complex(2)
+    B = EdgePathBasis(1, ((0, 1, 2, 3), (0, 4, 8, 12)))
+    assert verify_basis(T, B)
+    # the squares alone still form the torus; the edge lies in no square
+    stray = build_complex(2, [*T.cells[2], (0, 10)], n_vertices=16)
+    assert stray.euler_characteristic() == -1
+    assert not verify_basis(stray, B)
+
+
 def test_torus_edges_evenly_subdivided():
     T = torus_complex(2)
     rep = refine_report(T, canonical_basis(T))

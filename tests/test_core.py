@@ -391,6 +391,20 @@ def test_handed_facet_table_of_a_relabelled_4_cube(perm):
 
 
 @given(small_complexes())
+@settings(max_examples=100, deadline=None)
+def test_cofaces_invert_the_facet_table_once(C):
+    inc = C.incidence()
+    for k in range(C.dim):
+        ptr, owners = inc.cofaces(k)
+        assert inc.cofaces(k) is inc.cofaces(k)
+        ids, _ = inc.facets(k + 1)
+        w = 2 * (k + 1)
+        for j in range(len(C.cells[k])):
+            assert list(owners[ptr[j]:ptr[j + 1]]) == \
+                [i for i in range(len(C.cells[k + 1])) if j in ids[w * i:w * i + w]]
+
+
+@given(small_complexes())
 @settings(max_examples=150, deadline=None)
 def test_boundary_columns_match_canonical_signs(C):
     for k in range(1, C.dim + 1):

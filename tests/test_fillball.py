@@ -176,6 +176,15 @@ def test_open_surface_rejected():
         fill_ball(open_disk)
 
 
+def test_stray_edge_is_a_fill_error():
+    # the squares alone form a closed sphere; the edge (0, 7), a diagonal
+    # of the cube, lies in no square
+    S = build_complex(2, [*boundary_c3().cells[2], (0, 7)])
+    assert validate(S).is_complex
+    with pytest.raises(FillError, match="not closed"):
+        fill_ball(S)
+
+
 def test_wrong_dimension_rejected():
     ball = fill_ball(boundary_c3()).ball
     with pytest.raises(FillError, match="2-complex"):
@@ -255,9 +264,10 @@ def test_tampered_certificate_file_rejected(tmp_path):
         read_certificate(path, S)
 
 
-def test_zero_growth_slack_still_fills_shrinking_instances():
+def test_zero_growth_slack_still_fills_shrinking_instances(monkeypatch):
+    monkeypatch.setattr(fillball, "GROWTH_SLACK", 0)
     S = pillar_sphere(3)
-    cert = fill_ball(S, slack=0)
+    cert = fill_ball(S)
     assert cert.n_cubes == 4
     assert verify_filling(cert, S)
 

@@ -30,6 +30,7 @@ from cubulations.basis import (
     RegularNeighborhoodCert,
     canonical_basis,
     refine_report,
+    regularize_with_chains,
 )
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
@@ -37,6 +38,7 @@ from cubulations.sphere_builder import (
     AssemblyError,
     StructuralReport,
     _disk_cells,
+    _patch_map,
     _wheel,
     assemble_sphere3,
     check_fill_request,
@@ -86,6 +88,87 @@ def pipeline11():
 
 # ---------------------------------------------------------------------------
 # refining cylinder
+
+
+def _patch_map_by_edge_walk(Q, Qp, chains):
+    """_patch_map, walking each square's boundary a-b-d-c and joining the
+    squares across every edge that is not a wall, depth first."""
+    def sides(t):
+        a, b, c, d = t
+        return [frozenset(p) for p in ((a, b), (b, d), (d, c), (c, a))]
+
+    wall_of = {}
+    for key, path in chains.items():
+        for a, b in zip(path, path[1:]):
+            if wall_of.setdefault(frozenset((a, b)), key) != key:
+                raise AssemblyError("two subdivided edges share a segment")
+    sqs = Qp.cells[2]
+    by_edge = {}
+    for idx, t in enumerate(sqs):
+        for pe in sides(t):
+            by_edge.setdefault(pe, []).append(idx)
+    if any(len(by_edge.get(pe, ())) != 2 for pe in wall_of):
+        raise AssemblyError("a subdivided edge segment is not interior")
+    comp = [-1] * len(sqs)
+    n_comp = 0
+    for start in range(len(sqs)):
+        if comp[start] >= 0:
+            continue
+        comp[start] = n_comp
+        stack = [start]
+        while stack:
+            for pe in sides(sqs[stack.pop()]):
+                if pe not in wall_of:
+                    for j in by_edge[pe]:
+                        if comp[j] < 0:
+                            comp[j] = n_comp
+                            stack.append(j)
+        n_comp += 1
+    faces_of_chain = {}
+    for F in Q.cells[2]:
+        for pe in sides(F):
+            faces_of_chain.setdefault(tuple(sorted(pe)), set()).add(F)
+    touched = [set() for _ in range(n_comp)]
+    for idx, t in enumerate(sqs):
+        for pe in sides(t):
+            if pe in wall_of:
+                touched[comp[idx]].add(wall_of[pe])
+    patches = {}
+    for ci in range(n_comp):
+        (F,) = set.intersection(*(faces_of_chain[k] for k in touched[ci]))
+        assert F not in patches
+        patches[F] = [sqs[i] for i in range(len(sqs)) if comp[i] == ci]
+    assert set(patches) == set(Q.cells[2])
+    return patches
+
+
+@pytest.fixture(scope="module")
+def refined11():
+    """The n = 11 surface, its regularized refinement and edge chains,
+    and the end the refining cylinder makes of it by its parity fixes."""
+    Q, _ = surface_report(11)
+    rep = refine_report(Q, canonical_basis(Q))
+    Q2, B2, _, chains = regularize_with_chains(rep.complex, rep.basis,
+                                               rep.edge_chains)
+    end = refining_cylinder(Q, Q2, B2, chains=chains, structural=True).end
+    return Q, Q2, end, chains
+
+
+def test_patch_map_matches_the_edge_walk(refined11):
+    Q, Q2, end, chains = refined11
+    assert end != Q2  # the parity fixes split some squares
+    for Qp in (Q2, end):
+        got = _patch_map(Q, Qp, chains)
+        assert list(got.items()) == \
+            list(_patch_map_by_edge_walk(Q, Qp, chains).items())
+
+
+def test_patch_map_of_the_trivial_refinement_matches_the_edge_walk():
+    T = torus_complex(2)
+    chains = {e: e for e in T.cells[1]}
+    got = _patch_map(T, T, chains)
+    assert got == _patch_map_by_edge_walk(T, T, chains)
+    assert got == {F: [F] for F in T.cells[2]}
 
 
 def test_trivial_refinement_gives_product_layer(toy_pieces):

@@ -18,7 +18,6 @@ from cubulations.topology import (
     _connected_skeleton,
     betti_numbers,
     boundary_columns,
-    h1_trivial,
     homology_sphere_check,
     orientation_assignment,
     rank_mod_p,
@@ -26,6 +25,8 @@ from cubulations.topology import (
     smith_invariant_factors,
     surface_invariants,
 )
+from cubulations.sphere_builder import sphere3
+from cubulations.transforms import torus_complex
 from test_core import (
     link_is_path,
     link_is_single_cycle,
@@ -271,7 +272,7 @@ def test_odd_torsion_is_seen_above_twenty_thousand_cells():
     prof = betti_numbers(X, "z")
     assert prof.betti == (1, 0, 1)
     assert prof.torsion[1] == (3,)
-    assert not h1_trivial(X)
+    assert not (prof.betti[1] == 0 and not prof.torsion[1])
     assert betti_numbers(X, 3).betti == (1, 1, 2)
     assert betti_numbers(X, 2).betti == (1, 0, 1)
 
@@ -404,6 +405,83 @@ def test_surface_invariants_fixed_cases_match_the_oracle(make):
     assert_surface_invariants_match_the_oracle(make())
 
 
+def _orientation_by_edge_walk(C):
+    """orientation_assignment, walking each square's boundary a-b-d-c and
+    indexing the squares on every edge by that walk."""
+    squares = C.cells.get(2, ())
+    edge_use = {}
+    for idx, (a, b, c, d) in enumerate(squares):
+        walk = (a, b, d, c, a)
+        for t in range(4):
+            u, v = walk[t], walk[t + 1]
+            key = (u, v) if u < v else (v, u)
+            edge_use.setdefault(key, []).append((idx, 1 if u < v else -1))
+    sign = {}
+    for seed in range(len(squares)):
+        if seed in sign:
+            continue
+        sign[seed] = 1
+        stack = [seed]
+        while stack:
+            cur = stack.pop()
+            a, b, c, d = squares[cur]
+            walk = (a, b, d, c, a)
+            for t in range(4):
+                u, v = walk[t], walk[t + 1]
+                key = (u, v) if u < v else (v, u)
+                direction = 1 if u < v else -1
+                for other, odir in edge_use[key]:
+                    if other == cur:
+                        continue
+                    want = -sign[cur] * direction * odir
+                    if other not in sign:
+                        sign[other] = want
+                        stack.append(other)
+                    elif sign[other] != want:
+                        return False, {}, (squares[cur], squares[other], key)
+    return True, {squares[i]: s for i, s in sign.items()}, None
+
+
+def assert_orientation_matches_the_edge_walk(C):
+    """The same verdict and signs; a conflict names two squares on its
+    edge."""
+    ok, signs, witness = orientation_assignment(C)
+    want_ok, want_signs, _ = _orientation_by_edge_walk(C)
+    assert (ok, signs) == (want_ok, want_signs)
+    if not ok:
+        a, b, (u, v) = witness
+        assert a != b and {u, v} <= set(a) and {u, v} <= set(b)
+        assert (u, v) in C.cells[1]
+
+
+@given(tangled_complexes(dim=2))
+@settings(max_examples=300, deadline=None)
+def test_orientation_matches_the_edge_walk(C):
+    assert_orientation_matches_the_edge_walk(C)
+
+
+@pytest.fixture(scope="module")
+def pillows_11():
+    report, _ = sphere3(11, 4, structural=True)
+    return report.requests
+
+
+@pytest.mark.parametrize("make", [
+    klein_4x4,
+    lambda: build_complex(2, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)]),
+    torus_4x4,
+    lambda: torus_complex(2),
+    boundary_c3,
+], ids=["klein", "edge-in-three", "torus", "torus-product", "sphere"])
+def test_orientation_fixed_cases_match_the_edge_walk(make):
+    assert_orientation_matches_the_edge_walk(make())
+
+
+@pytest.mark.parametrize("index", [0, 42])
+def test_orientation_of_pillows_matches_the_edge_walk(pillows_11, index):
+    assert_orientation_matches_the_edge_walk(pillows_11[index].sphere)
+
+
 def test_euler_equals_alternating_betti_sum():
     for C in (boundary_c3(), boundary_c4(), torus_4x4(), klein_4x4()):
         prof = betti_numbers(C, "q")
@@ -417,9 +495,14 @@ def test_euler_equals_alternating_betti_sum():
 # h1
 
 
+def _h1_trivial(prof):
+    return prof.betti[1] == 0 and not prof.torsion[1]
+
+
 def test_h1_trivial_cases():
-    assert h1_trivial(build_complex(3, [SOLID_CUBE]))
-    assert not h1_trivial(torus_4x4())
-    assert not h1_trivial(klein_4x4())  # torsion counts as nontrivial
-    assert h1_trivial(build_complex(0, [(0,)]))
-    assert h1_trivial(boundary_c3())
+    assert _h1_trivial(betti_numbers(build_complex(3, [SOLID_CUBE]), "z"))
+    assert not _h1_trivial(betti_numbers(torus_4x4(), "z"))
+    # torsion counts as nontrivial
+    assert not _h1_trivial(betti_numbers(klein_4x4(), "z"))
+    assert build_complex(0, [(0,)]).dim < 1  # a 0-complex has no b_1
+    assert _h1_trivial(betti_numbers(boundary_c3(), "z"))
