@@ -20,12 +20,15 @@ Face incidence lives in one place, the Incidence index of a complex
   - cofaces(k): for each k-cell, the indices of the (k+1)-cells it is a
     facet of, the facet table of level k+1 transposed once.
 The rim (ridges in exactly one facet) and the maximal cells are read off
-the facet table. build_complex fills the facet table in: its
+the facet table. Ids are 4-byte array("i") entries, and every index array
+here uses that one typecode. build_complex fills the facet table in: its
 closure computes every cell's facets anyway, and hands them over remapped
-to sorted positions. Every other constructor (from_cells, relabel,
-products) leaves it to be built the first time it is asked for, as are the
-other parts, so a complex pays only for what its callers use. Caching it on
-the complex is sound because complexes never change after construction.
+to sorted positions. Products derive theirs from their factors' tables
+(transforms.cartesian_product), and remove_facet passes on its input's
+with one row dropped. from_cells and relabel leave it to be built the
+first time it is asked for, as are the other parts, so a complex pays only
+for what its callers use. Caching it on the complex is sound because
+complexes never change after construction.
 
 The structural checks read corner positions and canonicalise nothing.
 validate decides each pair of maximal cells sharing 2^m corners from their
@@ -156,7 +159,7 @@ def _facet_rows(level: Iterable[tuple[int, ...]], k: int,
     in cube_faces order; face_id maps a canonical (k-1)-cell to its id.
     A side-0 facet keeps the cell's corner 0 and its ascending neighbours,
     so it is canonical as it is; only side-1 facets are canonicalised."""
-    ids, coeffs = array("l"), array("b")
+    ids, coeffs = array("i"), array("b")
     sides = _facet_sides(k)
     for cell in level:
         for get, side1, coeff in sides:
@@ -232,13 +235,13 @@ def _transpose(table: Sequence[int], width: int, n: int) -> tuple[array, array]:
     """Invert a flat table whose row r is table[width*r : width*(r+1)] and
     whose entries lie in [0, n): (ptr, rows), where the rows that contain j
     are rows[ptr[j]:ptr[j + 1]], ascending."""
-    ptr = array("l", [0]) * (n + 1)
+    ptr = array("i", [0]) * (n + 1)
     for j in table:
         ptr[j + 1] += 1
     for j in range(n):
         ptr[j + 1] += ptr[j]
     fill = ptr[:n]
-    rows = array("l", [0]) * len(table)
+    rows = array("i", [0]) * len(table)
     for t, j in enumerate(table):
         rows[fill[j]] = t // width
         fill[j] += 1
@@ -282,7 +285,7 @@ class Incidence:
                     raise CubeComplexError(
                         "complex is not closed under faces") from None
             else:
-                got = array("l"), array("b")
+                got = array("i"), array("b")
             self._facets[k] = got
         return got
 
@@ -300,7 +303,7 @@ class Incidence:
         owners[ptr[v]:ptr[v + 1]]."""
         got = self._star.get(k)
         if got is None:
-            corners = array("l", chain.from_iterable(self.cells.get(k, ())))
+            corners = array("i", chain.from_iterable(self.cells.get(k, ())))
             got = self._star[k] = _transpose(corners, 1 << k, self.n_vertices)
         return got
 
@@ -411,11 +414,11 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
     for k in range(dim, -1, -1):
         level = cells[k] = tuple(sorted(ids[k]))
         if k < dim:
-            rank = array("l", [0]) * len(level)
+            rank = array("i", [0]) * len(level)
             for i, p in enumerate(map(ids[k].__getitem__, level)):
                 rank[p] = i
             rows, coeffs = facets[k + 1]
-            facets[k + 1] = array("l", map(rank.__getitem__, rows)), coeffs
+            facets[k + 1] = array("i", map(rank.__getitem__, rows)), coeffs
         ids[k] = None  # spent: free them before the level below grows
         if k > 0:
             facets[k] = _facet_rows(level, k, ids[k - 1].__getitem__)

@@ -28,12 +28,16 @@ from __future__ import annotations
 
 import logging
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 from .core import (
     CubeComplex,
     CubeComplexError,
+    Incidence,
     _reachable,
     build_complex,
     bipartite_classes,
@@ -523,8 +527,12 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
 
     With no curves the input must already be a sphere and the handlebody
     is a thickened ball.  The far ball is filled as-is, without cube
-    insets.
+    insets.  Emits one DEBUG record under cubulations.sphere_builder with
+    the level, the f-vectors of the sphere and of the handlebody, the
+    seconds, and why it fell back to the structural level: it was asked
+    to, or the fill ran out of budget (FillFailed).
     """
+    t0 = time.perf_counter()
     if Qpp.dim != 2:
         raise AssemblyError("handlebody needs a 2-complex")
     closed, orientable, genus = surface_invariants(Qpp)
@@ -572,15 +580,26 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
         "extra_vertices": sphere.n_vertices
         + sum(len(a) for a, _ in disk_interiors),
     }
+
+    def done(report: HandlebodyReport, why: str = "") -> HandlebodyReport:
+        log.debug("handlebody: level %s, %d curves, sphere f %s, f %s, "
+                  "%.3f s%s", report.level, len(curves), sphere.f_vector(),
+                  report.complex.f_vector() if report.complex else None,
+                  time.perf_counter() - t0,
+                  f"; fell back: {why}" if why else "")
+        return report
+
     if structural:
-        return HandlebodyReport(None, None, sphere, (req,), "structural",
-                                census)
+        return done(HandlebodyReport(None, None, sphere, (req,),
+                                     "structural", census),
+                    "structural level requested")
 
     try:
         cert = fill_ball(sphere)
     except FillFailed as e:
-        return HandlebodyReport(None, None, sphere, (req,), "structural",
-                                census, notes=(str(e),))
+        return done(HandlebodyReport(None, None, sphere, (req,),
+                                     "structural", census, notes=(str(e),)),
+                    f"FillFailed: {e}")
 
     P = cartesian_product(sphere, interval_complex(1))  # (x, t) -> 2x + t
     pairs: dict[int, int] = {}
@@ -613,7 +632,7 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     if rim != want:
         raise AssemblyError("handlebody boundary is not the input surface")
     census["fill_cubes"] = len(cert.ball.cells[3])
-    return HandlebodyReport(H, bmap, sphere, (req,), "full", census)
+    return done(HandlebodyReport(H, bmap, sphere, (req,), "full", census))
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +648,11 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     id-for-id identical on either side); the handlebodies may differ.
     All three reports must be at the full level.  The result is checked
     to be a closed pseudomanifold with the homology of S^3 whose vertex
-    links are spheres.
+    links are spheres.  Emits one DEBUG record under
+    cubulations.sphere_builder with the level, the f-vector and the
+    seconds of the gluing and of the checks.
     """
+    t0 = time.perf_counter()
     if cyl.level != "full" or hb_bottom.level != "full" \
             or hb_top.level != "full":
         raise AssemblyError("assembly needs every piece at the full level")
@@ -650,6 +672,7 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     A, _ = glue(A, hb_top.complex,
                 {hb_top.boundary_map[x]: m2[nb + x] for x in range(n_end)},
                 with_map=True)
+    t1 = time.perf_counter()
 
     rep = validate(A)
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
@@ -660,6 +683,9 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
                             f"torsion {prof.torsion}, not a 3-sphere's")
     if not manifold_check(A, 3):
         raise AssemblyError("assembled complex has a bad vertex link")
+    t2 = time.perf_counter()
+    log.debug("assemble_sphere3: level full, f %s, %.3f s: glue %.3f s, "
+              "checks %.3f s", A.f_vector(), t2 - t0, t1 - t0, t2 - t1)
     return A
 
 
@@ -769,6 +795,60 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
 # raising dimension
 
 
+def _union(P: CubeComplex, E: CubeComplex) -> CubeComplex:
+    """The union of two closed complexes of one dimension on the same ids,
+    where E adds few cells to P, with its facet table merged from theirs.
+
+    Per level, E's cells are placed in P's sorted cells by bisection; the
+    ones P lacks are inserted there, so P's rows move in runs between them.
+    P's ids are remapped with one array map per level, and each inserted
+    row is E's, with E's ids mapped to their merged positions."""
+    cells: dict[int, tuple[tuple[int, ...], ...]] = {}
+    facets: dict[int, tuple[array, array]] = {}
+    p_inc, e_inc = P.incidence(), E.incidence()
+    shift = e_at = array("i")
+    for k in range(P.dim + 1):
+        old, added = P.cells[k], E.cells[k]
+        new = []  # (position in P, index in E) of each cell P lacks
+        for e, c in enumerate(added):
+            p = bisect_left(old, c)
+            if p == len(old) or old[p] != c:
+                new.append((p, e))
+        parts, lo = [], 0
+        for p, e in new:
+            parts += old[lo:p], (added[e],)
+            lo = p
+        parts.append(old[lo:])
+        merged = cells[k] = tuple(chain.from_iterable(parts))
+        # P's cells before the first inserted one stay, the ones after
+        # the r-th move up by r
+        below, shift, lo = shift, array("i"), 0
+        for r, hi in enumerate([p for p, _ in new] + [len(old)]):
+            shift.extend(range(lo + r, hi + r))
+            lo = hi
+        e_below = e_at
+        e_at = array("i", [bisect_left(merged, c) for c in added])
+        if k:
+            w = 2 * k
+            ids, coeffs = p_inc.facets(k)
+            ids = array("i", map(below.__getitem__, ids))
+            e_ids, e_coeffs = e_inc.facets(k)
+            out_ids, out_coeffs, lo = array("i"), array("b"), 0
+            for p, e in new:
+                out_ids += ids[w * lo:w * p]
+                out_ids += array("i", map(e_below.__getitem__,
+                                          e_ids[w * e:w * e + w]))
+                out_coeffs += coeffs[w * lo:w * p]
+                out_coeffs += e_coeffs[w * e:w * e + w]
+                lo = p
+            out_ids += ids[w * lo:]
+            out_coeffs += coeffs[w * lo:]
+            facets[k] = out_ids, out_coeffs
+    U = CubeComplex(P.dim, P.n_vertices, cells)
+    U._incidence = Incidence(U, facets)
+    return U
+
+
 def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     """One doubling step: a cubulated d-sphere to a (d+1)-sphere.
 
@@ -780,9 +860,14 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     The boundary is written by its product formula, with bd for the
     boundary: bd(Q x I x I) = Q x bd(I x I)  u  bd(F) x I x I, two
     products that are closed and canonical and overlap in
-    bd(F) x bd(I x I); their cells are merged in sorted order.  bd(I x I)
-    is the rim of the square's own product, so vertex (q, i, j) is
-    4q + 2i + j, as in the product Q x I x I.
+    bd(F) x bd(I x I).  bd(I x I) is the rim of the square's own product,
+    so vertex (q, i, j) is 4q + 2i + j, as in the product Q x I x I.
+    The second product adds only the cells bd(F) x (open square), 26 for
+    d = 3, so the two are merged (_union): those cells are placed by
+    bisection, and the first product's cells and facet rows move in runs
+    between them.  Both products carry facet tables derived from their
+    factors', Q carries S's, and the merge keeps them, so the homology
+    check on the output reads a finished table.
     """
     d = S.dim
     if d < 2:
@@ -806,9 +891,7 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     sides = cartesian_product(Q, boundary_complex(square))
     ends = cartesian_product(rim_F, square)
     t3 = time.perf_counter()
-    out = CubeComplex(d + 1, 4 * S.n_vertices, {
-        k: tuple(sorted(set(sides.cells[k]).union(ends.cells[k])))
-        for k in range(d + 2)})
+    out = _union(sides, ends)
     t4 = time.perf_counter()
 
     # out has 4 * n ids by construction; count the vertices it has

@@ -6,15 +6,17 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Callable, Sequence
 
 from .core import (
     Cube,
     CubeComplex,
     CubeComplexError,
+    Incidence,
     _link_cycle,
     build_complex,
     canonical,
@@ -37,9 +39,9 @@ class CutError(CubeComplexError):
 
 
 def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
-    """Product complex of two closed complexes with canonical cells.
-    Vertex (a, b) becomes a * B.n_vertices + b, so the product's ids are
-    dense when both factors' are.
+    """Product complex of two closed complexes with canonical cells and its
+    facet table. Vertex (a, b) becomes a * B.n_vertices + b, so the
+    product's ids are dense when both factors' are.
 
     Each cell is written directly: the product of a k_A-cell a and a
     k_B-cell b has the vertex (a[ca], b[cb]) at corner index cb | (ca << k_B),
@@ -47,6 +49,17 @@ def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
     canonical already: corner 0 is the least, and B's axes, whose
     neighbours carry smaller labels, come before A's. The product of two
     closed complexes is closed, so its k-cells are the cells of A_i x B_(k-i).
+
+    The facet table follows from the factors' by the Leibniz rule,
+    bd(a x b) = bd(a) x b + (-1)^k_B a x bd(b) with B's axes first: facet t
+    of a x b is a x (facet t of b), with b's coefficient, for t < 2 k_B,
+    and (facet t - 2 k_B of a) x b, with (-1)^k_B times a's coefficient,
+    for the rest. A product of canonical cells is canonical, and
+    canonicalising a facet of b or of a moves only that factor's axes, with
+    the same sign, so nothing is canonicalised. The table is filled one
+    column at a time in generation order (blocks A_i x B_(k-i) by i, rows a
+    major), then its rows are put in sorted order and its ids mapped
+    through the sorted positions of the level below.
     """
     nb = B.n_vertices
     # one int object per product vertex, shared by every cell at it
@@ -62,8 +75,69 @@ def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
             for j in range(1, B.dim + 1):
                 levels[i + j].extend(tuple(chain.from_iterable(map(get, rows)))
                                      for get in b_cells[j])
-    return CubeComplex(A.dim + B.dim, A.n_vertices * nb,
-                       {k: tuple(sorted(level)) for k, level in enumerate(levels)})
+    fa = [len(A.cells.get(i, ())) for i in range(A.dim + 1)]
+    fb = [len(B.cells.get(j, ())) for j in range(B.dim + 1)]
+    blocks: list[list[int]] = []       # per level, the i of its blocks
+    start: dict[tuple[int, int], int] = {}   # (i, j) -> first id of A_i x B_j
+    for k in range(len(levels)):
+        blocks.append([i for i in range(max(0, k - B.dim), min(A.dim, k) + 1)
+                       if fa[i] and fb[k - i]])
+        at = 0
+        for i in blocks[k]:
+            start[i, k - i] = at
+            at += fa[i] * fb[k - i]
+    a_inc, b_inc = A.incidence(), B.incidence()
+    cells: dict[int, tuple[tuple[int, ...], ...]] = {}
+    facets: dict[int, tuple[array, array]] = {}
+    rank = array("i")  # generation id -> sorted position, of the level below
+    for k, level in enumerate(levels):
+        order = sorted(range(len(level)), key=level.__getitem__)
+        # a level of at most one cell is in order already
+        permute = itemgetter(*order) if len(order) > 1 else tuple
+        cells[k] = permute(level)
+        levels[k] = level = None
+        w = 2 * k
+        ids = array("i", bytes(4 * w * len(order)))
+        coeffs = array("b", bytes(w * len(order)))
+        for t in range(w):
+            col, ccol = array("i"), array("b")
+            for i in blocks[k]:
+                j = k - i
+                na, nb_j = fa[i], fb[j]
+                block = array("i", bytes(4 * na * nb_j))
+                if t < 2 * j:
+                    # a x (facet t of b): rows of a, then b's facet id
+                    b_ids, b_coeffs = b_inc.facets(j)
+                    step, first = fb[j - 1], start[i, j - 1]
+                    for ib, x in enumerate(b_ids[t::2 * j]):
+                        block[ib::nb_j] = rank[first + x:first + x + na * step:step]
+                    cblock = b_coeffs[t::2 * j] * na
+                else:
+                    # (facet u of a) x b, with (-1)^j
+                    u = t - 2 * j
+                    a_ids, a_coeffs = a_inc.facets(i)
+                    first, a_col = start[i - 1, j], a_ids[u::2 * i]
+                    for ib in range(nb_j):
+                        of_b = rank[first + ib:first + fa[i - 1] * nb_j:nb_j]
+                        block[ib::nb_j] = array("i", map(of_b.__getitem__, a_col))
+                    signs = a_coeffs[u::2 * i]
+                    if j & 1:
+                        signs = array("b", map(neg, signs))
+                    cblock = array("b", bytes(na * nb_j))
+                    for ib in range(nb_j):
+                        cblock[ib::nb_j] = signs
+                col += block
+                ccol += cblock
+            ids[t::w] = array("i", permute(col))
+            coeffs[t::w] = array("b", permute(ccol))
+        if k:
+            facets[k] = ids, coeffs
+        rank = array("i", bytes(4 * len(order)))
+        for p, g in enumerate(order):
+            rank[g] = p
+    P = CubeComplex(A.dim + B.dim, A.n_vertices * nb, cells)
+    P._incidence = Incidence(P, facets)
+    return P
 
 
 def interval_complex(k: int) -> CubeComplex:
@@ -380,15 +454,25 @@ def boundary_complex(C: CubeComplex, with_map: bool = False):
 
 
 def remove_facet(C: CubeComplex, F) -> CubeComplex:
-    """Delete one open facet; every proper face of it stays."""
+    """Delete one open facet; every proper face of it stays. The result
+    carries C's facet table with the removed facet's row dropped."""
     corners = tuple(F.corners if isinstance(F, Cube) else F)
     target = canonical(corners)
     d = C.dim
-    if target not in C.incidence().position(d):
+    inc = C.incidence()
+    p = inc.position(d).get(target)
+    if p is None:
         raise CubeComplexError(f"{corners} is not a facet")
-    cells = {k: v for k, v in C.cells.items()}
-    cells[d] = tuple(c for c in cells[d] if c != target)
-    return CubeComplex.from_cells(d, C.n_vertices, cells)
+    cells = dict(C.cells)
+    cells[d] = cells[d][:p] + cells[d][p + 1:]
+    facets = {k: inc.facets(k) for k in range(1, d)}
+    ids, coeffs = inc.facets(d)
+    w = 2 * d
+    facets[d] = (ids[:w * p] + ids[w * (p + 1):],
+                 coeffs[:w * p] + coeffs[w * (p + 1):])
+    Q = CubeComplex(d, C.n_vertices, cells)
+    Q._incidence = Incidence(Q, facets)
+    return Q
 
 
 # ---------------------------------------------------------------------------

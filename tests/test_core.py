@@ -364,13 +364,15 @@ def test_vertex_link_matches_a_scan_of_all_cells(C):
 
 
 def _check_handed_facet_table(C):
-    """build_complex fills in C's facet table; it must equal the one the
-    index builds lazily on a copy, and the brute-force reference."""
+    """C's constructor (build_complex, a product or remove_facet) fills in
+    its facet table, in 4-byte ids; it must equal the one the index builds
+    lazily on a copy, and the brute-force reference."""
     assert sorted(C.incidence()._facets) == list(range(1, C.dim + 1))
     lazy = CubeComplex.from_cells(C.dim, C.n_vertices, C.cells).incidence()
     assert not lazy._facets
     for k in range(1, C.dim + 1):
         ids, coeffs = C.incidence().facets(k)
+        assert (ids.typecode, coeffs.typecode) == ("i", "b")
         want = _facet_table_by_canonicalising(C, k)
         assert (list(ids), list(coeffs)) == want
         ids, coeffs = lazy.facets(k)

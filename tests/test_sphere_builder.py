@@ -25,13 +25,14 @@ from cubulations.transforms import (
     remove_facet,
     torus_complex,
 )
-from cubulations import sphere_builder
+from cubulations import core, sphere_builder
 from cubulations.basis import (
     RegularNeighborhoodCert,
     canonical_basis,
     refine_report,
     regularize_with_chains,
 )
+from cubulations.fillball import FillFailed
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
 from cubulations.sphere_builder import (
@@ -79,6 +80,13 @@ def heegaard_pieces():
     hbA = handlebody(T, [TORUS_MERIDIAN])
     hbB = handlebody(T, [TORUS_LONGITUDE])
     return T, cyl, hbA, hbB
+
+
+@pytest.fixture(scope="module")
+def heegaard_s3(heegaard_pieces):
+    """The genus-one Heegaard S^3 that the climb workload doubles."""
+    T, cyl, hbA, hbB = heegaard_pieces
+    return assemble_sphere3(T, 2, cyl, hbA, hbB)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +333,51 @@ def test_handlebody_structural_level():
     check_fill_request(hb.requests[0])
 
 
+def _one_record(caplog, run):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cubulations.sphere_builder"):
+        got = run()
+    records = [r for r in caplog.records
+               if r.name == "cubulations.sphere_builder"]
+    assert len(records) == 1
+    return got, records[0].getMessage()
+
+
+def test_handlebody_logs_one_debug_record(caplog, monkeypatch):
+    T = torus_complex(2)
+    hb, msg = _one_record(caplog, lambda: handlebody(T, [TORUS_MERIDIAN]))
+    assert hb.level == "full"
+    assert "level full" in msg and "fell back" not in msg
+    assert "sphere f (38, 72, 36), f (86, 230, 212, 68)" in msg
+    assert re.search(r", \d+\.\d{3} s$", msg)
+
+    hb, msg = _one_record(caplog, lambda: handlebody(
+        T, [TORUS_MERIDIAN], structural=True))
+    assert hb.level == "structural"
+    assert "level structural" in msg and "f None" in msg
+    assert re.search(r"\d+\.\d{3} s; fell back: structural level requested$",
+                     msg)
+
+    def exhausted(sphere):
+        raise FillFailed(3, 1, 2, 30, 36, 3)
+
+    monkeypatch.setattr(sphere_builder, "fill_ball", exhausted)
+    hb, msg = _one_record(caplog, lambda: handlebody(T, [TORUS_MERIDIAN]))
+    assert hb.level == "structural"
+    assert "level structural" in msg
+    assert "fell back: FillFailed: fill search exhausted after 3" in msg
+
+
+def test_assemble_sphere3_logs_one_debug_record(caplog, toy_pieces):
+    Q, cyl, hb = toy_pieces
+    S3, msg = _one_record(caplog,
+                          lambda: assemble_sphere3(Q, 2, cyl, hb, hb))
+    assert msg.startswith("assemble_sphere3: level full, "
+                          "f (152, 372, 330, 110), ")
+    for stage in ("glue", "checks"):
+        assert re.search(stage + r" \d+\.\d{3} s", msg), stage
+
+
 def test_handlebody_rejects_odd_curve():
     T = torus_complex(2)
     with pytest.raises(AssemblyError, match="odd"):
@@ -494,14 +547,48 @@ def _doubling_by_closure(S, facet):
     return boundary_complex(R)
 
 
-def test_doubling_matches_the_closure_of_the_rim():
+def _check_doubling_by_closure(S, f):
+    """The doubling equals the closure reference cell for cell, and its
+    merged facet table, in 4-byte ids, equals the closure's and the one
+    the index builds lazily on a copy."""
+    out = induct_dimension(S, facet=f)
+    ref = _doubling_by_closure(S, f)
+    assert out == ref
+    lazy = CubeComplex(out.dim, out.n_vertices, out.cells).incidence()
+    for k in range(1, out.dim + 1):
+        ids, coeffs = out.incidence().facets(k)
+        assert (ids.typecode, coeffs.typecode) == ("i", "b")
+        assert (ids, coeffs) == ref.incidence().facets(k) == lazy.facets(k)
+
+
+def test_doubling_matches_the_closure_of_the_rim(heegaard_s3):
     C4 = boundary_c4()
     perm = list(range(16))
     random.Random(7).shuffle(perm)
     shuffled = relabel(C4, dict(enumerate(perm)))
     for S in (C4, shuffled):
         for f in S.cells[3]:
-            assert induct_dimension(S, facet=f) == _doubling_by_closure(S, f)
+            _check_doubling_by_closure(S, f)
+    S4 = induct_dimension(C4)
+    _check_doubling_by_closure(S4, S4.cells[4][0])  # the S^5 doubled twice
+    for i in (7, 68, 291):
+        _check_doubling_by_closure(heegaard_s3, heegaard_s3.cells[3][i])
+
+
+def test_doubling_canonicalises_almost_nothing(heegaard_s3, monkeypatch):
+    # the products derive their facet tables and the merge keeps them, so
+    # only the facet's boundary is canonicalised (64 694 calls when the
+    # homology check built the output's table lazily)
+    calls = []
+    real = core.canonical_with_sign
+
+    def counted(corners):
+        calls.append(corners)
+        return real(corners)
+
+    monkeypatch.setattr(core, "canonical_with_sign", counted)
+    induct_dimension(heegaard_s3, heegaard_s3.cells[3][7])
+    assert 0 < len(calls) < 200
 
 
 def test_doubling_rejects_an_unused_vertex_id():

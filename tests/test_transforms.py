@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubulations.core import (
+    CubeComplex,
     CubeComplexError,
     bipartite_classes,
     build_complex,
@@ -29,7 +30,8 @@ from cubulations.transforms import (
     torus_complex,
     warmup_complex,
 )
-from test_core import small_complexes
+from test_core import _check_handed_facet_table, small_complexes, \
+    tangled_complexes
 
 SOLID_CUBE = tuple(range(8))
 
@@ -121,6 +123,42 @@ def test_product_with_an_interval_matches_the_closure(A, k, interval_first):
 @settings(max_examples=50, deadline=None)
 def test_product_of_two_complexes_matches_the_closure(A, B):
     _check_product(A, B)
+
+
+POINT = build_complex(0, [(0,)])
+TWO_POINTS = build_complex(0, [(0,), (1,)])
+FIXED_FACTORS = [POINT, TWO_POINTS, interval_complex(1), interval_complex(3),
+                 torus_complex(1), boundary_c3()]
+
+
+@st.composite
+def factors(draw):
+    """A fixed factor (points, intervals, a 4-cycle, the boundary of a
+    cube) or a small tangled complex, sometimes with its facet table
+    dropped, so that the product reads a lazily built one."""
+    C = draw(st.one_of(st.sampled_from(FIXED_FACTORS),
+                       tangled_complexes(dim=2, max_vertices=10)))
+    if draw(st.booleans()):
+        C = CubeComplex(C.dim, C.n_vertices, C.cells)
+    return C
+
+
+@given(factors(), factors())
+@settings(max_examples=150, deadline=None)
+def test_product_facet_table_is_the_lazy_one(A, B):
+    P = cartesian_product(A, B)
+    assert P == _product_by_closure(A, B)
+    _check_handed_facet_table(P)
+
+
+@pytest.mark.parametrize("A, B", [
+    (POINT, boundary_c3()), (boundary_c3(), POINT),
+    (TWO_POINTS, torus_complex(1)), (interval_complex(3), TWO_POINTS),
+    (POINT, POINT), (torus_complex(1), torus_complex(1)),
+    (boundary_c3(), interval_complex(2)), (interval_complex(2), boundary_c3()),
+])
+def test_product_facet_table_fixed_cases(A, B):
+    _check_handed_facet_table(cartesian_product(A, B))
 
 
 def test_cylinder_counts():
@@ -377,6 +415,25 @@ def test_remove_facet():
     assert betti_numbers(Q).betti == (1, 0, 0, 0)
     with pytest.raises(CubeComplexError, match="not a facet"):
         remove_facet(C4, (0, 1, 2, 3, 4, 5, 6, 8))
+
+
+def _check_removed_facet(C, F):
+    Q = remove_facet(C, F)
+    assert Q.cells == {**C.cells,
+                       C.dim: tuple(c for c in C.cells[C.dim] if c != F)}
+    _check_handed_facet_table(Q)
+
+
+def test_remove_facet_keeps_the_facet_table():
+    C4 = build_complex(3, list(cube_faces(tuple(range(16)))))
+    for F in C4.cells[3]:
+        _check_removed_facet(C4, F)
+
+
+@given(tangled_complexes(), st.integers(min_value=0, max_value=100))
+@settings(max_examples=100, deadline=None)
+def test_remove_facet_keeps_the_facet_table_of_tangled_complexes(C, i):
+    _check_removed_facet(C, C.cells[C.dim][i % len(C.cells[C.dim])])
 
 
 # ---------------------------------------------------------------------------
