@@ -22,14 +22,34 @@ intersection pattern, and unimodularity are verified, never assumed.
 Unimodularity is read off topology.smith_invariant_factors: an n x n
 pairing matrix is unimodular exactly when it has n invariant factors,
 all equal to 1.
+
+The arrangement (which curve segments cross inside which face) is
+computed on flat arrays. Events are numbered globally, curve after
+curve, so event g is the start of chord g, the segment of its curve
+that runs through the face it enters. Each edge's events are sorted
+once along the edge from its low endpoint, by corner and lane; no two
+events may share both (such a family is refused), so the face that
+runs the edge low -> high reads them forwards and the other face reads
+them backwards. Walking a face boundary once with a stack of open
+chords finds its crossings: chords that do not cross nest, so a chord
+closing below the top of the stack crosses exactly the chords above
+it. The last family's arrangement is kept, and a family equal to it up
+to reversing some curves is answered from it by the identity
+signed[i, j] -> sigma_i sigma_j signed[i, j], with sigma_i = -1 on the
+reversed curves and the counts unchanged: reversing a curve negates
+the sign of each of its crossings, and twice for a self-crossing. So
+the canonical basis, whose betas are flipped after the arrangement
+that decides the flips, is never arranged twice.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import CubeComplex, CubeComplexError, _link_cycle, build_complex, \
@@ -386,23 +406,18 @@ def canonical_basis(Q: CubeComplex, root: int = 0) -> CurveBasis:
             if k > 2:
                 raise BasisError(f"curve crosses edge {e} {k} times")
 
+    t_arr = time.perf_counter()
     signed, _ = arrangement_crossings(Q, curves)
-    flipped = {2 * s + 1 for s in range(genus)
-               if signed.get((2 * s, 2 * s + 1), 0) < 0}
-    for ci in flipped:
-        curves[ci] = curves[ci].reversed_()
-    # Reversing a curve negates its signed crossings with every other
-    # curve and nothing else, so the arrangement need not be recomputed.
-    n = len(curves)
-    out = [[0] * n for _ in range(n)]
-    for (i, j), s in signed.items():
-        if i == j:
-            continue
-        if (i in flipped) != (j in flipped):
-            s = -s
-        out[i][j] += s
-        out[j][i] -= s
-    matrix = tuple(tuple(row) for row in out)
+    t_arr = time.perf_counter() - t_arr
+    sigma = [1] * len(curves)
+    for s in range(genus):
+        if signed.get((2 * s, 2 * s + 1), 0) < 0:
+            sigma[2 * s + 1] = -1
+            curves[2 * s + 1] = curves[2 * s + 1].reversed_()
+    matrix = _antisymmetric(_reoriented(signed, sigma), len(curves))
+    log.debug("canonical_basis: %d curves, %d crossing events, %d flips, "
+              "arrangement %.3f s", len(curves), sum(map(len, curves)),
+              sigma.count(-1), t_arr)
     return CurveBasis(genus, tuple(curves), matrix,
                       tuple(handle_edges), tuple(sorted(tree)))
 
@@ -420,47 +435,46 @@ def _edge_event_key(ev: Crossing, tail: int) -> tuple[int, int]:
     return (1, -ev.depth)
 
 
-def _face_positions(face_cycles: list[tuple[int, ...]],
-                    curves: Sequence[CurveOnSurface]
-                    ) -> dict[tuple[int, int, int], int]:
-    """Circular position of every crossing event around every face."""
-    at: dict[tuple[Edge, int], list[tuple[Crossing, int, int]]] = {}
-    for ci, c in enumerate(curves):
-        for k, ev in enumerate(c.crossings):
-            for face in (ev.f_from, ev.f_to):
-                at.setdefault((ev.edge, face), []).append((ev, ci, k))
-    pos: dict[tuple[int, int, int], int] = {}
-    for fi, cyc in enumerate(face_cycles):
-        counter = 0
-        for i in range(4):
-            a, b = cyc[i], cyc[(i + 1) % 4]
-            events = at.get((_edge(a, b), fi), [])
-            events.sort(key=lambda t: _edge_event_key(t[0], a))
-            for ev, ci, k in events:
-                pos[(fi, ci, k)] = counter
-                counter += 1
-    return pos
-
-
-def _segment_cross_sign(p1: int, q1: int, p2: int, q2: int) -> int:
-    def inside(a: int, x: int, b: int) -> bool:  # x strictly on arc a -> b
-        if a < b:
-            return a < x < b
-        return x > a or x < b
-    start_in = inside(p1, p2, q1)
-    end_in = inside(p1, q2, q1)
-    if start_in == end_in:
-        return 0
-    return 1 if start_in else -1
-
-
 class _LastArrangement:
-    """The last input of arrangement_crossings and its result. The input
-    is compared by value, never by identity, so a new curve family that
-    equals the last one reuses its result, and any other is computed."""
-    key: tuple | None = None
-    value: tuple[dict, dict]
-    hits = 0
+    """The last family _arrangement computed, and its result. A later
+    family is answered from it when it has the same complex (by value)
+    and each of its curves equals the kept one or that one's reversed_()
+    (by value); any other family is computed afresh."""
+
+    def __init__(self) -> None:
+        self.Q: CubeComplex | None = None
+        self.curves: tuple[CurveOnSurface, ...] = ()
+        self.value: tuple[dict, dict] = ({}, {})
+        self.reversals: dict[int, CurveOnSurface] = {}
+        self.hits = 0
+
+    def keep(self, Q: CubeComplex, curves: tuple[CurveOnSurface, ...]
+             ) -> None:
+        self.value = _arrangement(Q, curves)
+        self.Q, self.curves, self.reversals = Q, curves, {}
+
+    def signs(self, Q: CubeComplex, curves: tuple[CurveOnSurface, ...]
+              ) -> list[int] | None:
+        """Per curve +1 when it equals the kept one, -1 when it equals
+        the kept one reversed; None when the family is another."""
+        if self.Q is None or len(curves) != len(self.curves) \
+                or self.Q != Q:
+            return None
+        signs = []
+        for i, (c, kept) in enumerate(zip(curves, self.curves)):
+            if c == kept:
+                signs.append(1)
+                continue
+            rev = self.reversals.get(i)
+            if rev is None:
+                rev = kept.reversed_()
+            if c != rev:
+                return None
+            # c equals rev by value; keeping c itself lets the next family
+            # that passes the same object match it at once
+            self.reversals[i] = c
+            signs.append(-1)
+        return signs
 
 
 _last_arrangement = _LastArrangement()
@@ -477,64 +491,160 @@ def arrangement_crossings(Q: CubeComplex, curves: Sequence[CurveOnSurface]
     contribution to curve_i . curve_j, the unsigned value the plain
     count (i == j reports self-crossings, zero for embedded curves).
 
-    The last result is kept and reused when Q and the curves equal the
-    last call's; the dicts returned are fresh copies either way."""
-    key = (Q, tuple(curves))
+    The last family computed is kept. A family that equals it up to
+    reversing some curves is answered from it: reversing curve i
+    negates every crossing sign of curve i with another curve, so
+    signed[i, j] becomes sigma_i sigma_j signed[i, j] (sigma = -1 on the
+    reversed curves), and the counts do not change. The dicts returned
+    are fresh copies either way. Raises BasisError when the events do
+    not form closed normal curves in general position on Q."""
+    curves = tuple(curves)
     last = _last_arrangement
-    if last.key == key:
-        last.hits += 1
+    sigma = last.signs(Q, curves)
+    if sigma is None:
+        last.keep(Q, curves)
+        sigma = [1] * len(curves)
     else:
-        last.key, last.value = key, _arrangement(Q, key[1])
+        last.hits += 1
     signed, unsigned = last.value
-    return dict(signed), dict(unsigned)
+    return _reoriented(signed, sigma), dict(unsigned)
+
+
+def _reoriented(signed: dict[tuple[int, int], int], sigma: Sequence[int]
+                ) -> dict[tuple[int, int], int]:
+    """Signed pair counts after reversing the curves i with sigma[i] = -1:
+    reversing a curve negates the sign of each of its crossings, twice for
+    a self-crossing."""
+    return {(i, j): s * sigma[i] * sigma[j] for (i, j), s in signed.items()}
+
+
+class _NotAnArrangement(BasisError):
+    """The crossing events do not form closed normal curves on Q that
+    cross every edge at distinct points."""
 
 
 def _arrangement(Q: CubeComplex, curves: Sequence[CurveOnSurface]
                  ) -> tuple[dict[tuple[int, int], int],
                             dict[tuple[int, int], int]]:
-    """arrangement_crossings, computed."""
+    """arrangement_crossings, computed (see the module docstring)."""
     face_cycles = oriented_face_cycles(Q)
-    pos = _face_positions(face_cycles, curves)
-    by_face: dict[int, list[tuple[int, int, int]]] = {}
-    for ci, c in enumerate(curves):
-        m = len(c.crossings)
-        for k, ev in enumerate(c.crossings):
-            by_face.setdefault(ev.f_to, []).append((ci, k, (k + 1) % m))
+    edge_id = Q.incidence().position(1)
+    n_edges = len(Q.cells[1])
+    # the face whose boundary runs each edge low -> high, and the other
+    fwd = array("i", [-1]) * n_edges
+    bwd = array("i", [-1]) * n_edges
+    for fi, cyc in enumerate(face_cycles):
+        for i in range(4):
+            a, b = cyc[i - 1], cyc[i]
+            if a < b:
+                fwd[edge_id[(a, b)]] = fi
+            else:
+                bwd[edge_id[(b, a)]] = fi
+
+    events = [x for c in curves for x in c.crossings]
+    offsets = list(accumulate((len(c) for c in curves), initial=0))
+    prev = array("i", range(-1, len(events) - 1))
+    for ci in range(len(curves)):
+        if offsets[ci] < offsets[ci + 1]:
+            prev[offsets[ci]] = offsets[ci + 1] - 1
+    depths = [x.depth for x in events] or [0]
+    d0 = min(depths)
+    width = 2 * (max(depths) - d0 + 1)
+    # Event g is the start of chord g, the segment of its curve in f_to,
+    # and the end of chord prev[g] in f_from. Per event, the token it
+    # reads as in its edge's fwd face and in its bwd face: 2 * chord + 1
+    # at a chord's start, 2 * chord at its end. Its sort key orders it
+    # along its edge from the low endpoint.
+    tok_fwd = array("i", bytes(4 * len(events)))
+    tok_bwd = array("i", tok_fwd)
+    keys = array("q", bytes(8 * len(events)))
+    for g, x in enumerate(events):
+        e = edge_id.get(x.edge)
+        p = prev[g]
+        if e is None or x.f_from != events[p].f_to:
+            raise _NotAnArrangement(
+                f"event {g} is not a crossing of an edge of Q that "
+                "continues its curve")
+        if (x.f_to, x.f_from) == (fwd[e], bwd[e]):
+            tok_fwd[g], tok_bwd[g] = 2 * g + 1, 2 * p
+        elif (x.f_to, x.f_from) == (bwd[e], fwd[e]):
+            tok_fwd[g], tok_bwd[g] = 2 * p, 2 * g + 1
+        else:
+            raise _NotAnArrangement(
+                f"event {g} crosses {x.edge} between faces "
+                f"{x.f_from} and {x.f_to}, which are not its two faces")
+        if x.vertex == x.edge[0]:
+            keys[g] = e * width + x.depth - d0
+        elif x.vertex == x.edge[1]:
+            keys[g] = e * width + width - 1 - (x.depth - d0)
+        else:
+            raise _NotAnArrangement(
+                f"event {g} hugs {x.vertex}, not an endpoint of {x.edge}")
+    order = sorted(range(len(events)), key=keys.__getitem__)
+    sorted_keys = array("q", map(keys.__getitem__, order))
+    for t in range(1, len(order)):
+        if sorted_keys[t - 1] == sorted_keys[t]:
+            g = order[t]
+            raise _NotAnArrangement(
+                f"two events cross {events[g].edge} at corner "
+                f"{events[g].vertex} in lane {events[g].depth}")
+    # Without ties, one face reads an edge's sorted events forwards and
+    # the other backwards.
+    seq_fwd = array("i", map(tok_fwd.__getitem__, order))
+    seq_bwd = array("i", map(tok_bwd.__getitem__, order))
+    ptr = array("i", (bisect_left(sorted_keys, e * width)
+                      for e in range(n_edges + 1)))
+
+    # Walk each face boundary once. Chords nest unless they cross, so a
+    # chord that closes with chords opened after it still open crosses
+    # exactly those. state: 0 not yet seen, 1 opened at its end, 2
+    # opened at its start; two crossing chords opened the same way give
+    # a +1 crossing of the earlier-opened one with the later one.
+    state = bytearray(len(events))
     signed: dict[tuple[int, int], int] = {}
     unsigned: dict[tuple[int, int], int] = {}
-    for fi, triples in by_face.items():
-        ivs = []
-        for ci, k_in, k_out in triples:
-            p, q = pos[(fi, ci, k_in)], pos[(fi, ci, k_out)]
-            ivs.append((min(p, q), max(p, q), ci, p, q))
-        ivs.sort()
-        # Chords cross exactly when their position intervals properly
-        # overlap; sweeping by left endpoint and slicing seen right
-        # endpoints enumerates the crossing pairs, not all pairs.
-        rs: list[int] = []
-        dat: list[tuple[int, int, int]] = []
-        for l, r, c2, p2, q2 in ivs:
-            lo = bisect_right(rs, l)
-            hi = bisect_left(rs, r)
-            for c1, p1, q1 in dat[lo:hi]:
-                s = _segment_cross_sign(p1, q1, p2, q2)
-                if c1 <= c2:
-                    key, val = (c1, c2), s
+    for cyc in face_cycles:
+        stack: list[int] = []
+        for i in range(4):
+            a, b = cyc[i], cyc[(i + 1) % 4]
+            if a < b:
+                e = edge_id[(a, b)]
+                seq = seq_fwd[ptr[e]:ptr[e + 1]]
+            else:
+                e = edge_id[(b, a)]
+                seq = seq_bwd[ptr[e]:ptr[e + 1]]
+                seq.reverse()
+            for t in seq:
+                c = t >> 1
+                if not state[c]:
+                    state[c] = 1 + (t & 1)
+                    stack.append(c)
+                elif stack[-1] == c:
+                    stack.pop()
                 else:
-                    key, val = (c2, c1), -s
-                signed[key] = signed.get(key, 0) + val
-                unsigned[key] = unsigned.get(key, 0) + 1
-            at = bisect_left(rs, r)
-            rs.insert(at, r)
-            dat.insert(at, (c2, p2, q2))
+                    at = stack.index(c)
+                    c1 = bisect_right(offsets, c) - 1
+                    for later in stack[at + 1:]:
+                        c2 = bisect_right(offsets, later) - 1
+                        s = 1 if state[c] == state[later] else -1
+                        key = (c1, c2) if c1 <= c2 else (c2, c1)
+                        signed[key] = signed.get(key, 0) + \
+                            (s if c1 <= c2 else -s)
+                        unsigned[key] = unsigned.get(key, 0) + 1
+                    del stack[at]
+        assert not stack
     return signed, unsigned
 
 
 def intersection_matrix(Q: CubeComplex, curves: Sequence[CurveOnSurface]
                         ) -> tuple[tuple[int, ...], ...]:
     """Signed geometric intersection numbers of the curve family."""
-    n = len(curves)
-    signed, _ = arrangement_crossings(Q, curves)
+    return _antisymmetric(arrangement_crossings(Q, curves)[0], len(curves))
+
+
+def _antisymmetric(signed: dict[tuple[int, int], int], n: int
+                   ) -> tuple[tuple[int, ...], ...]:
+    """The n x n intersection matrix of signed pair counts."""
     out = [[0] * n for _ in range(n)]
     for (i, j), s in signed.items():
         if i == j:
@@ -712,7 +822,10 @@ def _verify_curves(Q: CubeComplex, B: CurveBasis, tally: _VerifyTally
         if any(k > 2 for k in c.edges_crossed().values()):
             return False
     hits = _last_arrangement.hits
-    signed, unsigned = arrangement_crossings(Q, B.curves)
+    try:
+        signed, unsigned = arrangement_crossings(Q, B.curves)
+    except _NotAnArrangement:
+        return False  # two curves share a crossing point, or one breaks
     tally.reused = _last_arrangement.hits > hits
     tally.crossings = sum(unsigned.values())
     for (i, j), k in unsigned.items():

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CubeComplex, CubeComplexError, build_complex, validate
+from .core import CubeComplex, CubeComplexError, build_complex, canonical, \
+    validate
 from .topology import surface_invariants
-from .transforms import _insert_square_5, apply_gadget
+from .transforms import GADGETS, _insert_square_5
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -381,18 +382,9 @@ def divisibility_table(n: int, dm: int) -> list[tuple[int, int, int]]:
 # cubulation
 
 
-def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
-                    P: CyclePathSplit) -> CubeComplex:
-    """Refine the embedded graph to a square complex.
-
-    Per cycle: a hub vertex joined to every piece endpoint, splitting the
-    face into subcycles (one per piece). Per subcycle: an interior vertex
-    joined to the endpoint-class vertices of its path, making one square
-    per two boundary edges; the square containing both path endpoints and
-    the hub is subdivided in five. Ids: 2n graph vertices, then per cycle
-    its hub, then per piece its interior vertex followed by the four
-    subdivision vertices.
-    """
+def _cubulation_squares(G: CirculantBipartite, R: RotationSurface,
+                        P: CyclePathSplit) -> tuple[list[tuple[int, ...]], int]:
+    """The squares of cubulate_cycles and its vertex count, unbuilt."""
     tops: list[tuple[int, ...]] = []
     base = 2 * G.n
     for cyc, split in zip(R.cycles, P.cycles):
@@ -407,7 +399,12 @@ def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
             hub_square = (w, q[-1], q[0], hub)
             tops.extend(_insert_square_5(hub_square, base))
             base += 4
-    C = build_complex(2, tops, n_vertices=base)
+    return tops, base
+
+
+def _checked_complex(tops: list[tuple[int, ...]], n_vertices: int
+                     ) -> CubeComplex:
+    C = build_complex(2, tops, n_vertices=n_vertices)
     rep = validate(C)
     if not rep.is_complex:
         first = rep.violations[0]
@@ -417,9 +414,25 @@ def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
     return C
 
 
-def n_square_surface(n: int) -> CubeComplex:
-    """End-to-end driver: graph, tracing, checks, split, cubulation; if the
-    square count is odd, one square is subdivided in ten to fix the parity."""
+def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
+                    P: CyclePathSplit) -> CubeComplex:
+    """Refine the embedded graph to a square complex.
+
+    Per cycle: a hub vertex joined to every piece endpoint, splitting the
+    face into subcycles (one per piece). Per subcycle: an interior vertex
+    joined to the endpoint-class vertices of its path, making one square
+    per two boundary edges; the square containing both path endpoints and
+    the hub is subdivided in five. Ids: 2n graph vertices, then per cycle
+    its hub, then per piece its interior vertex followed by the four
+    subdivision vertices.
+    """
+    return _checked_complex(*_cubulation_squares(G, R, P))
+
+
+def _build_surface(n: int) -> tuple[CirculantBipartite, RotationSurface,
+                                   PropertyReport, CubeComplex]:
+    """Graph, tracing, checks, split and cubulation, once; if the square
+    count is odd, one square is subdivided in ten to fix the parity."""
     G = build_graph(n)
     R = trace_cycles(G)
     split = split_paths(R)
@@ -430,10 +443,24 @@ def n_square_surface(n: int) -> CubeComplex:
         if residue == 0:
             raise CubeComplexError(
                 f"path simplicity broken: (c+1)(2d+c)/2 = 0 mod n at d={d}, c={c}")
-    C = cubulate_cycles(G, R, split)
-    if len(C.cells[2]) % 2:
-        C = apply_gadget(C, C.cells[2][0], "square_10")
-    return C
+    tops, n_vertices = _cubulation_squares(G, R, split)
+    if len(tops) % 2:
+        # the least square in ten, as apply_gadget(C, C.cells[2][0],
+        # "square_10") would subdivide it in the cubulation C, which is
+        # then built once
+        canon = [canonical(t) for t in tops]
+        least = min(canon)
+        del tops[canon.index(least)]
+        gadget = GADGETS["square_10"]
+        tops.extend(gadget.build(least, n_vertices))
+        n_vertices += gadget.n_new_vertices
+    return G, R, report, _checked_complex(tops, n_vertices)
+
+
+def n_square_surface(n: int) -> CubeComplex:
+    """End-to-end driver: graph, tracing, checks, split, cubulation; if the
+    square count is odd, one square is subdivided in ten to fix the parity."""
+    return _build_surface(n)[3]
 
 
 @dataclass(frozen=True)
@@ -450,11 +477,7 @@ class SurfaceReport:
 
 
 def surface_report(n: int) -> tuple[CubeComplex, SurfaceReport]:
-    G = build_graph(n)
-    R = trace_cycles(G)
-    split = split_paths(R)
-    props = check_properties(R, split)
-    C = n_square_surface(n)
+    G, R, props, C = _build_surface(n)
     closed, orientable, genus = surface_invariants(C)
     assert closed and orientable and genus == R.genus()
     return C, SurfaceReport(

@@ -1,12 +1,17 @@
 """Homology bases: construction, refinement to edge paths, ribbon surgery."""
 
+import hashlib
 import logging
 import math
 import re
+from bisect import bisect_left, bisect_right
+from dataclasses import astuple
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubulations import basis
 from cubulations.basis import (
     BasisError,
     Crossing,
@@ -14,6 +19,8 @@ from cubulations.basis import (
     CurveOnSurface,
     EdgePathBasis,
     _crossing_sign,
+    _edge,
+    _edge_event_key,
     _spanning_loops,
     _unimodular,
     arrangement_crossings,
@@ -91,6 +98,73 @@ def _det(M):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
     return sign * A[-1][-1]
+
+
+def _face_positions(face_cycles, curves):
+    """Circular position of every crossing event around every face."""
+    at = {}
+    for ci, c in enumerate(curves):
+        for k, ev in enumerate(c.crossings):
+            for face in (ev.f_from, ev.f_to):
+                at.setdefault((ev.edge, face), []).append((ev, ci, k))
+    pos = {}
+    for fi, cyc in enumerate(face_cycles):
+        counter = 0
+        for i in range(4):
+            a, b = cyc[i], cyc[(i + 1) % 4]
+            events = at.get((_edge(a, b), fi), [])
+            events.sort(key=lambda t: _edge_event_key(t[0], a))
+            for ev, ci, k in events:
+                pos[(fi, ci, k)] = counter
+                counter += 1
+    return pos
+
+
+def _segment_cross_sign(p1, q1, p2, q2):
+    def inside(a, x, b):  # x strictly on arc a -> b
+        if a < b:
+            return a < x < b
+        return x > a or x < b
+    start_in = inside(p1, p2, q1)
+    end_in = inside(p1, q2, q1)
+    if start_in == end_in:
+        return 0
+    return 1 if start_in else -1
+
+
+def _arrangement_by_positions(Q, curves):
+    """arrangement_crossings by the direct construction: a dict of every
+    event's position around both of its faces, each edge's events sorted
+    once per face, and a sweep of every face's chords by left endpoint."""
+    pos = _face_positions(oriented_face_cycles(Q), curves)
+    by_face = {}
+    for ci, c in enumerate(curves):
+        m = len(c.crossings)
+        for k, ev in enumerate(c.crossings):
+            by_face.setdefault(ev.f_to, []).append((ci, k, (k + 1) % m))
+    signed, unsigned = {}, {}
+    for fi, triples in by_face.items():
+        ivs = []
+        for ci, k_in, k_out in triples:
+            p, q = pos[(fi, ci, k_in)], pos[(fi, ci, k_out)]
+            ivs.append((min(p, q), max(p, q), ci, p, q))
+        ivs.sort()
+        rs, dat = [], []
+        for l, r, c2, p2, q2 in ivs:
+            lo = bisect_right(rs, l)
+            hi = bisect_left(rs, r)
+            for c1, p1, q1 in dat[lo:hi]:
+                s = _segment_cross_sign(p1, q1, p2, q2)
+                if c1 <= c2:
+                    key, val = (c1, c2), s
+                else:
+                    key, val = (c2, c1), -s
+                signed[key] = signed.get(key, 0) + val
+                unsigned[key] = unsigned.get(key, 0) + 1
+            at = bisect_left(rs, r)
+            rs.insert(at, r)
+            dat.insert(at, (c2, p2, q2))
+    return signed, unsigned
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +346,88 @@ def test_non_square_pairing_is_not_unimodular():
 
 
 # ---------------------------------------------------------------------------
-# the kept arrangement
+# the arrangement: flat arrays against the positions oracle, kept per family
+
+
+@cache
+def _surface(name):
+    return torus_complex(2) if name == "torus" else surface_report(name)[0]
+
+
+@cache
+def _basis_at(name, root):
+    return canonical_basis(_surface(name), root)
+
+
+BASIS_CASES = [("torus", r) for r in range(16)] + [
+    (n, r) for n in (31, 37) for r in (0, 1, 7, 100)]
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:12]
+
+
+# Per case, digests of the canonical_basis curves (as plain tuples) and
+# intersection matrix, of pairing_matrix and of refine_census; taken
+# before the arrangement was computed on flat arrays.
+BASIS_PINS = {
+    ("torus", 0): ('330bc0e5bf6f', 'e6daf3ccc5da', '810e03c9ac27', 'd3474c5f8034'),
+    ("torus", 1): ('330bc0e5bf6f', 'e6daf3ccc5da', '810e03c9ac27', 'd3474c5f8034'),
+    ("torus", 2): ('87450dbf3b45', 'e6daf3ccc5da', '96e2842b6137', '4d39e3cc4ddb'),
+    ("torus", 3): ('bf56b0c85d91', 'e6daf3ccc5da', 'c81871409de2', 'c9ce6128ec27'),
+    ("torus", 4): ('6da82a799bf0', 'e6daf3ccc5da', 'c81871409de2', 'd3474c5f8034'),
+    ("torus", 5): ('49a6dedaabb0', 'e6daf3ccc5da', 'c81871409de2', '60d892aeb8a4'),
+    ("torus", 6): ('1b7d72c3a5b2', 'e6daf3ccc5da', '810e03c9ac27', 'c915f7bee076'),
+    ("torus", 7): ('6ebaaf350d1a', 'e6daf3ccc5da', 'c81871409de2', 'd3474c5f8034'),
+    ("torus", 8): ('d19c58f247fd', 'e6daf3ccc5da', 'c81871409de2', 'c915f7bee076'),
+    ("torus", 9): ('eec51c67d732', 'e6daf3ccc5da', 'b35a6b4503c8', '4d39e3cc4ddb'),
+    ("torus", 10): ('92afd1a64250', 'e6daf3ccc5da', '96e2842b6137', '60d892aeb8a4'),
+    ("torus", 11): ('a87f139e4299', 'e6daf3ccc5da', 'b35a6b4503c8', 'd3474c5f8034'),
+    ("torus", 12): ('6d3612bedb3e', 'e6daf3ccc5da', '810e03c9ac27', 'c915f7bee076'),
+    ("torus", 13): ('c73c5a3bb9a5', 'e6daf3ccc5da', '810e03c9ac27', '60d892aeb8a4'),
+    ("torus", 14): ('40ed658c8ac1', 'e6daf3ccc5da', 'c81871409de2', 'd3474c5f8034'),
+    ("torus", 15): ('ffedd0846860', 'e6daf3ccc5da', '810e03c9ac27', 'd3474c5f8034'),
+    (31, 0): ('440f1d996b98', '61085f3dff0c', 'f54f131c8f5f', '043922f6c058'),
+    (31, 1): ('3994e699fa6c', '61085f3dff0c', '605fdf21e05b', '5d535b6716a9'),
+    (31, 7): ('e3dc5c617f9d', '61085f3dff0c', '5f721414b4ac', '36c84ef45801'),
+    (31, 100): ('c47cff294816', '61085f3dff0c', '7fa768669b91', '07d05571dd71'),
+    (37, 0): ('e3e461e9617d', 'f6df20f5a189', '35e78bfd0ac4', '5bdf3f48cb9b'),
+    (37, 1): ('fcf44f0ebe16', 'f6df20f5a189', '2ec69e23ff21', '1164dedc4113'),
+    (37, 7): ('fa8d3e1a0240', 'f6df20f5a189', '88f3d723d14e', 'f8b1c6842765'),
+    (37, 100): ('998de23fec77', 'f6df20f5a189', '8507c634c098', 'b151a474fc68'),
+}
+
+
+@pytest.mark.parametrize("name,root", BASIS_CASES)
+def test_arrangement_matches_the_positions_oracle(name, root):
+    Q, B = _surface(name), _basis_at(name, root)
+    assert basis._arrangement(Q, B.curves) == \
+        _arrangement_by_positions(Q, B.curves)
+
+
+@pytest.mark.parametrize("name,root", BASIS_CASES)
+def test_basis_outputs_match_their_pins(name, root):
+    Q, B = _surface(name), _basis_at(name, root)
+    curves = [[(x.edge, x.vertex, x.depth, x.f_from, x.f_to)
+               for x in c.crossings] for c in B.curves]
+    assert (_digest(curves), _digest(B.intersection_matrix),
+            _digest(pairing_matrix(Q, B)),
+            _digest(astuple(refine_census(Q, B)))) == BASIS_PINS[(name, root)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name_root=st.sampled_from(BASIS_CASES[:16] + [(31, 0), (37, 7)]),
+       data=st.data())
+def test_reversed_family_is_answered_from_the_kept_one(name_root, data):
+    Q, B = _surface(name_root[0]), _basis_at(*name_root)
+    flip = data.draw(st.sets(st.integers(0, len(B.curves) - 1)))
+    family = [c.reversed_() if i in flip else c
+              for i, c in enumerate(B.curves)]
+    arrangement_crossings(Q, B.curves)
+    hits = basis._last_arrangement.hits
+    assert arrangement_crossings(Q, family) == \
+        _arrangement_by_positions(Q, family)
+    assert basis._last_arrangement.hits == hits + 1
 
 
 def _copy_curve(c):
@@ -281,7 +436,22 @@ def _copy_curve(c):
         for x in c.crossings))
 
 
-def test_kept_arrangement_is_sound():
+@pytest.fixture
+def counted_arrangements(monkeypatch):
+    """A fresh kept arrangement, and the list of families _arrangement
+    computes from now on."""
+    monkeypatch.setattr(basis, "_last_arrangement", basis._LastArrangement())
+    computed = []
+    real = basis._arrangement
+
+    def counting(Q, curves):
+        computed.append(curves)
+        return real(Q, curves)
+    monkeypatch.setattr(basis, "_arrangement", counting)
+    return computed
+
+
+def test_kept_arrangement_is_sound(counted_arrangements):
     T = torus_complex(2)
     B = canonical_basis(T)
     assert verify_basis(T, B)
@@ -299,6 +469,41 @@ def test_kept_arrangement_is_sound():
     # an equal family of other objects gets the same answer
     assert arrangement_crossings(T, [_copy_curve(c) for c in B.curves]) \
         == want
+    # b reversed gets the reversed answer without a computation
+    before = len(counted_arrangements)
+    assert arrangement_crossings(T, (a, b.reversed_())) == \
+        ({(0, 1): -1}, {(0, 1): 1})
+    assert len(counted_arrangements) == before
+    # b started one event later is the same closed curve, but not equal
+    # to b or to b reversed, so it is computed
+    rotated = CurveOnSurface(b.crossings[1:] + b.crossings[:1])
+    assert arrangement_crossings(T, (a, rotated)) == want
+    assert len(counted_arrangements) == before + 1
+    assert counted_arrangements[-1] == (a, rotated)
+    # b's events in reverse order with their faces unswapped is not b
+    # reversed: computed, and not a family of closed normal curves
+    backwards = CurveOnSurface(tuple(reversed(b.crossings)))
+    with pytest.raises(BasisError, match="continues its curve"):
+        arrangement_crossings(T, (a, backwards))
+    assert len(counted_arrangements) == before + 2
+
+
+def test_shared_lanes_are_refused():
+    T = torus_complex(2)
+    a, b = canonical_basis(T).curves
+    with pytest.raises(BasisError, match="lane"):
+        arrangement_crossings(T, (a, b, _copy_curve(b)))
+
+
+@pytest.mark.parametrize("name,root", [("torus", r) for r in range(16)]
+                         + [(31, 0)])
+def test_a_census_job_computes_one_arrangement(name, root,
+                                               counted_arrangements):
+    Q = _surface(name)
+    B = canonical_basis(Q, root)
+    assert verify_basis(Q, B)
+    refine_census(Q, B)
+    assert len(counted_arrangements) == 1
 
 
 RECORD = re.compile(
@@ -314,20 +519,33 @@ def test_verify_basis_logs_one_debug_record(caplog):
     forged = CurveBasis(B.genus, (B.curves[0], B.curves[0]),
                         B.intersection_matrix, B.handle_edges, B.spur_edges)
     got = []
-    for basis in (B, B, forged):
+    for family in (B, B, forged):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cubulations.basis"):
-            verify_basis(T, basis)
+            verify_basis(T, family)
         records = [r for r in caplog.records if r.name == "cubulations.basis"]
         assert len(records) == 1
         m = RECORD.match(records[0].getMessage())
         assert m, records[0].getMessage()
         got.append(m.groups())
-    # the canonical basis flips a curve after its own arrangement, so the
-    # first check computes one; the second reuses it
-    assert got[0] == ("accepted", "2", "24", "1", "8", "2", "2", "computed")
-    assert got[1] == got[0][:-1] + ("reused",)
+    # the canonical basis flips a curve after its own arrangement, and the
+    # flipped family is answered from that arrangement, so both checks
+    # reuse it
+    assert got[0] == ("accepted", "2", "24", "1", "8", "2", "2", "reused")
+    assert got[1] == got[0]
     assert got[2][0] == "rejected" and got[2][-1] == "computed"
+
+
+def test_canonical_basis_logs_one_debug_record(caplog):
+    T = torus_complex(2)
+    with caplog.at_level(logging.DEBUG, logger="cubulations.basis"):
+        canonical_basis(T)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "cubulations.basis"]
+    assert len(records) == 1
+    assert re.fullmatch(r"canonical_basis: 2 curves, 24 crossing events, "
+                        r"1 flips, arrangement \d+\.\d{3} s", records[0]), \
+        records[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from cubulations.topology import (
     smith_invariant_factors,
     surface_invariants,
 )
+from cubulations.transforms import apply_gadget
 
 PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
           71, 73, 79, 83, 89, 97, 101]
@@ -376,6 +377,12 @@ def test_n_square_surface_parity_gadget():
     Q = n_square_surface(37)
     assert len(Q.cells[2]) == 286
     assert surface_invariants(Q) == (True, True, 73)
+    # the gadget is applied before the one build, to the square
+    # apply_gadget would pick in the built cubulation
+    G = build_graph(37)
+    R = trace_cycles(G)
+    C = cubulate_cycles(G, R, split_paths(R))
+    assert Q == apply_gadget(C, C.cells[2][0], "square_10")
 
 
 @pytest.mark.parametrize("n", [11, 31, 41])
