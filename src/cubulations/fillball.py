@@ -14,29 +14,40 @@ vertex) first, then roof moves (two squares sharing an edge), then bump
 moves (a single square), each kind in lexicographic order. Corner and
 roof moves identify missing cube corners with existing boundary
 vertices where the boundary forces it; a bump move always introduces
-four fresh vertices. A move must keep the boundary a valid sphere and
-the new cube must meet every cube glued earlier in a common face.
-Depth-first backtracking over this move order with a step budget gives
-a deterministic search: the same sphere and budget always yield the
-same certificate or the same failure. Two restrictions keep the search
-bounded and are deliberate incompleteness: revisited boundary states
-are pruned even though legality also depends on the glued interior,
-and the working boundary may grow only a fixed slack beyond the input
-sphere, so fillings needing a large excavation are not found. Both can
-hide a fill that a slower search would reach; neither can produce a
-wrong one.
+four fresh vertices. A move must keep the boundary a valid sphere, and
+the new cube must meet each cube glued earlier in a common face of
+both. Depth-first backtracking over this move order with a step budget
+gives a deterministic search: the same sphere and budget always yield
+the same certificate or the same failure. Two restrictions keep the
+search bounded and are deliberate incompleteness: revisited boundary
+states are pruned even though legality also depends on the glued
+interior, and the working boundary may grow only a fixed slack beyond
+the input sphere, so fillings needing a large excavation are not found.
+Both can hide a fill that a slower search would reach. The search can
+also close a sphere into something that is not a ball, because cubes
+meeting pairwise in common faces need not glue up to one: on the
+boundary of the 3-cube with square_10 put on (0, 2, 4, 6) and then on
+(1, 3, 5, 7), it closes 36 cubes of Euler characteristic 0. Only
+verify_filling rejects that one, and fill_ball raises FillError.
 
-A search frame indexes its boundary once, and no candidate copies it.
-Building a candidate cube and splitting its faces into dropped and
-added squares costs a few dictionary lookups. The legality check runs
-only on a move the search is about to take, and it reads only the at
-most six changed squares and the squares around them: the face test,
-edge counts and the Euler characteristic change only there, and the
-connectivity walk stops once it has met every square next to the
-change, which is exact because the boundary it starts from is
-connected. The next boundary is built only for a legal move. Each
-call logs one DEBUG record under cubulations.fillball with its work
-counts.
+Each frame does only what its move changed. Its index of stars, edge
+and diagonal incidences is derived from its parent's by the squares
+the move dropped and added, with the sorted lists a fresh index would
+hold. Its corner candidates are its parent's, renamed to its fresh id,
+except those within one edge of a changed vertex, which it builds
+again. Building a candidate cube and splitting its faces into dropped
+and added squares costs a few dictionary lookups. The legality check
+runs only on a move the search is about to take, and it reads only the
+at most six changed squares and the squares around them: the face test
+is a few lookups in the edge and diagonal indexes, edge counts and the
+Euler characteristic change only there, and the connectivity walk
+stops once it has met every square next to the change, which is exact
+because the boundary it starts from is connected. The next boundary is
+built only for a legal move, and a taken move is tested only against
+the glued cubes it shares two or more corners with, which a vertex
+index of the path lists. None of this changes which moves are offered,
+checked or taken, or their order. Each call logs one DEBUG record
+under cubulations.fillball with its work counts.
 
 Soundness does not rest on the search. Every certificate is passed
 through verify_filling before it is returned, and the verifier rederives
@@ -50,9 +61,10 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     CubeComplex,
@@ -141,8 +153,18 @@ def _sq_edges(sq: Square) -> tuple[Edge, ...]:
     return ((a, b), (b, d), (d, c), (c, a))
 
 
-def _edge_keys(sq: Square) -> list[Edge]:
-    return [(u, w) if u < w else (w, u) for u, w in _sq_edges(sq)]
+class _Pairs(dict):
+    """Edge keys and diagonal keys of every square one search meets,
+    each pair ascending, computed on first use: the edges along the
+    walk a-b-d-c, then the diagonals a-d and b-c."""
+
+    def __missing__(self, sq: Square
+                    ) -> tuple[tuple[Edge, ...], tuple[Edge, Edge]]:
+        a, b, c, d = sq
+        got = self[sq] = (
+            tuple((u, w) if u < w else (w, u) for u, w in _sq_edges(sq)),
+            ((a, d) if a < d else (d, a), (b, c) if b < c else (c, b)))
+        return got
 
 
 def _neighbors(sq: Square, v: int) -> tuple[int, int]:
@@ -157,23 +179,83 @@ def _opposite(sq: Square, v: int) -> int:
 
 
 class _Boundary:
-    """Index of one boundary state: stars, edge incidences, vertex sets."""
+    """Index of one boundary state: stars, edge and diagonal incidences,
+    vertex sets. Star and edge lists hold their squares in sorted order.
 
-    def __init__(self, squares: frozenset[Square]):
+    In a state the search reached, any two squares meet in a common
+    face, so a vertex pair is the diagonal of at most one square, and
+    then an edge of none; at_diag maps the pair to that square.
+    """
+
+    def __init__(self, squares: frozenset[Square], pairs: _Pairs):
         self.squares = squares
+        self.pairs = pairs
         self.star: dict[int, list[Square]] = {}
         self.at_edge: dict[Edge, list[Square]] = {}
+        self.at_diag: dict[Edge, Square] = {}
         self.by_vset: dict[frozenset[int], Square] = {}
         for sq in sorted(squares):
+            edges, diags = pairs[sq]
             self.by_vset[frozenset(sq)] = sq
             for v in sq:
                 self.star.setdefault(v, []).append(sq)
-            for e in _edge_keys(sq):
+            for e in edges:
                 self.at_edge.setdefault(e, []).append(sq)
+            for d in diags:
+                self.at_diag[d] = sq
+
+    def derive(self, drop: tuple[Square, ...], add: list[Square],
+               squares: frozenset[Square]) -> _Boundary:
+        """The index of `squares`, which is this state less drop plus
+        add, built from this one by the change alone. The dictionaries
+        are copied shallowly; only the lists at the vertices and edges
+        of a changed square are rebuilt, and sorted again, so they equal
+        what a fresh index lists. This index is left as it was."""
+        pairs = self.pairs
+        bd = _Boundary.__new__(_Boundary)
+        bd.squares = squares
+        bd.pairs = pairs
+        bd.star = dict(self.star)
+        bd.at_edge = dict(self.at_edge)
+        bd.at_diag = dict(self.at_diag)
+        bd.by_vset = dict(self.by_vset)
+        for sq in drop:
+            del bd.by_vset[frozenset(sq)]
+            for d in pairs[sq][1]:
+                del bd.at_diag[d]
+        for sq in add:
+            bd.by_vset[frozenset(sq)] = sq
+            for d in pairs[sq][1]:
+                bd.at_diag[d] = sq
+        dropped = set(drop)
+        _restack(bd.star, drop, add, dropped, lambda sq: sq)
+        _restack(bd.at_edge, drop, add, dropped, lambda sq: pairs[sq][0])
+        return bd
 
     def with_three(self, a: int, b: int, c: int) -> list[Square]:
         return [sq for sq in self.star.get(a, ())
                 if b in sq and c in sq]
+
+
+def _restack(index: dict, drop: tuple[Square, ...], add: list[Square],
+             dropped: set[Square], keys: Callable[[Square], Iterable]
+             ) -> None:
+    """Rebuild, in place, the sorted list of an index at every key of a
+    changed square: its survivors and its added squares."""
+    new: dict = {}
+    for sq in drop:
+        for k in keys(sq):
+            new.setdefault(k, [])
+    for sq in add:
+        for k in keys(sq):
+            new.setdefault(k, []).append(sq)
+    for k, extra in new.items():
+        lst = [sq for sq in index.get(k, ()) if sq not in dropped] + extra
+        if lst:
+            lst.sort()
+            index[k] = lst
+        else:
+            del index[k]
 
 
 def _resolve_corner(bd: _Boundary, known: tuple[int, int, int],
@@ -312,7 +394,9 @@ def _cubes_meet_in_face(c1: tuple[int, ...], p1, c2: tuple[int, ...], p2
     The boundary surface cannot see the interior of the ball, so a cube
     that looks attachable from the current sphere may still collide
     with cubes glued earlier; every accepted cube is therefore checked
-    against the whole path.
+    against each cube of the path it shares two or more corners with.
+    Cubes sharing at most one corner meet in a common face, the empty
+    one or a vertex.
     """
     shared = set(c1) & set(c2)
     n = len(shared)
@@ -331,10 +415,11 @@ def _cubes_meet_in_face(c1: tuple[int, ...], p1, c2: tuple[int, ...], p2
 Move = tuple[list[Square], tuple[Square, ...], list[Square]]
 
 
-def _delta(state: frozenset[Square], bd: _Boundary,
-           glued: tuple[Square, ...], cube: tuple[int, ...]) -> Move | None:
-    """The cube's six squares and the squares its gluing drops and adds,
-    or None when the move is rejected before any legality check.
+def _delta(bd: _Boundary, glued: tuple[Square, ...], cube: tuple[int, ...]
+           ) -> Move | None:
+    """The cube's six squares and the squares its gluing drops from the
+    boundary of bd and adds, or None when the move is rejected before
+    any legality check.
 
     The glued squares leave the boundary; each remaining cube face
     cancels an equal boundary square or joins the boundary. A face on
@@ -347,13 +432,50 @@ def _delta(state: frozenset[Square], bd: _Boundary,
     for f in squares:
         if f in glued:
             continue
-        if f in state:
+        if f in bd.squares:
             drop.append(f)
         elif frozenset(f) in bd.by_vset:
             return None
         else:
             add.append(f)
     return squares, tuple(drop), add
+
+
+def _faces_clash(bd: _Boundary, dropped: set[Square], add: list[Square]
+                 ) -> bool:
+    """Whether an added square meets a surviving or earlier-added one
+    in anything but a common face: an edge of both, a vertex, or
+    nothing.
+
+    Read off the pair indexes: an added square f clashes exactly when
+    such a square has a diagonal of f as an edge or a diagonal, or an
+    edge of f as a diagonal. Two squares sharing three corners share a
+    diagonal pair of each, and two sharing two do so in a pair that is
+    an edge of both, or a diagonal of one.
+    """
+    pairs = bd.pairs
+    on_added: set[Edge] = set()     # edges and diagonals of earlier adds
+    diag_added: set[Edge] = set()   # diagonals of earlier adds
+    for f in add:
+        edges, diags = pairs[f]
+        for d in diags:
+            if d in on_added:
+                return True
+            g = bd.at_diag.get(d)
+            if g is not None and g not in dropped:
+                return True
+            if any(g not in dropped for g in bd.at_edge.get(d, ())):
+                return True
+        for e in edges:
+            if e in diag_added:
+                return True
+            g = bd.at_diag.get(e)
+            if g is not None and g not in dropped:
+                return True
+        on_added.update(edges)
+        on_added.update(diags)
+        diag_added.update(diags)
+    return False
 
 
 def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
@@ -364,8 +486,8 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
     on exactly two squares, connected, Euler characteristic 2, and any
     two squares meeting in a common face. bd is a state the search
     reached, so it already is one, and only the changed squares are
-    read: the face test pairs each added square with the squares at
-    its vertices, edge and vertex counts change only on the changed
+    read: the face test takes a few lookups per added square (see
+    _faces_clash), edge and vertex counts change only on the changed
     squares, and the Euler characteristic by their difference. The
     walk for connectivity stops once it has met every frontier square:
     each added square and each survivor across an edge of a dropped
@@ -376,32 +498,19 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
     """
     if not add and len(drop) == len(bd.squares):
         return True
+    pairs = bd.pairs
     dropped = set(drop)
-    for i, f in enumerate(add):
-        others = {sq for v in f for sq in bd.star.get(v, ())
-                  if sq not in dropped}
-        others.update(add[:i])
-        fs = set(f)
-        fe = {frozenset(e) for e in _sq_edges(f)}
-        for sq in others:
-            shared = fs & set(sq)
-            if len(shared) < 2:
-                continue
-            if len(shared) != 2:
-                return False
-            if shared not in fe:
-                return False
-            if shared not in {frozenset(e) for e in _sq_edges(sq)}:
-                return False
+    if _faces_clash(bd, dropped, add):
+        return False
     # squares at each edge of a changed square, after the move
     at: dict[Edge, list[Square]] = {}
     for sq in (*drop, *add):
-        for e in _edge_keys(sq):
+        for e in pairs[sq][0]:
             if e not in at:
                 at[e] = [x for x in bd.at_edge.get(e, ())
                          if x not in dropped]
     for f in add:
-        for e in _edge_keys(f):
+        for e in pairs[f][0]:
             at[e].append(f)
     euler = len(add) - len(drop)
     for e, sqs in at.items():
@@ -419,11 +528,11 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
         return False
     frontier = set(add)
     for sq in drop:
-        for e in _edge_keys(sq):
+        for e in pairs[sq][0]:
             frontier.update(at[e])
 
     def across(sq: Square) -> list[Square]:
-        return [nb for e in _edge_keys(sq)
+        return [nb for e in pairs[sq][0]
                 for nb in (at[e] if e in at else bd.at_edge[e])]
 
     return frontier <= _reachable(min(frontier), across, until=frontier)
@@ -435,13 +544,112 @@ class _Tally:
     steps: int = 0
     glued: int = 0
     states: int = 0
-    candidates: int = 0     # cubes built and split into drop and add
+    candidates: int = 0     # cubes offered: built and split into drop and add
     checked: int = 0        # of those, moves that ran the legality check
+    reused: int = 0         # offered corner candidates taken from the parent
+    visited: int = 0        # steps pruned: the next boundary was seen before
+    collisions: int = 0     # steps pruned: the cube hits the glued path
+    kinds: Counter = field(default_factory=Counter)    # steps by move kind
 
 
-def _moves(state: frozenset[Square], nid: int, cap: int, tally: _Tally
-           ) -> Iterator[tuple[tuple[int, ...], list[Square],
-                               frozenset[Square], int]]:
+# A corner candidate: the three squares it glues, its cube, how many
+# fresh ids the cube takes (0, or 1 for its last corner), and its split
+# (see _delta), None when _delta rejects it. The fresh id is the next
+# one of the state it was built in. _delta never rejects a cube with a
+# fresh corner: only its glued squares avoid that corner.
+Corner = tuple[tuple[Square, ...], tuple[int, ...], int, Move | None]
+
+
+def _corner_at(bd: _Boundary, v: int, nid: int) -> Corner | None:
+    """The corner candidate at a vertex with three squares, or None
+    when no cube completes them."""
+    glued = tuple(bd.star[v])
+    got = _corner_cube(bd, v, *glued, nid)
+    if got is None:
+        return None
+    cube, nid2 = got
+    return glued, cube, nid2 - nid, _delta(bd, glued, cube)
+
+
+def _corners(bd: _Boundary, nid: int, cap: int, parent: dict[int, Corner],
+             changed: tuple[Square, ...], tally: _Tally
+             ) -> tuple[dict[int, Corner], list[Corner]]:
+    """The corner candidates of a state, by vertex, and those offered
+    in the order the search tries them.
+
+    Given the table of the parent state and the squares the move into
+    this one changed, only the candidates at a changed square's
+    vertices and at their edge-neighbours are built again; the first
+    state has an empty parent, and all of its squares changed. A
+    candidate at v reads the stars of v and of the three vertices x, y,
+    z it shares an edge with (_corner_cube), and _delta looks up the
+    cube's faces, each of which lies on one of those four. A move
+    changes a star or a face only at vertices of the squares it
+    changes, so any other candidate is the one a build here would give,
+    up to the name of its fresh corner, which _named sets. A vertex
+    with no candidate in the parent and no changed vertex within one
+    edge has none here.
+
+    The order is the one fill_ball promises: fewer fresh ids, then a
+    smaller next boundary, then the cube tuple. A cube begins with its
+    corner's vertex, so that tiebreak is the vertex, whatever the fresh
+    id. Candidates whose boundary would exceed cap squares are left
+    out; that filter runs in every frame, since the size changes.
+    """
+    table = dict(parent)
+    redo = {v for sq in changed for v in sq}
+    for v in list(redo):
+        for sq in bd.star.get(v, ()):
+            redo.update(_neighbors(sq, v))
+    for v in redo:
+        table.pop(v, None)
+    built = 0
+    for v in redo:
+        if len(bd.star.get(v, ())) == 3:
+            corner = _corner_at(bd, v, nid)
+            if corner is not None:
+                table[v] = corner
+                built += 1
+    tally.candidates += len(table)
+    tally.reused += len(table) - built
+    room = cap - len(bd.squares)
+    ranked = []
+    for v, corner in table.items():
+        move = corner[3]
+        if move is not None:
+            grow = len(move[2]) - len(move[1])
+            if grow <= room:
+                ranked.append(((corner[2], grow, v), corner))
+    ranked.sort(key=lambda r: r[0])
+    return table, [corner for _, corner in ranked]
+
+
+def _named(corner: Corner, nid: int) -> tuple[tuple[int, ...], Move]:
+    """A corner candidate's cube and split, its fresh corner named nid.
+
+    The fresh corner is the largest id of each square it lies on before
+    and after, so renaming it keeps every square in canonical form."""
+    _, cube, fresh, move = corner
+    old = cube[7]
+    if not fresh or old == nid:
+        return cube, move
+
+    def rename(sq: Square) -> Square:
+        return tuple(nid if u == old else u for u in sq) if old in sq else sq
+
+    squares, drop, add = move
+    return (cube[:7] + (nid,),
+            ([rename(sq) for sq in squares], drop, [rename(sq) for sq in add]))
+
+
+# a move the search examines: its kind, cube, the cube's squares, the
+# squares it drops and adds, the next boundary, and the next fresh id
+Step = tuple[str, tuple[int, ...], list[Square], tuple[Square, ...],
+             list[Square], frozenset[Square], int]
+
+
+def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
+           tally: _Tally) -> Iterator[Step]:
     """Legal moves from one boundary state, best first.
 
     Corner moves come before roofs before bumps; within a kind, moves
@@ -449,55 +657,39 @@ def _moves(state: frozenset[Square], nid: int, cap: int, tally: _Tally
     come first, with the cube tuple as the lexicographic tiebreak. The
     order fixes the certificate the search returns. Moves whose
     boundary would exceed `cap` squares are not offered, which keeps
-    the cost of a search step proportional to the input. Yields (cube,
-    its squares, next boundary, next fresh id).
+    the cost of a search step proportional to the input.
 
-    A frame indexes its state once. Every candidate then costs one
-    _delta, a few dictionary lookups, which also gives the size the
-    corner order needs. The legality check, which reads only the
-    changed squares and their neighbourhood (see _legal), runs when a
-    move comes up to be yielded, and the next boundary is built only
-    for a legal move. Illegal moves are never yielded, so the order of
-    the yielded moves is the one a check of every candidate up front
-    would give.
+    The corner candidates come ranked from _corners. A roof or bump
+    candidate costs one _delta, a few dictionary lookups. The legality
+    check (see _legal) runs when a move comes up to be yielded, and the
+    next boundary is built only for a legal move. Illegal moves are
+    never yielded, so the order of the yielded moves is the one a check
+    of every candidate up front would give.
     """
-    bd = _Boundary(state)
-
-    def size(move: Move) -> int:
-        return len(state) - len(move[1]) + len(move[2])
+    state = bd.squares
 
     def offer(glued: tuple[Square, ...], cube: tuple[int, ...]
               ) -> Move | None:
         tally.candidates += 1
-        move = _delta(state, bd, glued, cube)
-        return move if move is not None and size(move) <= cap else None
+        move = _delta(bd, glued, cube)
+        if move is None or len(state) - len(move[1]) + len(move[2]) > cap:
+            return None
+        return move
 
-    def take(cube: tuple[int, ...], nid2: int, move: Move | None):
+    def take(kind: str, cube: tuple[int, ...], nid2: int,
+             move: Move | None) -> Step | None:
         if move is None:
             return None
         squares, drop, add = move
         tally.checked += 1
         if not _legal(bd, drop, add):
             return None
-        return cube, squares, state.difference(drop).union(add), nid2
+        return (kind, cube, squares, drop, add,
+                state.difference(drop).union(add), nid2)
 
-    corners = []
-    for v in sorted(bd.star):
-        st = bd.star[v]
-        # the squares at v form a cycle, so three pairwise-adjacent ones
-        # exist only when the cycle is all of them
-        if len(st) != 3:
-            continue
-        A, B, C = st
-        got = _corner_cube(bd, v, A, B, C, nid)
-        if got is not None:
-            cube, nid2 = got
-            move = offer((A, B, C), cube)
-            if move is not None:
-                corners.append(((nid2 - nid, size(move), cube), nid2, move))
-    corners.sort(key=lambda c: c[0])
-    for (_, _, cube), nid2, move in corners:
-        mv = take(cube, nid2, move)
+    for corner in corners:
+        cube, move = _named(corner, nid)
+        mv = take("corner", cube, nid + corner[2], move)
         if mv is not None:
             yield mv
     # roofs and bumps are rarely consumed, so even their cheap part runs
@@ -510,33 +702,37 @@ def _moves(state: frozenset[Square], nid: int, cap: int, tally: _Tally
             roofs.append(((got[1] - nid, got[0]), got[0], got[1], (A, B)))
     roofs.sort(key=lambda r: r[0])
     for _, cube, nid2, glued in roofs:
-        mv = take(cube, nid2, offer(glued, cube))
+        mv = take("roof", cube, nid2, offer(glued, cube))
         if mv is not None:
             yield mv
     if len(state) + 4 <= cap:
         for A in sorted(state):
             cube, nid2 = _bump_cube(A, nid)
-            mv = take(cube, nid2, offer((A,), cube))
+            mv = take("bump", cube, nid2, offer((A,), cube))
             if mv is not None:
                 yield mv
+
 
 def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET) -> FillCertificate:
     """Cubulated 3-ball whose boundary is the given quadrangulated sphere.
 
     The sphere must be a valid closed 2-complex of genus zero with an
-    even number of squares; each hypothesis failure raises FillError.
-    The search examines at most `budget` candidate gluings, never lets
-    the working boundary grow more than GROWTH_SLACK squares beyond the
-    input, and raises FillFailed with frontier statistics when the
-    budget runs out. A returned certificate has been passed through
-    verify_filling; its boundary map is the identity on the sphere's
-    vertex ids. The cube count is whatever the search found first, no
-    bound on it is promised.
+    even number of squares; each hypothesis failure raises FillError,
+    and so does a budget that is not an int ≥ 0. The search examines
+    at most `budget` candidate gluings, never lets the working boundary
+    grow more than GROWTH_SLACK squares beyond the input, and raises
+    FillFailed with frontier statistics when the budget runs out. A
+    returned certificate has been passed through verify_filling; its
+    boundary map is the identity on the sphere's vertex ids. The cube
+    count is whatever the search found first, no bound on it is
+    promised.
 
     Each call emits one DEBUG record under cubulations.fillball: the
     outcome ("filled" or the exception's name), the input squares,
     steps, glued cubes, boundary states, candidate moves generated and
-    fully checked, and seconds.
+    fully checked, steps by move kind, steps pruned by reason,
+    candidates built and reused, and seconds. Glued cubes and the two
+    prunes add up to the steps.
     """
     t0 = time.perf_counter()
     tally = _Tally()
@@ -547,15 +743,24 @@ def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET) -> FillCertificate:
         outcome = type(e).__name__
         raise
     finally:
+        kinds = tally.kinds
         log.debug("fill_ball: %s; %d squares in, %d steps, %d glued cubes, "
-                  "%d states, %d candidates generated, %d fully checked, "
-                  "%.3f s", outcome, len(S.cells.get(2, ())), tally.steps,
+                  "%d states, %d candidates generated, %d fully checked; "
+                  "steps %d corner, %d roof, %d bump; pruned %d visited, "
+                  "%d collision; candidates %d built, %d reused; %.3f s",
+                  outcome, len(S.cells.get(2, ())), tally.steps,
                   tally.glued, tally.states, tally.candidates, tally.checked,
+                  kinds["corner"], kinds["roof"], kinds["bump"],
+                  tally.visited, tally.collisions,
+                  tally.candidates - tally.reused, tally.reused,
                   time.perf_counter() - t0)
 
 
 def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     """fill_ball's checks and search, counting its work in tally."""
+    # the search stops when its step count equals the budget
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise FillError(f"budget must be an int >= 0, got {budget!r}")
     if S.dim != 2:
         raise FillError(f"fill_ball needs a 2-complex, got dimension {S.dim}")
     if not validate(S).is_complex:
@@ -578,32 +783,46 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     visited: set[frozenset[Square]] = {start}
     tally.states = 1
     best = len(start)
-    frames: list[Iterator] = [_moves(start, S.n_vertices, cap, tally)]
+    bd = _Boundary(start, _Pairs())
+    table, corners = _corners(bd, S.n_vertices, cap, {}, tuple(start), tally)
+    # per frame: its moves, its index and its corner candidates by vertex
+    frames = [(_moves(bd, S.n_vertices, cap, corners, tally), bd, table)]
     cubes: list[tuple[int, ...]] = []
     profiles: list[tuple] = []
+    near: dict[int, list[int]] = {}     # vertex -> glued cubes at it
     final: frozenset[Square] | None = None
     while frames:
-        got = next(frames[-1], None)
+        got = next(frames[-1][0], None)
         if got is None:
             frames.pop()
             if cubes:
-                cubes.pop()
+                for v in cubes.pop():
+                    near[v].pop()
                 profiles.pop()
             continue
         if tally.steps == budget:
             raise FillFailed(tally.steps, tally.glued, tally.states, best,
                              len(start), budget)
         tally.steps += 1  # every examined candidate counts, or pruning is free
-        cube, squares, nxt, nid = got
+        kind, cube, squares, drop, add, nxt, nid = got
+        tally.kinds[kind] += 1
         if nxt in visited:
+            tally.visited += 1
             continue
+        # a cube that shares at most one corner with a glued one meets it
+        # in a common face, so only those sharing two or more are tested
         prof = _cube_profile(cube, squares)
-        if any(not _cubes_meet_in_face(cube, prof, c, p)
-               for c, p in zip(cubes, profiles)):
+        shared = Counter(i for v in cube for i in near.get(v, ()))
+        if any(n > 1 and not _cubes_meet_in_face(cube, prof, cubes[i],
+                                                 profiles[i])
+               for i, n in shared.items()):
+            tally.collisions += 1
             continue
         tally.glued += 1
         visited.add(nxt)
         tally.states += 1
+        for v in cube:
+            near.setdefault(v, []).append(len(cubes))
         cubes.append(cube)
         profiles.append(prof)
         if not nxt:
@@ -611,7 +830,10 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
             break
         if len(nxt) < best:
             best = len(nxt)
-        frames.append(_moves(nxt, nid, cap, tally))
+        _, bd, table = frames[-1]
+        bd = bd.derive(drop, add, nxt)
+        table, corners = _corners(bd, nid, cap, table, (*drop, *add), tally)
+        frames.append((_moves(bd, nid, cap, corners, tally), bd, table))
     if final is None:
         raise FillFailed(tally.steps, tally.glued, tally.states, best,
                          len(start), budget)

@@ -1,9 +1,11 @@
 """Filling quadrangulated 2-spheres with cubulated 3-balls."""
 
+import hashlib
 import logging
 import re
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +17,7 @@ from cubulations.core import (
     cube_faces,
     validate,
 )
-from cubulations.fileio import FormatError
+from cubulations.fileio import FormatError, dumps_complex
 from cubulations.fillball import (
     FillCertificate,
     FillError,
@@ -27,7 +29,7 @@ from cubulations.fillball import (
     verify_filling,
     write_certificate,
 )
-from cubulations.sphere_builder import sphere3
+from cubulations.sphere_builder import handlebody, sphere3
 from cubulations.transforms import apply_gadget, torus_complex
 
 
@@ -92,6 +94,14 @@ def gadget_corpus():
                                         if max(t) < 8), "insert_square_5"),
                 4000))
     return out
+
+
+@pytest.fixture(scope="module")
+def structural_n11():
+    """The fill requests of sphere3 at n = 11, k = 4: pillows, then the
+    two 1218-square handlebody spheres."""
+    report, _ = sphere3(11, k=4, structural=True)
+    return report.requests
 
 
 def test_cube_boundary_fills_with_one_cube():
@@ -195,6 +205,20 @@ def test_invalid_complex_rejected():
     C = build_complex(2, [(0, 1, 2, 3), (0, 1, 2, 4)])
     with pytest.raises(FillError, match="not a valid complex"):
         fill_ball(C)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True, "10", None])
+def test_unreachable_budget_is_a_fill_error(budget):
+    # the search stops when its step count equals the budget, so any
+    # other budget would run it unbounded
+    with pytest.raises(FillError, match="budget"):
+        fill_ball(boundary_c3(), budget=budget)
+
+
+def test_zero_budget_examines_nothing():
+    with pytest.raises(FillFailed) as ei:
+        fill_ball(boundary_c3(), budget=0)
+    assert (ei.value.steps, ei.value.glued, ei.value.best) == (0, 0, 6)
 
 
 def test_verify_rejects_deleted_cube():
@@ -316,12 +340,10 @@ def _next_boundary_by_rebuild(state, bd, glued, cube):
     return _sphere_by_rebuild(state, drop, add)
 
 
-def _sphere_by_rebuild(state, drop, add):
-    """state less drop plus add when it is a sphere state, else None."""
-    new_state = (state - drop) | set(add)
-    if not new_state:
-        return new_state
-    survivors = [sq for sq in new_state if sq not in set(add)]
+def _faces_clash_by_sets(survivors, add):
+    """Whether an added square meets a survivor or an earlier added one
+    in anything but a common face, by intersecting the vertex sets of
+    the squares at its vertices."""
     index = {}
     for sq in survivors:
         for v in sq:
@@ -336,11 +358,22 @@ def _sphere_by_rebuild(state, drop, add):
             if len(shared) < 2:
                 continue
             if len(shared) != 2:
-                return None
+                return True
             if shared not in fe:
-                return None
+                return True
             if shared not in {frozenset(e) for e in _sq_edges(sq)}:
-                return None
+                return True
+    return False
+
+
+def _sphere_by_rebuild(state, drop, add):
+    """state less drop plus add when it is a sphere state, else None."""
+    new_state = (state - drop) | set(add)
+    if not new_state:
+        return new_state
+    survivors = [sq for sq in new_state if sq not in set(add)]
+    if _faces_clash_by_sets(survivors, add):
+        return None
     at = {}
     verts = set()
     for sq in new_state:
@@ -391,17 +424,20 @@ def _hand_made_moves():
 def test_local_check_matches_the_rebuild(monkeypatch):
     """Every candidate move the searches generate, and each hand-made
     move, gets the same verdict, and a legal one the same next boundary,
-    from the local check as from a rebuild of the whole boundary."""
+    from the local check as from a rebuild of the whole boundary. A
+    corner candidate is checked in every frame that offers it, whether
+    the frame built it or took it from its parent."""
     for name, state, drop, add in _hand_made_moves():
         want = _sphere_by_rebuild(state, set(drop), add)
-        legal = fillball._legal(fillball._Boundary(state), drop, add)
+        bd = fillball._Boundary(state, fillball._Pairs())
+        legal = fillball._legal(bd, drop, add)
         assert legal == (want is not None) == (name == "bump"), name
-    real = fillball._delta
+    real_delta, real_corners = fillball._delta, fillball._corners
+    building = []   # non-empty while _corners builds its candidates
     verdicts = Counter()
     mismatches = []
 
-    def delta(state, bd, glued, cube):
-        move = real(state, bd, glued, cube)
+    def check(state, bd, glued, cube, move):
         want = _next_boundary_by_rebuild(state, bd, glued, cube)
         if move is None:
             got, kind = None, "rejected early"
@@ -413,9 +449,26 @@ def test_local_check_matches_the_rebuild(monkeypatch):
         verdicts[kind] += 1
         if got != want:
             mismatches.append((sorted(state), glued, cube))
+
+    def delta(bd, glued, cube):
+        move = real_delta(bd, glued, cube)
+        if not building:    # roofs and bumps; corners are checked below
+            check(bd.squares, bd, glued, cube, move)
         return move
 
+    def corners(bd, nid, *rest):
+        building.append(nid)
+        try:
+            table, ranked = real_corners(bd, nid, *rest)
+        finally:
+            building.pop()
+        for corner in table.values():
+            cube, move = fillball._named(corner, nid)
+            check(bd.squares, bd, corner[0], cube, move)
+        return table, ranked
+
     monkeypatch.setattr(fillball, "_delta", delta)
+    monkeypatch.setattr(fillball, "_corners", corners)
     spheres = [(S, budget) for _, S, budget in gadget_corpus()]
     spheres += [(pinwheel_pair(), 1200), (opposite_pinwheel(), 500)]
     for S, budget in spheres:
@@ -425,6 +478,169 @@ def test_local_check_matches_the_rebuild(monkeypatch):
             pass
     assert not mismatches, mismatches[0]
     assert verdicts["legal"] > 1000 and verdicts["illegal"] > 1000, verdicts
+
+
+def test_face_test_matches_set_intersections():
+    """The face test read off the pair indexes gives the verdict of
+    intersecting vertex sets, for every square on ten vertices added to
+    the cube boundary: alone, after one of a few other added squares,
+    and with the bottom square dropped. The searches never add a square
+    whose only fault is an edge on a survivor's diagonal, so they alone
+    would leave that case untested."""
+    state = frozenset(boundary_c3().cells[2])
+    bd = fillball._Boundary(state, fillball._Pairs())
+    squares = [q for a, b, c, d in combinations(range(10), 4)
+               for q in ((a, b, c, d), (a, b, d, c), (a, c, d, b))]
+    firsts = [None, (0, 1, 8, 9), (0, 8, 9, 7), (4, 5, 8, 9), (2, 3, 8, 9)]
+    verdicts = Counter()
+    for dropped in (set(), {(0, 1, 2, 3)}):
+        survivors = state - dropped
+        for first in firsts:
+            for f in squares:
+                add = [f] if first is None else [first, f]
+                want = _faces_clash_by_sets(survivors, add)
+                assert fillball._faces_clash(bd, dropped, add) == want, \
+                    (dropped, add)
+                verdicts[want] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 200, verdicts
+
+
+def _moves_by_rebuild(state, nid, cap):
+    """The reference move generation: the state indexed afresh, every
+    corner candidate built, and each move's legality decided by a
+    rebuild of the whole next boundary. Returns the ranked corner
+    candidates as (cube, next fresh id, split), and the legal moves in
+    order as (cube, squares, next boundary, next fresh id)."""
+    bd = fillball._Boundary(state, fillball._Pairs())
+
+    def size(move):
+        return len(state) - len(move[1]) + len(move[2])
+
+    def offer(glued, cube):
+        move = fillball._delta(bd, glued, cube)
+        return move if move is not None and size(move) <= cap else None
+
+    corners = []
+    for v in sorted(bd.star):
+        st = bd.star[v]
+        if len(st) != 3:
+            continue
+        got = fillball._corner_cube(bd, v, *st, nid)
+        if got is not None:
+            cube, nid2 = got
+            move = offer(tuple(st), cube)
+            if move is not None:
+                corners.append(((nid2 - nid, size(move), cube), nid2, move))
+    corners.sort(key=lambda c: c[0])
+    ranked = [(key[2], nid2, move) for key, nid2, move in corners]
+    roofs = []
+    for e in sorted(bd.at_edge):
+        A, B = bd.at_edge[e]
+        got = fillball._roof_cube(bd, e, A, B, nid)
+        if got is not None:
+            roofs.append(((got[1] - nid, got[0]), got[0], got[1], (A, B)))
+    roofs.sort(key=lambda r: r[0])
+    tries = list(ranked)
+    tries += [(cube, nid2, offer(glued, cube))
+              for _, cube, nid2, glued in roofs]
+    if len(state) + 4 <= cap:
+        for A in sorted(state):
+            cube, nid2 = fillball._bump_cube(A, nid)
+            tries.append((cube, nid2, offer((A,), cube)))
+    moves = []
+    for cube, nid2, move in tries:
+        if move is None:
+            continue
+        squares, drop, add = move
+        nxt = _sphere_by_rebuild(state, set(drop), add)
+        if nxt is not None:
+            moves.append((cube, squares, frozenset(nxt), nid2))
+    return ranked, moves
+
+
+def _index(bd):
+    return bd.squares, bd.star, bd.at_edge, bd.at_diag, bd.by_vset
+
+
+def test_frames_match_a_fresh_generation(monkeypatch):
+    """Every frame of the corpus searches, each reached by a glued move
+    but the first: its index, derived from its parent's, equals a fresh
+    index, list order included; its ranked corner candidates, reused or
+    built, equal those of a fresh generation; and it yields the moves a
+    fresh generation finds legal, in the same order."""
+    real = fillball._moves
+    tallies = []
+    frames = Counter()
+
+    def moves(bd, nid, cap, corners, tally):
+        if tally not in tallies:
+            tallies.append(tally)
+        state = bd.squares
+        assert _index(bd) == _index(fillball._Boundary(state,
+                                                       fillball._Pairs()))
+        ranked, want = _moves_by_rebuild(state, nid, cap)
+        got = []
+        for corner in corners:
+            cube, move = fillball._named(corner, nid)
+            got.append((cube, nid + corner[2], move))
+        assert got == ranked
+        frames["checked"] += 1
+        n = 0
+        for mv in real(bd, nid, cap, corners, tally):
+            _, cube, squares, _, _, nxt, nid2 = mv
+            assert (cube, squares, nxt, nid2) == want[n]
+            n += 1
+            yield mv
+        assert n == len(want)
+        frames["exhausted"] += 1
+
+    monkeypatch.setattr(fillball, "_moves", moves)
+    for _, S, budget in gadget_corpus():
+        try:
+            fill_ball(S, budget=budget)
+        except FillFailed:
+            pass
+    assert frames["checked"] > 500 and frames["exhausted"] > 30, frames
+    assert sum(t.reused for t in tallies) > 1000
+
+
+# What the search found on these spheres, pinned: a change to how it
+# works must offer, check and take the same moves, so none of it moves.
+# Handlebody spheres of torus_complex(2) by curve: the sha256 of the
+# ball's serialization, and (steps, glued, states, candidates generated,
+# fully checked).
+HANDLEBODY_FILLS = {
+    (0, 1, 2, 3): ("0f3e6532277232a51ad1dda2ff0484603ccf6b158ee9d3e21579f29"
+                   "daa94b39e", (206, 32, 33, 389, 268)),
+    (0, 4, 8, 12): ("1af4ab5f7ecf16b5f3a31453a45bc270fd5a42da39e4f567df727fc"
+                    "974e135a8", (511, 134, 135, 1723, 1194)),
+}
+# sphere3(11, 4) fill requests at budget 800: FillFailed's (steps, glued,
+# states, best), then candidates generated and fully checked
+PILLOW_FAILURES = {
+    0: ((800, 130, 131, 20), (2629, 2180)),
+    26: ((800, 130, 131, 20), (2628, 2180)),
+    41: ((800, 82, 83, 24), (2320, 2038)),
+}
+
+
+def test_search_outcomes_are_pinned(caplog, structural_n11):
+    torus = torus_complex(2)
+    with caplog.at_level(logging.DEBUG, logger="cubulations.fillball"):
+        for curve, (digest, counts) in HANDLEBODY_FILLS.items():
+            caplog.clear()
+            cert = fill_ball(handlebody(torus, [curve]).sphere)
+            got = hashlib.sha256(dumps_complex(cert.ball).encode())
+            assert got.hexdigest() == digest, curve
+            rec = RECORD.match(caplog.records[-1].getMessage())
+            assert tuple(map(int, rec.groups()[2:7])) == counts, curve
+        for i, (failure, counts) in PILLOW_FAILURES.items():
+            with pytest.raises(FillFailed) as ei:
+                fill_ball(structural_n11[i].sphere, budget=800)
+            e = ei.value
+            assert (e.steps, e.glued, e.states, e.best) == failure, i
+            rec = RECORD.match(caplog.records[-1].getMessage())
+            assert tuple(map(int, rec.groups()[5:7])) == counts, i
 
 
 def test_cube_squares_match_canonical(monkeypatch):
@@ -452,11 +668,10 @@ def test_cube_squares_match_canonical(monkeypatch):
         assert real(cube) == want, cube
 
 
-def test_handlebody_sphere_search_stays_local():
+def test_handlebody_sphere_search_stays_local(structural_n11):
     """A search on a 1218-square sphere costs per step what its moves
     touch, not a copy and a walk of the whole boundary per candidate."""
-    report, _ = sphere3(11, k=4, structural=True)
-    S = report.requests[42].sphere
+    S = structural_n11[42].sphere
     assert len(S.cells[2]) == 1218
     start = time.perf_counter()
     with pytest.raises(FillFailed) as ei:
@@ -469,7 +684,9 @@ def test_handlebody_sphere_search_stays_local():
 
 RECORD = re.compile(
     r"fill_ball: (\w+); (\d+) squares in, (\d+) steps, (\d+) glued cubes, "
-    r"(\d+) states, (\d+) candidates generated, (\d+) fully checked, "
+    r"(\d+) states, (\d+) candidates generated, (\d+) fully checked; "
+    r"steps (\d+) corner, (\d+) roof, (\d+) bump; pruned (\d+) visited, "
+    r"(\d+) collision; candidates (\d+) built, (\d+) reused; "
     r"\d+\.\d{3} s$")
 
 
@@ -491,5 +708,13 @@ def test_fill_ball_logs_one_debug_record(caplog):
     assert failed[:6] == ("FillFailed", "24", "50", str(e.glued),
                           str(e.states), failed[5])
     assert rejected[:3] == ("FillError", "16", "0")
-    for outcome, _, steps, _, _, generated, checked in (filled, failed):
-        assert int(generated) >= int(checked) >= int(steps) > 0
+    assert all(int(n) == 0 for n in rejected[7:])
+    for rec in (filled, failed):
+        steps, glued, _, generated, checked = map(int, rec[2:7])
+        corner, roof, bump, visited, collision, built, reused = \
+            map(int, rec[7:])
+        assert generated >= checked >= steps > 0
+        assert corner + roof + bump == steps
+        assert glued + visited + collision == steps
+        assert built + reused == generated
+    assert int(failed[-1]) > 0      # later frames take corners from earlier
