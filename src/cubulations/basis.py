@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import CubeComplex, CubeComplexError, _link_cycle, build_complex, \
-    validate
-from .topology import _connected_skeleton, _is_closed, orientation_assignment, \
-    smith_invariant_factors
+from .core import CubeComplex, CubeComplexError, _link_cycle, _reachable, \
+    _ring_walk, build_complex, validate
+from .topology import NonSurfaceLinkError, _is_closed, \
+    orientation_assignment, smith_invariant_factors, surface_invariants
 from .transforms import _insert_square_5
 
 Edge = tuple[int, int]
@@ -101,25 +101,18 @@ def _face_adjacency(C: CubeComplex) -> dict[Edge, list[int]]:
 
 def _dual_tree(C: CubeComplex, by_edge: dict[Edge, list[int]],
                root: int = 0) -> set[Edge]:
-    """Edges crossed by a BFS spanning tree of the face adjacency graph."""
+    """Edges crossed by a BFS spanning tree of the face adjacency graph,
+    neighbours in id order: per face, the least edge it shares with its
+    parent."""
     n_faces = len(C.cells[2])
-    adj: dict[int, list[tuple[int, Edge]]] = {i: [] for i in range(n_faces)}
+    # face -> neighbouring face -> the least edge between them
+    adj: dict[int, dict[int, Edge]] = {i: {} for i in range(n_faces)}
     for e, (f1, f2) in by_edge.items():
-        adj[f1].append((f2, e))
-        adj[f2].append((f1, e))
-    seen = {root}
-    queue = [root]
-    crossed: set[Edge] = set()
-    while queue:
-        f = queue.pop(0)
-        for g, e in sorted(adj[f]):
-            if g not in seen:
-                seen.add(g)
-                crossed.add(e)
-                queue.append(g)
-    if len(seen) != n_faces:
+        adj[f1][f2] = adj[f2][f1] = min(e, adj[f1].get(f2, e))
+    parent = _reachable(root, lambda f: sorted(adj[f]))
+    if len(parent) != n_faces:
         raise BasisError("dual graph is not connected")
-    return crossed
+    return {adj[f][g] for f, g in parent.items() if g is not None}
 
 
 @dataclass(frozen=True)
@@ -191,24 +184,14 @@ def _boundary_circle(face_cycles: list[tuple[int, ...]],
 def _primal_tree(n_vertices: int, cut: list[Edge]) -> set[Edge]:
     """BFS spanning tree of the cut graph; its complement within the cut
     edges carries exactly 2g leftover edges, the handle candidates."""
-    adj: dict[int, list[tuple[int, Edge]]] = {}
+    adj: dict[int, list[int]] = {}
     for a, b in cut:
-        adj.setdefault(a, []).append((b, (a, b)))
-        adj.setdefault(b, []).append((a, (a, b)))
-    root = min(adj)
-    seen = {root}
-    queue = [root]
-    tree: set[Edge] = set()
-    while queue:
-        v = queue.pop(0)
-        for w, e in sorted(adj.get(v, ())):
-            if w not in seen:
-                seen.add(w)
-                tree.add(e)
-                queue.append(w)
-    if len(seen) != n_vertices:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    parent = _reachable(min(adj), lambda v: sorted(adj[v]))
+    if len(parent) != n_vertices:
         raise BasisError("cut graph does not span the vertex set")
-    return tree
+    return {_edge(p, v) for v, p in parent.items() if p is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +648,8 @@ def _spanning_loops(Q: CubeComplex, B: CurveBasis) -> list[dict[Edge, int]]:
     for a, b in B.spur_edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    root = min(adj) if adj else 0
-    parent: dict[int, int | None] = {root: None}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(adj.get(v, ())):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+    parent = _reachable(min(adj) if adj else 0,
+                        lambda v: sorted(adj.get(v, ())))
     if len(parent) != Q.n_vertices:
         raise BasisError("spur edges do not span the vertex set")
 
@@ -1214,32 +1190,13 @@ class _Patch:
 
 def _ring(P: _Patch, v: int) -> tuple[list[int], list[int]]:
     """Squares around v in cyclic order; spokes[i] is the neighbor
-    vertex on the edge shared by ring[i] and ring[i + 1]."""
-    sids = P.by_v[v]
-    at_spoke: dict[int, list[int]] = {}
-    for sid in sids:
-        for nb in _cycle_neighbors(P.sqs[sid], v):
-            at_spoke.setdefault(nb, []).append(sid)
-    for nb, ss in at_spoke.items():
-        if len(ss) != 2:
-            raise BasisError(f"edge ({v}, {nb}) lies in {len(ss)} squares")
-    start = min(sids)
-    ring, spokes = [start], []
-    spoke = max(_cycle_neighbors(P.sqs[start], v))
-    cur = start
-    while True:
-        spokes.append(spoke)
-        s1, s2 = at_spoke[spoke]
-        nxt = s2 if s1 == cur else s1
-        if nxt == start:
-            break
-        ring.append(nxt)
-        a, b = _cycle_neighbors(P.sqs[nxt], v)
-        spoke = b if a == spoke else a
-        cur = nxt
-    if len(ring) != len(sids):
+    vertex on the edge shared by ring[i] and ring[i + 1]. The walk
+    starts at v's least square id."""
+    cycle = _ring_walk((sid, _cycle_neighbors(P.sqs[sid], v))
+                       for sid in sorted(P.by_v[v]))
+    if cycle is None:
         raise BasisError(f"link of vertex {v} is not a single circle")
-    return ring, spokes
+    return cycle
 
 
 def _cut_and_ribbon(P: _Patch, path: list[int],
@@ -1433,15 +1390,16 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
     matrix a symplectic permutation, and its unimodularity promotes the
     classes to a basis of first homology.
     """
-    # Closed, orientable and connected with the stated genus, in linear
-    # passes over the incidence index; surface_invariants would walk every
-    # vertex link, far too slow at refined sizes. The link of each vertex
-    # the pattern test touches is read as a cycle there.
-    if not (_is_closed(Q) and orientation_assignment(Q)[0]
-            and _connected_skeleton(Q)):
+    # A connected closed orientable surface of the stated genus: every
+    # vertex link a cycle, read in one pass by surface_invariants. The
+    # link of each vertex the pattern test touches is walked there.
+    if Q.dim != 2:
         return False
-    genus = (2 - Q.euler_characteristic()) // 2
-    if genus != B.genus or len(B.curves) != 2 * genus:
+    try:
+        _, _, genus = surface_invariants(Q)
+    except NonSurfaceLinkError:
+        return False
+    if genus is None or genus != B.genus or len(B.curves) != 2 * genus:
         return False
     if genus == 0:
         return True

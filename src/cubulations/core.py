@@ -559,21 +559,25 @@ def pseudomanifold_check(C: CubeComplex) -> bool:
 # links and manifold checks
 
 def _reachable(start: Hashable, neighbors: Callable[[Any], Iterable[Any]],
-               until: Iterable[Hashable] | None = None) -> set:
-    """The nodes reachable from start in the graph given by neighbors, found
-    breadth first. Given `until`, the walk stops once it has seen every node
-    of it and returns the nodes seen so far."""
-    seen = {start}
-    left = None if until is None else set(until) - seen
+               until: Iterable[Hashable] | None = None) -> dict:
+    """The breadth-first tree from start in the graph given by neighbors:
+    each node reached -> the node it was first reached from, start ->
+    None, in visiting order, so a node's parent comes before it. Its
+    keys are the nodes reachable from start. Given `until`, the walk
+    stops once it has seen every node of it and returns the tree so
+    far."""
+    tree: dict = {start: None}
+    left = None if until is None else set(until) - {start}
     todo = deque([start])
     while todo and (left is None or left):
-        for y in neighbors(todo.popleft()):
-            if y not in seen:
-                seen.add(y)
+        x = todo.popleft()
+        for y in neighbors(x):
+            if y not in tree:
+                tree[y] = x
                 todo.append(y)
                 if left is not None:
                     left.discard(y)
-    return seen
+    return tree
 
 
 @lru_cache(maxsize=None)
@@ -619,22 +623,22 @@ def _link_skeleton(C: CubeComplex, v: int
     return adj, edges
 
 
-def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
-    """The link of v in a 2-complex as one cycle, or None when it is not
-    one: (ring, spokes), the indices in cells[2] of the squares at v in
-    cyclic order, and at i the neighbour of v on the edge that ring[i]
-    and ring[i + 1] share. The walk starts at v's first square in star
-    order and leaves it through its larger neighbour."""
-    ptr, owners = C.incidence().star(2)
-    squares = owners[ptr[v]:ptr[v + 1]]
-    spans = _link_spans(C, v, 2)
+def _ring_walk(around: Iterable[tuple[int, Sequence[int]]]
+               ) -> tuple[list[int], list[int]] | None:
+    """The squares around a vertex as one cycle, or None when they do
+    not make one. around gives each square at the vertex with its two
+    spokes, the neighbours of the vertex on its edges there. Returns
+    (ring, spokes), the squares in cyclic order and at i the spoke that
+    ring[i] and ring[i + 1] share. The walk starts at the first square
+    given and leaves it through its larger spoke."""
+    around = list(around)
     at: dict[int, list[tuple[int, int]]] = {}
-    for sq, (a, b) in zip(squares, spans):
+    for sq, (a, b) in around:
         at.setdefault(a, []).append((sq, b))
         at.setdefault(b, []).append((sq, a))
-    if not squares or any(len(pair) != 2 for pair in at.values()):
+    if not around or any(len(pair) != 2 for pair in at.values()):
         return None
-    cur, spoke = squares[0], max(spans[0])
+    cur, spoke = around[0][0], max(around[0][1])
     ring, spokes = [cur], []
     while True:
         spokes.append(spoke)
@@ -643,7 +647,17 @@ def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
         if cur == ring[0]:
             break
         ring.append(cur)
-    return (ring, spokes) if len(ring) == len(squares) else None
+    return (ring, spokes) if len(ring) == len(around) else None
+
+
+def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
+    """The link of v in a 2-complex as one cycle, or None when it is not
+    one: (ring, spokes), the indices in cells[2] of the squares at v in
+    cyclic order, and at i the neighbour of v on the edge that ring[i]
+    and ring[i + 1] share. The walk starts at v's first square in star
+    order and leaves it through its larger neighbour."""
+    ptr, owners = C.incidence().star(2)
+    return _ring_walk(zip(owners[ptr[v]:ptr[v + 1]], _link_spans(C, v, 2)))
 
 
 def _link_shape(C: CubeComplex, v: int) -> str | None:
@@ -709,39 +723,36 @@ def upper_bound_checks(C: CubeComplex) -> BoundReport:
 
 
 def bipartite_classes(C: CubeComplex) -> tuple[frozenset[int], frozenset[int]]:
-    """Two-color the 1-skeleton; raises OddCycleError with a witness walk.
+    """Two-color the 1-skeleton by breadth-first depth parity; raises
+    OddCycleError with a witness walk.
 
-    Isolated vertices and component roots (in id order) get color 0, so the
-    splitting is deterministic.
+    Components are walked from their least vertex, in id order, and
+    roots (isolated vertices among them) get color 0, so the splitting
+    is deterministic. An edge whose ends have the same color closes the
+    walk root -> a, b -> root along the tree, which is odd by parity.
     """
-    color: dict[int, int] = {}
-    parent_of: dict[int, int] = {}
     adj: dict[int, list[int]] = {v: [] for v in range(C.n_vertices)}
-    for e in C.cells.get(1, ()):
-        a, b = e
+    for a, b in C.cells.get(1, ()):
         adj[a].append(b)
         adj[b].append(a)
+    parent: dict[int, int | None] = {}
     for root in range(C.n_vertices):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    parent_of[y] = x
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    walk_x = [x]
-                    while walk_x[-1] != root and walk_x[-1] in parent_of:
-                        walk_x.append(parent_of[walk_x[-1]])
-                    walk_y = [y]
-                    while walk_y[-1] != root and walk_y[-1] in parent_of:
-                        walk_y.append(parent_of[walk_y[-1]])
-                    raise OddCycleError("1-skeleton is not bipartite",
-                                        walk_x[::-1] + walk_y)
+        if root not in parent:
+            parent.update(_reachable(root, adj.__getitem__))
+    color: dict[int, int] = {}
+    for v, p in parent.items():
+        color[v] = 0 if p is None else 1 - color[p]
+
+    def up(v: int) -> list[int]:
+        out = [v]
+        while parent[out[-1]] is not None:
+            out.append(parent[out[-1]])
+        return out
+
+    for a, b in C.cells.get(1, ()):
+        if color[a] == color[b]:
+            raise OddCycleError("1-skeleton is not bipartite",
+                                up(a)[::-1] + up(b))
     zero = frozenset(v for v, c in color.items() if c == 0)
     one = frozenset(v for v, c in color.items() if c == 1)
     return zero, one

@@ -43,11 +43,14 @@ is a few lookups in the edge and diagonal indexes, edge counts and the
 Euler characteristic change only there, and the connectivity walk
 stops once it has met every square next to the change, which is exact
 because the boundary it starts from is connected. The next boundary is
-built only for a legal move, and a taken move is tested only against
-the glued cubes it shares two or more corners with, which a vertex
-index of the path lists. None of this changes which moves are offered,
-checked or taken, or their order. Each call logs one DEBUG record
-under cubulations.fillball with its work counts.
+built only for a legal move. A taken move is tested only against the
+glued cubes it shares two or more corners with, which a vertex index
+of the path lists, and each such pair is decided from the positions
+of the shared corners by the rule validate uses (_meets_in_face); a
+cube on the eight corners of a glued one is refused. None of this
+changes which moves are offered, checked or taken, or their order.
+Each call logs one DEBUG record under cubulations.fillball with its
+work counts.
 
 Soundness does not rest on the search. Every certificate is passed
 through verify_filling before it is returned, and the verifier rederives
@@ -69,13 +72,15 @@ from typing import Callable, Iterable, Iterator
 from .core import (
     CubeComplex,
     CubeComplexError,
+    _meets_in_face,
     _reachable,
     build_complex,
     canonical,
     validate,
 )
 from .fileio import FormatError, dumps_complex, loads_complex
-from .topology import _is_closed, betti_numbers, surface_invariants
+from .topology import NonSurfaceLinkError, _is_closed, betti_numbers, \
+    surface_invariants
 from .transforms import boundary_complex
 
 __all__ = [
@@ -374,43 +379,6 @@ def _cube_squares(cube: tuple[int, ...]) -> list[Square]:
     return out
 
 
-def _cube_profile(cube: tuple[int, ...], squares: list[Square]
-                  ) -> tuple[set[frozenset[int]], dict[frozenset[int], Square]]:
-    """Edge set and face-set -> canonical-square map of one cube, given
-    its six canonical squares."""
-    edges: set[frozenset[int]] = set()
-    for i in range(8):
-        for j in (1, 2, 4):
-            if not i & j:
-                edges.add(frozenset((cube[i], cube[i | j])))
-    faces = {frozenset(f): f for f in squares}
-    return edges, faces
-
-
-def _cubes_meet_in_face(c1: tuple[int, ...], p1, c2: tuple[int, ...], p2
-                        ) -> bool:
-    """Whether two cubes intersect in a common face of both.
-
-    The boundary surface cannot see the interior of the ball, so a cube
-    that looks attachable from the current sphere may still collide
-    with cubes glued earlier; every accepted cube is therefore checked
-    against each cube of the path it shares two or more corners with.
-    Cubes sharing at most one corner meet in a common face, the empty
-    one or a vertex.
-    """
-    shared = set(c1) & set(c2)
-    n = len(shared)
-    if n <= 1:
-        return True
-    s = frozenset(shared)
-    if n == 2:
-        return s in p1[0] and s in p2[0]
-    if n == 4:
-        f = p1[1].get(s)
-        return f is not None and f == p2[1].get(s)
-    return False
-
-
 # a cube's six squares, the squares gluing it drops, and those it adds
 Move = tuple[list[Square], tuple[Square, ...], list[Square]]
 
@@ -535,7 +503,8 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
         return [nb for e in pairs[sq][0]
                 for nb in (at[e] if e in at else bd.at_edge[e])]
 
-    return frontier <= _reachable(min(frontier), across, until=frontier)
+    return frontier <= _reachable(min(frontier), across,
+                                  until=frontier).keys()
 
 
 @dataclass
@@ -713,6 +682,32 @@ def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
                 yield mv
 
 
+def _sphere_defect(S: CubeComplex) -> str | None:
+    """The first hypothesis of the filling step that S fails, as a
+    message, or None: a valid closed 2-complex with an even number of
+    squares, whose vertex links are cycles, and a connected orientable
+    surface of genus zero."""
+    if S.dim != 2:
+        return f"fill_ball needs a 2-complex, got dimension {S.dim}"
+    if not validate(S).is_complex:
+        return "input sphere is not a valid complex"
+    if not _is_closed(S):
+        return "input surface is not closed"
+    f2 = len(S.cells[2])
+    if f2 % 2:
+        return (f"sphere has an odd number of squares ({f2}); a cubulated "
+                "ball boundary always has evenly many")
+    try:
+        closed, orientable, genus = surface_invariants(S)
+    except NonSurfaceLinkError as e:
+        return f"input is not a surface: {e}"
+    if not closed or not orientable or genus is None:
+        return "input surface is not a connected orientable closed surface"
+    if genus != 0:
+        return f"input surface has genus {genus}, not a sphere"
+    return None
+
+
 def fill_ball(S: CubeComplex, budget: int = DEFAULT_BUDGET) -> FillCertificate:
     """Cubulated 3-ball whose boundary is the given quadrangulated sphere.
 
@@ -761,22 +756,9 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     # the search stops when its step count equals the budget
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise FillError(f"budget must be an int >= 0, got {budget!r}")
-    if S.dim != 2:
-        raise FillError(f"fill_ball needs a 2-complex, got dimension {S.dim}")
-    if not validate(S).is_complex:
-        raise FillError("input sphere is not a valid complex")
-    if not _is_closed(S):
-        raise FillError("input surface is not closed")
-    f2 = len(S.cells[2])
-    if f2 % 2:
-        raise FillError(f"sphere has an odd number of squares ({f2}); "
-                        "a cubulated ball boundary always has evenly many")
-    closed, orientable, genus = surface_invariants(S)
-    if not closed or not orientable or genus is None:
-        raise FillError("input surface is not a connected orientable "
-                        "closed surface")
-    if genus != 0:
-        raise FillError(f"input surface has genus {genus}, not a sphere")
+    reason = _sphere_defect(S)
+    if reason is not None:
+        raise FillError(reason)
 
     start = frozenset(S.cells[2])
     cap = len(start) + GROWTH_SLACK
@@ -788,7 +770,6 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     # per frame: its moves, its index and its corner candidates by vertex
     frames = [(_moves(bd, S.n_vertices, cap, corners, tally), bd, table)]
     cubes: list[tuple[int, ...]] = []
-    profiles: list[tuple] = []
     near: dict[int, list[int]] = {}     # vertex -> glued cubes at it
     final: frozenset[Square] | None = None
     while frames:
@@ -798,23 +779,22 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
             if cubes:
                 for v in cubes.pop():
                     near[v].pop()
-                profiles.pop()
             continue
         if tally.steps == budget:
             raise FillFailed(tally.steps, tally.glued, tally.states, best,
                              len(start), budget)
         tally.steps += 1  # every examined candidate counts, or pruning is free
-        kind, cube, squares, drop, add, nxt, nid = got
+        kind, cube, _, drop, add, nxt, nid = got
         tally.kinds[kind] += 1
         if nxt in visited:
             tally.visited += 1
             continue
         # a cube that shares at most one corner with a glued one meets it
-        # in a common face, so only those sharing two or more are tested
-        prof = _cube_profile(cube, squares)
+        # in a common face, so only those sharing two or more are tested,
+        # by validate's rule; a cube on the eight corners of a glued one
+        # meets it in a face only by being it, and is refused
         shared = Counter(i for v in cube for i in near.get(v, ()))
-        if any(n > 1 and not _cubes_meet_in_face(cube, prof, cubes[i],
-                                                 profiles[i])
+        if any(n == 8 or n > 1 and not _meets_in_face(cube, cubes[i], n)
                for i, n in shared.items()):
             tally.collisions += 1
             continue
@@ -824,7 +804,6 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
         for v in cube:
             near.setdefault(v, []).append(len(cubes))
         cubes.append(cube)
-        profiles.append(prof)
         if not nxt:
             final = nxt
             break

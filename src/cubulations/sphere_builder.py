@@ -57,7 +57,7 @@ from .transforms import (
     interval_complex,
 )
 from .transforms import remove_facet as _remove_facet
-from .fillball import FillFailed, fill_ball
+from .fillball import FillFailed, _sphere_defect, fill_ball
 from .basis import EdgePathBasis, RefineReport, canonical_basis, refine_report, \
     regularize_with_chains, verify_neighborhoods
 from .surface_gen import _is_odd_prime, surface_report
@@ -103,21 +103,12 @@ class FillRequest:
 
 
 def check_fill_request(req: FillRequest) -> None:
-    """Assert the filling lemma's hypotheses: a valid closed orientable
-    quadrangulated 2-sphere with an even number of squares."""
-    S = req.sphere
-    if S.dim != 2:
-        raise AssemblyError(f"{req.origin}: not a 2-complex")
-    rep = validate(S)
-    if not rep.is_complex:
-        raise AssemblyError(f"{req.origin}: not a valid complex")
-    closed, orientable, genus = surface_invariants(S)
-    if not closed:
-        raise AssemblyError(f"{req.origin}: surface is not closed")
-    if not orientable or genus != 0:
-        raise AssemblyError(f"{req.origin}: not a 2-sphere (genus {genus})")
-    if len(S.cells[2]) % 2:
-        raise AssemblyError(f"{req.origin}: odd number of squares")
+    """Assert the filling lemma's hypotheses, the ones fill_ball checks:
+    a valid closed orientable quadrangulated 2-sphere with an even
+    number of squares."""
+    reason = _sphere_defect(req.sphere)
+    if reason is not None:
+        raise AssemblyError(f"{req.origin}: {reason}")
 
 
 # ---------------------------------------------------------------------------

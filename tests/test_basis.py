@@ -37,7 +37,7 @@ from cubulations.basis import (
 from cubulations.core import build_complex, cube_faces, validate
 from cubulations.surface_gen import surface_report
 from cubulations.topology import betti_numbers, surface_invariants
-from cubulations.transforms import torus_complex
+from cubulations.transforms import glue, torus_complex
 
 
 def boundary_c3():
@@ -606,6 +606,16 @@ def test_edge_path_verification_rejects_a_stray_edge():
     stray = build_complex(2, [*T.cells[2], (0, 10)], n_vertices=16)
     assert stray.euler_characteristic() == -1
     assert not verify_basis(stray, B)
+
+
+def test_edge_path_verification_rejects_a_wedge_of_tori():
+    # two tori glued at a vertex: valid, closed and orientable, of odd
+    # Euler characteristic, and the link at the wedge point is two circles
+    T = torus_complex(2)
+    P = glue(T, torus_complex(2), {0: 0})
+    assert P.f_vector() == (31, 64, 32) and validate(P).is_complex
+    assert betti_numbers(P).betti == (1, 4, 2)
+    assert not verify_basis(P, EdgePathBasis(1, ((4, 5, 6, 7), (1, 5, 9, 13))))
 
 
 def test_torus_edges_evenly_subdivided():

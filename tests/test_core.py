@@ -15,6 +15,7 @@ from cubulations.core import (
     OddCycleError,
     ValidationReport,
     _link_is_sphere,
+    _reachable,
     _link_shape,
     bipartite_classes,
     build_complex,
@@ -261,10 +262,38 @@ def test_bipartite_classes_of_boundary_cube():
     assert one == frozenset({1, 2, 4, 7})
 
 
+def assert_odd_closed_walk(C: CubeComplex, walk: list[int]) -> None:
+    edges = set(C.cells[1])
+    assert walk[0] == walk[-1]
+    assert all(tuple(sorted(step)) in edges for step in zip(walk, walk[1:]))
+    assert (len(walk) - 1) % 2 == 1
+
+
 def test_bipartite_classes_odd_cycle():
     C = CubeComplex.from_cells(1, 3, {1: [(0, 1), (0, 2), (1, 2)], 0: [(0,), (1,), (2,)]})
-    with pytest.raises(OddCycleError):
+    with pytest.raises(OddCycleError) as got:
         bipartite_classes(C)
+    assert_odd_closed_walk(C, got.value.args[1])
+
+
+def test_bipartite_classes_witness_off_the_root():
+    # an edge 0-1, then a square 2-3-4-5 with a pentagon 4-6-7-8-9
+    # hung off it
+    C = build_complex(1, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5), (4, 6),
+                          (6, 7), (7, 8), (8, 9), (4, 9)])
+    with pytest.raises(OddCycleError) as got:
+        bipartite_classes(C)
+    walk = got.value.args[1]
+    assert walk[0] == 2  # the least vertex of the odd component
+    assert_odd_closed_walk(C, walk)
+
+
+def test_reachable_returns_the_breadth_first_tree():
+    adj = {0: [2, 1], 1: [3], 2: [3, 0], 3: [4], 4: [], 5: [0]}
+    tree = _reachable(0, adj.__getitem__)
+    assert list(tree.items()) == [(0, None), (2, 0), (1, 0), (3, 2), (4, 3)]
+    # until stops the walk once it has seen every node of it
+    assert list(_reachable(0, adj.__getitem__, until=[1])) == [0, 2, 1]
 
 
 # ---------------------------------------------------------------------------

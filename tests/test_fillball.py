@@ -30,7 +30,7 @@ from cubulations.fillball import (
     write_certificate,
 )
 from cubulations.sphere_builder import handlebody, sphere3
-from cubulations.transforms import apply_gadget, torus_complex
+from cubulations.transforms import apply_gadget, glue, torus_complex
 
 
 def boundary_c3():
@@ -192,6 +192,15 @@ def test_stray_edge_is_a_fill_error():
     S = build_complex(2, [*boundary_c3().cells[2], (0, 7)])
     assert validate(S).is_complex
     with pytest.raises(FillError, match="not closed"):
+        fill_ball(S)
+
+
+def test_wedge_of_spheres_is_a_fill_error():
+    # two cube boundaries glued at a vertex: a valid closed complex with
+    # evenly many squares, whose link at the wedge point is two circles
+    S = glue(boundary_c3(), boundary_c3(), {0: 0})
+    assert S.f_vector() == (15, 24, 12) and validate(S).is_complex
+    with pytest.raises(FillError, match="not a surface"):
         fill_ball(S)
 
 

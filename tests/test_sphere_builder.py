@@ -21,6 +21,7 @@ from cubulations.topology import betti_numbers, surface_invariants
 from cubulations.transforms import (
     boundary_complex,
     cartesian_product,
+    glue,
     interval_complex,
     remove_facet,
     torus_complex,
@@ -37,6 +38,7 @@ from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
 from cubulations.sphere_builder import (
     AssemblyError,
+    FillRequest,
     StructuralReport,
     _disk_cells,
     _patch_map,
@@ -210,6 +212,12 @@ def test_cylinder_structural_level(toy_pieces):
     for req in rep.requests:
         assert req.sphere.f_vector() == (8, 12, 6)
         check_fill_request(req)
+
+
+def test_fill_request_of_a_non_surface_is_an_assembly_error():
+    S = glue(boundary_c3(), boundary_c3(), {0: 0})
+    with pytest.raises(AssemblyError, match="wedge: input is not a surface"):
+        check_fill_request(FillRequest(S, "wedge"))
 
 
 def test_cylinder_is_deterministic(toy_pieces):
