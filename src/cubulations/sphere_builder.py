@@ -668,8 +668,8 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     rep = validate(A)
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
-    prof = betti_numbers(A, "z")
-    if prof.betti != (1, 0, 0, 1) or any(prof.torsion):
+    if not homology_sphere_check(A, 3):
+        prof = betti_numbers(A, "z")
         raise AssemblyError(f"assembled homology is {prof.betti} with "
                             f"torsion {prof.torsion}, not a 3-sphere's")
     if not manifold_check(A, 3):
@@ -847,6 +847,7 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     default), thicken the remaining ball Q by the square I x I, and take
     the boundary.  The output has exactly 4 * f0(S) vertices and at
     least twice as many facets, and is checked to be a homology sphere.
+    A facet that is not a d-cell of S raises AssemblyError.
 
     The boundary is written by its product formula, with bd for the
     boundary: bd(Q x I x I) = Q x bd(I x I)  u  bd(F) x I x I, two
@@ -858,7 +859,9 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     bisection, and the first product's cells and facet rows move in runs
     between them.  Both products carry facet tables derived from their
     factors', Q carries S's, and the merge keeps them, so the homology
-    check on the output reads a finished table.
+    check on the output reads a finished table.  Both homology checks
+    collapse their sphere less one facet to a vertex on the facet tables
+    alone (see topology), so no coface table of the output is built.
     """
     d = S.dim
     if d < 2:
@@ -867,12 +870,15 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     rep = validate(S)
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
         raise AssemblyError("input is not a closed pseudomanifold")
+    target = S.cells[d][0] if facet is None else \
+        canonical(facet) if len(facet) == 1 << d else None
+    if target not in S.incidence().position(d):
+        raise AssemblyError(f"{facet} is not a {d}-cell of the input")
     t1 = time.perf_counter()
     if not homology_sphere_check(S, d):
         raise AssemblyError("input does not have sphere homology")
     t2 = time.perf_counter()
 
-    target = canonical(facet) if facet is not None else S.cells[d][0]
     Q = _remove_facet(S, target)
     level, faces = {target}, {}
     for k in range(d - 1, -1, -1):

@@ -260,6 +260,37 @@ def test_verify_rejects_wrong_homology():
     assert "homology" in chk.reason
 
 
+def test_opposite_pinwheel_is_refused_for_its_homology():
+    with pytest.raises(FillError, match=re.escape(
+            "ball homology (1, 0, 0, 1) differs from a ball")):
+        fill_ball(opposite_pinwheel(), budget=500)
+
+
+def test_verify_certifies_a_collapsible_ball_without_homology(monkeypatch):
+    S = pillar_sphere(2)
+    cert = fill_ball(S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a collapsible ball needs no Betti numbers")
+
+    monkeypatch.setattr(fillball, "betti_numbers", refuse)
+    assert verify_filling(cert, S)
+
+
+def test_stuck_collapse_gives_the_same_fill_checks(monkeypatch):
+    # the Betti numbers decide when the collapse proves nothing
+    S = pillar_sphere(2)
+    cert = fill_ball(S)
+    two_balls = build_complex(3, [tuple(range(8)), tuple(range(8, 16))])
+    cases = [(cert, S),
+             (FillCertificate(two_balls, {v: v for v in range(16)}),
+              boundary_c3())]
+    before = [verify_filling(c, T) for c, T in cases]
+    monkeypatch.setattr(fillball, "_collapse", lambda C, drop=None: False)
+    assert [verify_filling(c, T) for c, T in cases] == before
+    assert before[0] and "homology" in before[1].reason
+
+
 def test_certificate_file_round_trip(tmp_path):
     S = pillar_sphere(1)
     cert = fill_ball(S)

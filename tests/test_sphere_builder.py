@@ -26,7 +26,7 @@ from cubulations.transforms import (
     remove_facet,
     torus_complex,
 )
-from cubulations import core, sphere_builder
+from cubulations import core, fillball, sphere_builder, topology
 from cubulations.basis import (
     RegularNeighborhoodCert,
     canonical_basis,
@@ -36,6 +36,8 @@ from cubulations.basis import (
 from cubulations.fillball import FillFailed
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
+from test_fillball import opposite_pinwheel
+from test_topology import klein_4x4, projective_plane, sphere_wedge, torus_4x4
 from cubulations.sphere_builder import (
     AssemblyError,
     FillRequest,
@@ -597,6 +599,96 @@ def test_doubling_canonicalises_almost_nothing(heegaard_s3, monkeypatch):
     monkeypatch.setattr(core, "canonical_with_sign", counted)
     induct_dimension(heegaard_s3, heegaard_s3.cells[3][7])
     assert 0 < len(calls) < 200
+
+
+def test_doubling_builds_no_coface_table_of_its_output(heegaard_s3,
+                                                     monkeypatch):
+    # the homology checks collapse on the facet tables; with the reduction
+    # they transposed the S^4's five tables, 129 248 entries
+    sizes = []
+    real = core._transpose
+
+    def counted(table, width, n):
+        sizes.append(len(table))
+        return real(table, width, n)
+
+    monkeypatch.setattr(core, "_transpose", counted)
+    out = induct_dimension(heegaard_s3, heegaard_s3.cells[3][7])
+    assert not out.incidence()._cofaces
+    assert sum(sizes) < 100, sizes
+
+
+def test_doubling_collapses_both_spheres(heegaard_s3, caplog):
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        induct_dimension(heegaard_s3, heegaard_s3.cells[3][7])
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "cubulations.topology"]
+    assert len(messages) == 2  # no betti_numbers fallback
+    assert "4120 cells, dropped 3-cell 0, 2059 pairs removed, 1 cells " \
+        "left, certified" in messages[0]
+    assert "32978 cells, dropped 4-cell 0, 16488 pairs removed, 1 cells " \
+        "left, certified" in messages[1]
+
+
+def test_heegaard_s3_collapses_at_every_facet(heegaard_s3):
+    assert len(heegaard_s3.cells[3]) == 494
+    assert all(topology._collapse(heegaard_s3, i) for i in range(494))
+
+
+def _opposite_pinwheel_ball(monkeypatch):
+    """The 36 cubes the fill search closes on the opposite pinwheel, which
+    verify_filling refuses."""
+    seen = []
+    real = fillball.verify_filling
+
+    def spy(cert, S):
+        seen.append(cert.ball)
+        return real(cert, S)
+
+    with monkeypatch.context() as m:
+        m.setattr(fillball, "verify_filling", spy)
+        with pytest.raises(fillball.FillError):
+            fillball.fill_ball(opposite_pinwheel(), budget=500)
+    return seen[0]
+
+
+@pytest.mark.parametrize("stuck", [False, True])
+def test_sphere_check_matches_the_betti_oracle(heegaard_s3, monkeypatch,
+                                               stuck):
+    """homology_sphere_check gives the verdict of the Betti numbers, by
+    the collapse and, with the collapse stuck, by its fallback."""
+    C3, C4 = boundary_c3(), boundary_c4()
+    ball = _opposite_pinwheel_ball(monkeypatch)
+    assert ball.f_vector() == (58, 139, 117, 36)
+    cases = [(C3, True), (C4, True), (induct_dimension(C4), True),
+             (heegaard_s3, True), (torus_4x4(), False), (klein_4x4(), False),
+             (projective_plane(), False), (sphere_wedge(C3, C3), False),
+             (ball, True)]
+    if stuck:
+        monkeypatch.setattr(topology, "_collapse",
+                            lambda C, drop=None: False)
+    for C, verdict in cases:
+        prof = betti_numbers(C)
+        oracle = prof.betti == (1,) + (0,) * (C.dim - 1) + (1,) \
+            and not any(prof.torsion)
+        assert topology.homology_sphere_check(C, C.dim) == oracle == verdict
+
+
+def test_doubling_rejects_a_facet_it_does_not_have():
+    C4 = boundary_c4()
+    for facet in ((0, 1, 2, 3, 12, 13, 14, 15), (0, 1, 2, 3),
+                  (16, 17, 18, 19, 20, 21, 22, 23)):
+        with pytest.raises(AssemblyError, match="is not a 3-cell"):
+            induct_dimension(C4, facet=facet)
+
+
+def test_assembly_names_the_homology_it_rejects(heegaard_pieces):
+    # both handlebodies on the meridian make S^2 x S^1
+    T, cyl, hbA, _ = heegaard_pieces
+    with pytest.raises(AssemblyError, match=re.escape(
+            "assembled homology is (1, 1, 1, 1) with torsion "
+            "((), (), (), ()), not a 3-sphere's")):
+        assemble_sphere3(T, 2, cyl, hbA, hbA)
 
 
 def test_doubling_rejects_an_unused_vertex_id():
