@@ -669,6 +669,8 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     if not rep.is_complex or not rep.is_closed_pseudomanifold:
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
     if not homology_sphere_check(A, 3):
+        # the check's fallback computed these already; this second run,
+        # on the failure path only, names them in the error
         prof = betti_numbers(A, "z")
         raise AssemblyError(f"assembled homology is {prof.betti} with "
                             f"torsion {prof.torsion}, not a 3-sphere's")

@@ -72,29 +72,6 @@ def klein_4x4():
     return build_complex(2, tops)
 
 
-def projective_plane(n=3):
-    """RP^2: the boundary of the grid cube [0, n]^3 with each point glued to
-    its antipode; H_1 = Z/2."""
-    ids = {}
-
-    def vid(p):
-        return ids.setdefault(min(p, tuple(n - x for x in p)), len(ids))
-
-    tops = []
-    for axis in range(3):
-        u, w = (x for x in range(3) if x != axis)
-        for a in range(n):
-            for b in range(n):
-                corners = []
-                for j in (0, 1):
-                    for i in (0, 1):
-                        p = [0, 0, 0]
-                        p[u], p[w] = a + i, b + j
-                        corners.append(vid(tuple(p)))
-                tops.append(tuple(corners))
-    return build_complex(2, tops)
-
-
 def sphere_wedge(S, T):
     """S and T glued at vertex 0 of each."""
     shift = {v: v + S.n_vertices - 1 if v else 0
@@ -353,16 +330,6 @@ def test_betti_numbers_logs_one_debug_record(caplog):
     assert "remainder [0, 0, 0, 0, 1]" in records[0].getMessage()
 
 
-def test_projective_plane_and_wedge():
-    X = projective_plane()
-    assert X.f_vector() == (28, 54, 27)
-    prof = betti_numbers(X)
-    assert (prof.betti, prof.torsion) == ((1, 0, 0), ((), (2,), ()))
-    W = sphere_wedge(boundary_c3(), boundary_c3())
-    assert W.f_vector() == (15, 24, 12)
-    assert betti_numbers(W).betti == (1, 0, 2)
-
-
 def test_collapse_logs_one_debug_record(caplog):
     with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
         assert homology_sphere_check(boundary_c4(), 3)
@@ -375,6 +342,9 @@ def test_collapse_logs_one_debug_record(caplog):
 
 def test_stuck_collapse_logs_its_fallback(caplog):
     W = sphere_wedge(boundary_c3(), boundary_c3())
+    assert W.f_vector() == (15, 24, 12)
+    assert betti_numbers(W).betti == (1, 0, 2)
+    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
         assert not homology_sphere_check(W, 2)
     messages = [r.getMessage() for r in caplog.records
