@@ -16,6 +16,8 @@ Curves are cyclic crossing sequences. Each event crosses one edge
 between two faces and is tagged with the corner vertex it hugs and a
 lane depth; stage curves are nested, later stages closer to the
 boundary, which fixes the order of crossing points along every edge.
+Events (a curve's Crossing, a corner fan's FanEvent) are named tuples,
+so they are built, compared and hashed as tuples.
 A corner fan contains each interior edge at most once per endpoint, so
 a curve crosses an edge at most twice. The bound, the canonical
 intersection pattern, and unimodularity are verified, never assumed.
@@ -50,7 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import CubeComplex, CubeComplexError, _link_cycle, _reachable, \
     _ring_walk, build_complex, validate
@@ -115,8 +117,7 @@ def _dual_tree(C: CubeComplex, by_edge: dict[Edge, list[int]],
     return {adj[f][g] for f, g in parent.items() if g is not None}
 
 
-@dataclass(frozen=True)
-class FanEvent:
+class FanEvent(NamedTuple):
     """One interior-edge crossing as a curve slides past a corner."""
     edge: Edge
     vertex: int  # the corner endpoint the crossing hugs
@@ -198,8 +199,8 @@ def _primal_tree(n_vertices: int, cut: list[Edge]) -> set[Edge]:
 # curves
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
+    """One crossing of a curve with an edge, out of face f_from into f_to."""
     edge: Edge
     vertex: int  # corner endpoint the crossing hugs
     depth: int  # lane depth; larger lies deeper inside the disk
@@ -219,8 +220,8 @@ class CurveOnSurface:
 
     def reversed_(self) -> "CurveOnSurface":
         return CurveOnSurface(tuple(
-            Crossing(c.edge, c.vertex, c.depth, c.f_to, c.f_from)
-            for c in reversed(self.crossings)))
+            Crossing(e, v, depth, f_to, f_from)
+            for e, v, depth, f_from, f_to in reversed(self.crossings)))
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -243,32 +244,12 @@ def _span_events(word: list[Dart], p: int, q: int, depth: int
                  ) -> tuple[Crossing, ...]:
     """Closed curve alongside the boundary from just after the dart at p
     to just before its partner at q, closing through their common edge."""
-    n = len(word)
     d_p, d_q = word[p], word[q]
     assert d_p.edge == d_q.edge
-    dive = Crossing(d_p.edge, d_p.head, depth, d_q.face, d_p.face)
-    events = [dive]
-    k = (p + 1) % n
-    while True:
-        for ev in word[k].fan_before:
-            events.append(Crossing(ev.edge, ev.vertex, depth,
-                                   ev.f_from, ev.f_to))
-        if k == q:
-            break
-        k = (k + 1) % n
-    return tuple(events)
-
-
-def _span_cost(word: list[Dart], p: int, q: int) -> int:
-    n = len(word)
-    total = 0
-    k = (p + 1) % n
-    while True:
-        total += len(word[k].fan_before)
-        if k == q:
-            break
-        k = (k + 1) % n
-    return total
+    span = word[p + 1:q + 1] if p < q else word[p + 1:] + word[:q + 1]
+    return (Crossing(d_p.edge, d_p.head, depth, d_q.face, d_p.face),
+            *(Crossing(e, v, depth, f_from, f_to) for d in span
+              for e, v, f_from, f_to in d.fan_before))
 
 
 def _stage_glue(word: list[Dart], pu: int, pv: int, pu2: int, pv2: int,
@@ -285,11 +266,17 @@ def _stage_glue(word: list[Dart], pu: int, pv: int, pu2: int, pv2: int,
     u_dart, v_dart = word[pu], word[pv]
     u2_dart, v2_dart = word[pu2], word[pv2]
 
-    if _span_cost(word, pu, pu2) <= _span_cost(word, pu2, pu):
+    # a side's cost is its fan events; the two sides of a pair make up
+    # the whole word
+    fans = [len(d.fan_before) for d in word]
+    total = sum(fans)
+    cost_u = sum(fans[pu + 1:pu2 + 1])
+    cost_v = sum(fans[pv + 1:pv2 + 1])
+    if cost_u <= total - cost_u:
         alpha = CurveOnSurface(_span_events(word, pu, pu2, depth_a))
     else:
         alpha = CurveOnSurface(_span_events(word, pu2, pu, depth_a))
-    if _span_cost(word, pv, pv2) <= _span_cost(word, pv2, pv):
+    if cost_v <= total - cost_v:
         beta = CurveOnSurface(_span_events(word, pv, pv2, depth_b))
     else:
         beta = CurveOnSurface(_span_events(word, pv2, pv, depth_b))
@@ -541,28 +528,28 @@ def _arrangement(Q: CubeComplex, curves: Sequence[CurveOnSurface]
     tok_fwd = array("i", bytes(4 * len(events)))
     tok_bwd = array("i", tok_fwd)
     keys = array("q", bytes(8 * len(events)))
-    for g, x in enumerate(events):
-        e = edge_id.get(x.edge)
+    for g, (edge, vertex, depth, f_from, f_to) in enumerate(events):
+        e = edge_id.get(edge)
         p = prev[g]
-        if e is None or x.f_from != events[p].f_to:
+        if e is None or f_from != events[p].f_to:
             raise _NotAnArrangement(
                 f"event {g} is not a crossing of an edge of Q that "
                 "continues its curve")
-        if (x.f_to, x.f_from) == (fwd[e], bwd[e]):
+        if f_to == fwd[e] and f_from == bwd[e]:
             tok_fwd[g], tok_bwd[g] = 2 * g + 1, 2 * p
-        elif (x.f_to, x.f_from) == (bwd[e], fwd[e]):
+        elif f_to == bwd[e] and f_from == fwd[e]:
             tok_fwd[g], tok_bwd[g] = 2 * p, 2 * g + 1
         else:
             raise _NotAnArrangement(
-                f"event {g} crosses {x.edge} between faces "
-                f"{x.f_from} and {x.f_to}, which are not its two faces")
-        if x.vertex == x.edge[0]:
-            keys[g] = e * width + x.depth - d0
-        elif x.vertex == x.edge[1]:
-            keys[g] = e * width + width - 1 - (x.depth - d0)
+                f"event {g} crosses {edge} between faces "
+                f"{f_from} and {f_to}, which are not its two faces")
+        if vertex == edge[0]:
+            keys[g] = e * width + depth - d0
+        elif vertex == edge[1]:
+            keys[g] = e * width + width - 1 - (depth - d0)
         else:
             raise _NotAnArrangement(
-                f"event {g} hugs {x.vertex}, not an endpoint of {x.edge}")
+                f"event {g} hugs {vertex}, not an endpoint of {edge}")
     order = sorted(range(len(events)), key=keys.__getitem__)
     sorted_keys = array("q", map(keys.__getitem__, order))
     for t in range(1, len(order)):

@@ -25,7 +25,14 @@ complex is first reduced, then eliminated:
   3. The integer Smith normal form of what is left gives the invariant
      factors of every boundary map. Every coefficient ring reads its ranks
      off them: over Z and Q the rank is their number, mod p the number not
-     divisible by p.
+     divisible by p. Each pivot is the unit entry of least Markowitz cost
+     (|row| - 1)(|column| - 1) (Markowitz 1957), ties to the least
+     (row, column); with no unit left, the entry of least (|v|, row,
+     column). A unit alone in its row or column costs 0, the least there
+     is, so one pass over the row and column lengths looks among those
+     first, and only when there is none are all units scanned. On the
+     pairing matrices of basis (122 x 122 at n = 31, 146 x 146 at n = 37)
+     every pivot has cost 0, so the scan never runs there.
 
 The augmentation lowers b_0 by one, so b_0 of a non-empty complex is the
 reduced b_0 plus 1. On spheres the reduction leaves a single top cell.
@@ -98,12 +105,14 @@ def boundary_columns(C: CubeComplex, k: int) -> list[dict[int, int]]:
 # sparse integer Smith normal form
 
 class _SparseMat:
-    """Mutable sparse integer matrix with row and column indexes kept in sync."""
+    """Mutable sparse integer matrix with row and column indexes kept in sync.
+    It counts the row and column operations applied to it."""
 
     def __init__(self, columns: list[dict[int, int]]):
         self.rows: dict[int, dict[int, int]] = {}
         self.col_index: dict[int, set[int]] = {}
         self.units: set[tuple[int, int]] = set()
+        self.row_ops = self.col_ops = 0
         for j, col in enumerate(columns):
             for i, v in col.items():
                 if v:
@@ -136,32 +145,37 @@ class _SparseMat:
                 self.units.discard((i, j))
 
     def row_op(self, target: int, source: int, factor: int) -> None:
+        self.row_ops += 1
         for j, v in list(self.rows.get(source, {}).items()):
             self.set(target, j, self.get(target, j) + factor * v)
 
     def col_op(self, target: int, source: int, factor: int) -> None:
+        self.col_ops += 1
         for i in list(self.col_index.get(source, set())):
             self.set(i, target, self.get(i, target) + factor * self.rows[i][source])
 
 
-def _choose_pivot(M: _SparseMat) -> tuple[int, int]:
-    if M.units:
-        # Markowitz fill estimate among unit entries, deterministic tie-break
-        return min(
-            M.units,
-            key=lambda ij: (
-                (len(M.rows[ij[0]]) - 1) * (len(M.col_index[ij[1]]) - 1),
-                ij,
-            ),
-        )
-    best = None
-    for i in sorted(M.rows):
-        for j, v in sorted(M.rows[i].items()):
-            cand = (abs(v), i, j)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best[1], best[2]
+# how _choose_pivot found each pivot, counted in smith_invariant_factors
+_COST0, _SCAN, _NON_UNIT = range(3)
+
+
+def _choose_pivot(M: _SparseMat) -> tuple[int, int, int]:
+    """The next pivot (i, j) and how it was found (see the module
+    docstring, step 3)."""
+    units = M.units
+    if units:
+        free = [(i, j) for i, row in M.rows.items() if len(row) == 1
+                for j in row if (i, j) in units]
+        free += [(i, j) for j, col in M.col_index.items() if len(col) == 1
+                 for i in col if (i, j) in units]
+        if free:
+            return (*min(free), _COST0)
+        i, j = min(units, key=lambda ij: (
+            (len(M.rows[ij[0]]) - 1) * (len(M.col_index[ij[1]]) - 1), ij))
+        return i, j, _SCAN
+    _, i, j = min((abs(v), i, j)
+                  for i, row in M.rows.items() for j, v in row.items())
+    return i, j, _NON_UNIT
 
 
 def _isolate_pivot(M: _SparseMat, i: int, j: int) -> tuple[int, int]:
@@ -213,11 +227,23 @@ def _isolate_pivot(M: _SparseMat, i: int, j: int) -> tuple[int, int]:
 
 
 def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
-    """Invariant factors (each > 0, divisibility chain) of the sparse matrix."""
+    """Invariant factors (each > 0, divisibility chain) of the sparse matrix.
+
+    Emits one DEBUG record under cubulations.topology: the number of
+    nonzero rows and of columns, the nonzeros, the pivots found among
+    the units alone in their row or column, by the full Markowitz scan
+    and by the non-unit rule, the row and column operations, and seconds.
+    A matrix with no nonzero entry has nothing to eliminate and logs
+    nothing.
+    """
+    t0 = time.perf_counter()
     M = _SparseMat(columns)
+    rows, nonzeros = len(M.rows), sum(map(len, M.rows.values()))
+    found = [0, 0, 0]
     diag: list[int] = []
     while M.rows:
-        i, j = _choose_pivot(M)
+        i, j, how = _choose_pivot(M)
+        found[how] += 1
         i, j = _isolate_pivot(M, i, j)
         diag.append(abs(M.get(i, j)))
         M.set(i, j, 0)
@@ -230,6 +256,12 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
                     g = gcd(diag[a], diag[b])
                     diag[a], diag[b] = g, diag[a] * diag[b] // g
                     changed = True
+    if rows:
+        log.debug("smith_invariant_factors: %d x %d, %d nonzeros; pivots "
+                  "%d cost-0, %d by Markowitz scan, %d non-unit; %d row and "
+                  "%d column operations, %.4f s", rows, len(columns),
+                  nonzeros, *found, M.row_ops, M.col_ops,
+                  time.perf_counter() - t0)
     return sorted(diag)
 
 

@@ -18,6 +18,7 @@ from cubulations.basis import (
     CurveBasis,
     CurveOnSurface,
     EdgePathBasis,
+    FanEvent,
     _crossing_sign,
     _edge,
     _edge_event_key,
@@ -38,6 +39,7 @@ from cubulations.core import build_complex, cube_faces, validate
 from cubulations.surface_gen import surface_report
 from cubulations.topology import betti_numbers, surface_invariants
 from cubulations.transforms import glue, torus_complex
+from test_topology import pivots_checked_by_full_scan, smith_record_counts
 
 
 def boundary_c3():
@@ -266,6 +268,19 @@ def test_unimodular_pattern_n31(n31):
     assert verify_basis(Q, B)
 
 
+def test_pairing_matrix_pivots_all_cost_0_n31(n31, caplog):
+    Q, B = n31
+    M = pairing_matrix(Q, B)
+    cols = [{i: row[j] for i, row in enumerate(M) if row[j]}
+            for j in range(len(M))]
+    found = pivots_checked_by_full_scan(cols)
+    assert len(found) == 122
+    factors, counts = smith_record_counts(caplog, cols)
+    assert factors == [1] * 122
+    # shape, nonzeros, then pivots: 122 cost-0, no scan, no non-unit
+    assert counts[:6] == (122, 122, 2856, 122, 0, 0)
+
+
 def test_pairing_matrix_matches_the_scan(n31):
     T = torus_complex(2)
     B = canonical_basis(T)
@@ -286,6 +301,23 @@ def test_intersection_matrix_is_symplectic_n31(n31):
             if i // 2 == j // 2 and i != j:
                 want = 1 if i < j else -1
             assert M[i][j] == want
+
+
+def test_events_are_named_tuples():
+    x = Crossing(edge=(0, 1), vertex=0, depth=2, f_from=3, f_to=4)
+    assert Crossing._fields == ("edge", "vertex", "depth", "f_from", "f_to")
+    assert FanEvent._fields == ("edge", "vertex", "f_from", "f_to")
+    assert (x.edge, x.vertex, x.depth, x.f_from, x.f_to) == ((0, 1), 0, 2, 3, 4)
+    y = Crossing((0, 1), 0, 2, 3, 4)
+    assert x == y and hash(x) == hash(y)
+    assert x != Crossing((0, 1), 0, 2, 4, 3)
+    B = canonical_basis(torus_complex(2))
+    for c in B.curves:
+        assert c.reversed_() != c
+        assert c.reversed_().reversed_() == c
+    # equal curves of other objects hash alike
+    assert len({*B.curves, *map(_copy_curve, B.curves),
+                *(c.reversed_() for c in B.curves)}) == 4
 
 
 def test_arrangement_agrees_with_matrix():

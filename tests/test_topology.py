@@ -13,10 +13,14 @@ from cubulations.core import (
     relabel,
     vertex_link,
 )
+from cubulations import topology
 from cubulations.topology import (
     HomologyProfile,
     NonSurfaceLinkError,
+    _choose_pivot,
     _connected_skeleton,
+    _isolate_pivot,
+    _SparseMat,
     betti_numbers,
     boundary_columns,
     homology_sphere_check,
@@ -169,13 +173,13 @@ def test_boundary_matrix_k_out_of_range():
 
 
 @st.composite
-def sparse_int_matrices(draw):
-    nrows = draw(st.integers(min_value=1, max_value=6))
-    ncols = draw(st.integers(min_value=1, max_value=6))
+def sparse_int_matrices(draw, max_size=6,
+                        entries=st.integers(min_value=-4, max_value=4)):
+    nrows = draw(st.integers(min_value=1, max_value=max_size))
+    ncols = draw(st.integers(min_value=1, max_value=max_size))
     dense = draw(
         st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4),
-                     min_size=ncols, max_size=ncols),
+            st.lists(entries, min_size=ncols, max_size=ncols),
             min_size=nrows,
             max_size=nrows,
         )
@@ -217,6 +221,95 @@ def test_smith_divisibility_chain():
     assert smith_invariant_factors(cols) == [1, 6]
     cols = _to_columns([[4, 0], [0, 6]])
     assert smith_invariant_factors(cols) == [2, 12]
+
+
+# ---------------------------------------------------------------------------
+# the pivot choice against the full Markowitz scan
+
+
+def _pivot_by_full_scan(M):
+    """The pivot rule as one scan over every candidate, the oracle for
+    _choose_pivot: the unit of least Markowitz cost, ties to the least
+    (i, j); with no unit left, the entry of least (|v|, i, j)."""
+    if M.units:
+        return min(
+            M.units,
+            key=lambda ij: (
+                (len(M.rows[ij[0]]) - 1) * (len(M.col_index[ij[1]]) - 1),
+                ij,
+            ),
+        )
+    best = None
+    for i in sorted(M.rows):
+        for j, v in sorted(M.rows[i].items()):
+            cand = (abs(v), i, j)
+            if best is None or cand < best:
+                best = cand
+    return best[1], best[2]
+
+
+def pivots_checked_by_full_scan(columns):
+    """Eliminate as smith_invariant_factors does, asserting at every step
+    that _choose_pivot picks the oracle's pivot. Returns each pivot with
+    how _choose_pivot found it."""
+    M = _SparseMat(columns)
+    found = []
+    while M.rows:
+        i, j, how = _choose_pivot(M)
+        assert (i, j) == _pivot_by_full_scan(M)
+        found.append((i, j, how))
+        i, j = _isolate_pivot(M, i, j)
+        M.set(i, j, 0)
+    return found
+
+
+# up to 12 x 12, with zeros, units and larger entries, so that pivots come
+# from the cost-0 pass, the full scan and the non-unit rule
+pivot_matrices = sparse_int_matrices(
+    12, st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 4]))
+
+
+@given(pivot_matrices)
+@settings(max_examples=300, deadline=None)
+def test_pivot_is_the_full_scans(dense):
+    cols = _to_columns(dense)
+    found = pivots_checked_by_full_scan(cols)
+    assert len(found) == len(smith_invariant_factors(cols))
+
+
+SMITH_RECORD = re.compile(
+    r"smith_invariant_factors: (\d+) x (\d+), (\d+) nonzeros; pivots (\d+) "
+    r"cost-0, (\d+) by Markowitz scan, (\d+) non-unit; (\d+) row and "
+    r"(\d+) column operations, \d+\.\d{4} s")
+
+
+def smith_record_counts(caplog, columns):
+    """smith_invariant_factors(columns) and the counts of its one record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        factors = smith_invariant_factors(columns)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "cubulations.topology"]
+    assert len(records) == 1
+    m = SMITH_RECORD.fullmatch(records[0])
+    assert m, records[0]
+    return factors, tuple(map(int, m.groups()))
+
+
+def test_smith_logs_how_each_pivot_was_found(caplog):
+    # (2, 2) is alone in its column; then every unit left shares its row
+    # and its column, so the scan picks (0, 0); -2 is left
+    cols = _to_columns([[1, 1, 0], [1, -1, 0], [0, 2, 1]])
+    assert [how for *_, how in pivots_checked_by_full_scan(cols)] == \
+        [topology._COST0, topology._SCAN, topology._NON_UNIT]
+    factors, counts = smith_record_counts(caplog, cols)
+    assert factors == [1, 1, 2]
+    assert counts == (3, 3, 6, 1, 1, 1, 1, 2)
+    # nothing to eliminate, nothing logged
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        assert smith_invariant_factors([{}, {}]) == []
+    assert not caplog.records
 
 
 # ---------------------------------------------------------------------------
