@@ -79,8 +79,8 @@ from .core import (
     validate,
 )
 from .fileio import FormatError, dumps_complex, loads_complex
-from .topology import NonSurfaceLinkError, _collapse, _is_closed, \
-    betti_numbers, surface_invariants
+from .topology import NonSurfaceLinkError, _is_closed, \
+    _reduces_to_nothing, betti_numbers, surface_invariants
 from .transforms import boundary_complex
 
 __all__ = [
@@ -829,9 +829,9 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
 
     Re-derives the boundary of the ball, maps it through boundary_iso,
     and compares cell by cell with S in every dimension; also checks
-    that the ball is a valid complex with the homology of a ball: a ball
-    that collapses to one vertex is contractible, and one whose collapse
-    gets stuck has its Betti numbers computed. The certificate's producer
+    that the ball is a valid complex with the homology of a ball: it is
+    acyclic if its chain complex reduces to nothing (topology._reduce),
+    and otherwise its Betti numbers decide. The certificate's producer
     is not trusted, so external certificates go through the same gate.
     Returns a report; the witness on a cell mismatch is an unmatched cell.
     """
@@ -842,7 +842,7 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     if not rep.is_complex:
         return FillCheck(False, "ball is not a valid complex",
                          rep.violations[0] if rep.violations else None)
-    if not _collapse(ball):
+    if not _reduces_to_nothing(ball):
         prof = betti_numbers(ball)
         if prof.betti != (1, 0, 0, 0) or any(prof.torsion):
             return FillCheck(False,

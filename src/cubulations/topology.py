@@ -14,14 +14,13 @@ complex is first reduced, then eliminated:
   1. The chain complex is augmented by a (-1)-cell that is the single face
      of every vertex, with coefficient 1. Its homology is the reduced
      homology of the complex.
-  2. Pairs (a, b), with a a facet of b, are removed while b has no other
-     facet left (a coreduction) or a has no other coface left (a free-face
-     collapse). Every incidence of a cube complex is +-1, and neither kind
-     of pair changes any other boundary, so what is left is a chain complex
-     with the same homology whose boundary is the restriction of the
-     original one (Kaczynski-Mischaikow-Mrozek, Computational Homology;
-     Mrozek-Batko, Coreduction homology algorithm). A FIFO queue of the
-     cells whose face or coface count fell to one drives the removal.
+  2. Pairs (a, b), with a a facet of b, are removed by _reduce while a
+     has no other live coface (a free face) or b no other live facet (a
+     coreduction). Every incidence of a cube complex is +-1, and neither
+     kind of pair changes any other boundary, so what is left is a chain
+     complex with the same homology whose boundary is the restriction of
+     the original one (Kaczynski-Mischaikow-Mrozek, Computational
+     Homology; Mrozek-Batko, Coreduction homology algorithm).
   3. The integer Smith normal form of what is left gives the invariant
      factors of every boundary map. Every coefficient ring reads its ranks
      off them: over Z and Q the rank is their number, mod p the number not
@@ -36,35 +35,35 @@ complex is first reduced, then eliminated:
 
 The augmentation lowers b_0 by one, so b_0 of a non-empty complex is the
 reduced b_0 plus 1. On spheres the reduction leaves a single top cell.
-The reduction needs cofaces, so it copies every facet and coface table
-into one numbering over all dimensions.
 
-Spheres and balls are first certified by collapsing, which reads only the
-facet tables (_collapse). A free face is a k-cell with exactly one live
-(k+1)-coface; it is removed together with that coface. Per k-cell the
-engine keeps the number of its live cofaces and the XOR of their ids, so
-once the number is 1 the XOR is the coface, with no coface table and no
-renumbering; before each collapse it checks that the cell is a facet of
-that coface. A collapse at level k frees only k-cells, so the levels run
-from the top down, each with its own FIFO queue, and a (k+1)-cell left
-after level k makes the collapse stuck. A collapse keeps the homotopy
-type, so a complex that collapses to one vertex is contractible.
-homology_sphere_check removes the open top cell F first: if S - F is
-contractible, the long exact sequence of the pair gives
-H~_*(S) = H_*(S, S - F), which is Z in degree d and 0 elsewhere, so S has
-the integral homology of the d-sphere with no torsion. A stuck collapse
+_reduce works on the incidence index in its own per-level ids. Per k-cell
+it keeps the number of its live cofaces and the XOR of their ids, so once
+the number is 1 the XOR is the coface, which it checks against that
+coface's facet row. Phase 1 collapses on the facet tables alone: a
+free-face pair at level k frees only k-cells, so the levels run from the
+top down, each with its own FIFO queue. Its pairs are collapses until a
+(k+1)-cell is left after level k, and a complex that collapses to one
+vertex is contractible. Phase 2 runs only when a cell is left. On the
+cached coface tables it runs coreductions from the bottom level up (a
+vertex with the (-1)-cell, then edges with their last vertex, and so on)
+and free faces from the top down, until neither removes a pair.
+
+homology_sphere_check removes the open top cell F first: if S - F reduces
+to nothing, it is acyclic (contractible when every pair is a collapse),
+and the long exact sequence of the pair gives H~_*(S) = H_*(S, S - F),
+which is Z in degree d and 0 elsewhere. A reduction that leaves a cell
 proves nothing, and the check falls through to betti_numbers, so the
-verdict is the same on every input.
+verdict is the same on every input. A contractible complex need not
+collapse, nor reduce to nothing: a dunce hat has no free edge.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 
 from .core import (
@@ -313,157 +312,150 @@ def rank_over_q(columns: list[dict[int, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reduction of the augmented chain complex
+# pair removal: collapses, then coreductions
 
-def _reduced_boundaries(C: CubeComplex) -> tuple[int, list[list[dict[int, int]]]]:
-    """Remove coreduction and free-face pairs from the augmented chain
-    complex of C (see the module docstring). Returns the number of pairs
-    removed and, for each level L = k + 1 (k = -1..C.dim), the columns of
-    the boundary from the surviving k-cells into the surviving
-    (k-1)-cells, renumbered within each level."""
-    inc = C.incidence()
-    f = C.f_vector()
-    # one numbering: 0 is the (-1)-cell, then the cells of each dimension
-    start = [0, 1]
-    for n in f:
-        start.append(start[-1] + n)
-    size = start[-1]
-    # facets (fptr, fidx, fco) and cofaces (cptr, cidx) on that numbering;
-    # the (-1)-cell has no facet and is every vertex's one facet, with +1
-    fptr = array("l", [0, *range(f[0] + 1)])
-    fidx = array("l", [0]) * f[0]
-    fco = array("b", [1]) * f[0]
-    cptr = array("l", [0, f[0]])
-    cidx = array("l", range(1, f[0] + 1))
-    for k in range(1, C.dim + 1):
-        ids, coeffs = inc.facets(k)
-        fidx.extend(start[k] + x for x in ids)
-        fco.extend(coeffs)
-        w = 2 * k
-        fptr.extend(range(fptr[-1] + w, fptr[-1] + w * f[k] + 1, w))
-    for k in range(C.dim + 1):
-        ptr, owners = inc.cofaces(k)
-        cidx.extend(start[k + 2] + y for y in owners)
-        base = cptr[-1]
-        cptr.extend(base + p for p in ptr[1:])
-    n_faces = [fptr[g + 1] - fptr[g] for g in range(size)]
-    n_cofaces = [cptr[g + 1] - cptr[g] for g in range(size)]
-    alive = bytearray(b"\x01") * size
-    # FIFO order matters: on a 4120-cell S^3 a LIFO stack strands 1717
-    # cells, this queue leaves one
-    queue = deque(g for g in range(size)
-                  if n_faces[g] == 1 or n_cofaces[g] == 1)
-    pairs = 0
-    while queue:
-        g = queue.popleft()
-        if not alive[g]:
-            continue
-        if n_faces[g] == 1:
-            other = next(x for x in fidx[fptr[g]:fptr[g + 1]] if alive[x])
-        elif n_cofaces[g] == 1:
-            other = next(y for y in cidx[cptr[g]:cptr[g + 1]] if alive[y])
-        else:
-            continue
-        for h in (g, other):
-            alive[h] = 0
-            for x in fidx[fptr[h]:fptr[h + 1]]:
-                if alive[x]:
-                    n_cofaces[x] -= 1
-                    if n_cofaces[x] == 1:
-                        queue.append(x)
-            for y in cidx[cptr[h]:cptr[h + 1]]:
-                if alive[y]:
-                    n_faces[y] -= 1
-                    if n_faces[y] == 1:
-                        queue.append(y)
-        pairs += 1
-    levels: list[list[dict[int, int]]] = []
-    row: dict[int, int] = {}
-    for L in range(len(start) - 1):
-        survivors = [g for g in range(start[L], start[L + 1]) if alive[g]]
-        levels.append([
-            {row[x]: c for x, c in zip(fidx[fptr[g]:fptr[g + 1]],
-                                       fco[fptr[g]:fptr[g + 1]]) if alive[x]}
-            for g in survivors])
-        row = {g: i for i, g in enumerate(survivors)}
-    return pairs, levels
+def _reduce(C: CubeComplex, drop: int | None = None
+            ) -> tuple[int, int, list[list[int]]]:
+    """Remove pairs from the augmented chain complex of C, less the open
+    top cell `drop` when one is given (see the module docstring). Returns
+    the pairs removed by collapse (in phase 1, before a cell is left with
+    no free face), the pairs removed in all, and for each level L = k + 1
+    (k = -1..C.dim) the ids of the k-cells left; the (-1)-cell is id 0 of
+    level 0. The pair of the (-1)-cell and a vertex is in neither count.
 
-
-# ---------------------------------------------------------------------------
-# free-face collapse on the facet tables
-
-def _collapse(C: CubeComplex, drop: int | None = None) -> bool:
-    """Whether C, less the open top cell `drop` when one is given, collapses
-    to a single vertex by FIFO free-face collapses, level by level (see the
-    module docstring). Reads only the facet tables; emits one DEBUG record
-    under cubulations.topology."""
+    Emits one DEBUG record under cubulations.topology: cells of C, the
+    cell dropped, pairs removed, the cells of C outside them (1, a vertex,
+    when nothing is left), the verdict, pairs by collapse, cells left per
+    dimension -1..C.dim and seconds."""
     t0 = time.perf_counter()
     inc = C.incidence()
     d = C.dim
     f = C.f_vector()
     live = list(f)
+    alive = [bytearray(b"\x01") * n for n in f]
+    rows = [inc.facets(k)[0] for k in range(d + 1)]
     # per k-cell: how many (k+1)-cells have it as a live facet, and the XOR
     # of their ids, which is the one coface once the count is 1
-    count: list[list[int]] = []
-    xor: list[list[int]] = []
+    count = [[0] * n for n in f[:d]]
+    xor = [[0] * n for n in f[:d]]
     for k in range(d):
-        cnt, acc = [0] * f[k], [0] * f[k]
-        ids, w = inc.facets(k + 1)[0], 2 * k + 2
+        cnt, acc, ids, w = count[k], xor[k], rows[k + 1], 2 * k + 2
         for side in range(w):
             for j, x in enumerate(ids[side::w]):
                 cnt[x] += 1
                 acc[x] ^= j
-        count.append(cnt)
-        xor.append(acc)
     if drop is not None:
         w = 2 * d
-        for x in inc.facets(d)[0][w * drop:w * drop + w]:
+        for x in rows[d][w * drop:w * drop + w]:
             count[d - 1][x] -= 1
             xor[d - 1][x] ^= drop
+        alive[d][drop] = 0
         live[d] -= 1
     pairs = 0
-    stuck = False
-    # a pair at level k removes a free k-cell and its (k+1)-coface; it frees
-    # only k-cells, and lowers the counts of (k-1)-cells, which the next
-    # level reads, so no level is visited twice
-    for k in range(d - 1, -1, -1):
-        cnt, acc = count[k], xor[k]
-        up = inc.facets(k + 1)[0]
-        w = 2 * k + 2
-        below = inc.facets(k)[0]  # empty at k = 0
-        cnt_below, acc_below = count[k - 1], xor[k - 1]
-        queue = deque(i for i, n in enumerate(cnt) if n == 1)
-        while queue:
-            s = queue.popleft()
-            if cnt[s] != 1:
-                continue
-            c = acc[s]
-            row = up[w * c:w * c + w]
-            if s not in row:
-                stuck = True  # the tables disagree; certify nothing
-                break
-            for x in row:
-                cnt[x] -= 1
-                acc[x] ^= c
-                if cnt[x] == 1:
-                    queue.append(x)
-            for y in below[(w - 2) * s:(w - 2) * s + w - 2]:
-                cnt_below[y] -= 1
-                acc_below[y] ^= s
-            live[k] -= 1
-            live[k + 1] -= 1
-            pairs += 1
-        # a (k+1)-cell left now has no free face and never will
-        if stuck or live[k + 1]:
-            stuck = True
+    collapsed = None
+    void = 1  # the (-1)-cell
+    while True:
+        # free faces from the top down (the first sweep is phase 1): a pair
+        # at level k removes a free k-cell and its (k+1)-coface; it frees
+        # only k-cells, and lowers the counts of (k-1)-cells, which the
+        # next level reads
+        for k in range(d - 1, -1, -1):
+            cnt, acc = count[k], xor[k]
+            up, w = rows[k + 1], 2 * k + 2
+            below = rows[k]  # empty at k = 0
+            cnt_below, acc_below = count[k - 1], xor[k - 1]
+            on, on_up = alive[k], alive[k + 1]
+            queue = deque(i for i, n in enumerate(cnt) if n == 1)
+            while queue:
+                s = queue.popleft()
+                if cnt[s] != 1 or not on[s]:
+                    continue
+                c = acc[s]
+                row = up[w * c:w * c + w]
+                if s not in row:
+                    continue  # the tables disagree; remove no such pair
+                for x in row:
+                    cnt[x] -= 1
+                    acc[x] ^= c
+                    if cnt[x] == 1:
+                        queue.append(x)
+                for y in below[(w - 2) * s:(w - 2) * s + w - 2]:
+                    cnt_below[y] -= 1
+                    acc_below[y] ^= s
+                on[s] = on_up[c] = 0
+                live[k] -= 1
+                live[k + 1] -= 1
+                pairs += 1
+            # a (k+1)-cell left now has no free face and never will, so
+            # the pairs after it are not collapses
+            if live[k + 1] and collapsed is None:
+                collapsed = pairs
+        if collapsed is None:
+            collapsed = pairs
+        if void and live[0]:
+            # every vertex has the (-1)-cell as its one facet
+            alive[0][alive[0].index(1)] = void = 0
+            live[0] -= 1
+        if not any(live):
             break
-    certified = not stuck and live[0] == 1
-    log.debug("collapse: %d cells, dropped %s, %d pairs removed, %d cells "
-              "left, %s, %.3f s", sum(f),
+        # phase 2: coreductions from the bottom level up, on nf, the live
+        # facets per cell: a pair at level k removes a k-cell with one live
+        # facet and that facet, and leaves new candidates only at levels k
+        # and k + 1
+        before = pairs
+        nf = [[0] * n for n in f]
+        for k in range(1, d + 1):
+            n, ids, w, low = nf[k], rows[k], 2 * k, alive[k - 1]
+            for side in range(w):
+                for j, x in enumerate(ids[side::w]):
+                    n[j] += low[x]
+        cof = [inc.cofaces(k) for k in range(d)]
+        for k in range(1, d + 1):
+            w, on, low, n = 2 * k, alive[k], alive[k - 1], nf[k]
+            queue = deque(b for b, m in enumerate(n) if m == 1 and on[b])
+            while queue:
+                b = queue.popleft()
+                if n[b] != 1 or not on[b]:
+                    continue
+                a = next(x for x in rows[k][w * b:w * b + w] if low[x])
+                # a's cofaces are k-cells, which this pass reads next;
+                # b's are (k+1)-cells, which the next pass reads
+                for j, h in ((k - 1, a), (k, b)):
+                    alive[j][h] = 0
+                    live[j] -= 1
+                    if j:
+                        cnt, acc = count[j - 1], xor[j - 1]
+                        for x in rows[j][2 * j * h:2 * j * h + 2 * j]:
+                            cnt[x] -= 1
+                            acc[x] ^= h
+                    if j < d:
+                        ptr, owners = cof[j]
+                        up = nf[j + 1]
+                        for y in owners[ptr[h]:ptr[h + 1]]:
+                            up[y] -= 1
+                            if up[y] == 1 and j < k:
+                                queue.append(y)
+                pairs += 1
+        if pairs == before:
+            break
+    left = [[0] if void else []] + [
+        list(compress(range(len(on)), on)) if n else []
+        for on, n in zip(alive, live)]
+    verdict = "undecided" if any(left) else "certified contractible" \
+        if collapsed == pairs else "certified acyclic"
+    log.debug("reduce: %d cells, dropped %s, %d pairs removed, %d cells "
+              "left, %s; %d pairs by collapse, remainder %s in dimensions "
+              "-1..%d, %.3f s", sum(f),
               "none" if drop is None else f"{d}-cell {drop}", pairs,
-              sum(live), "certified" if certified else "fallback",
-              time.perf_counter() - t0)
-    return certified
+              sum(f) - (drop is not None) - 2 * pairs, verdict, collapsed,
+              [len(ids) for ids in left], d, time.perf_counter() - t0)
+    return collapsed, pairs, left
+
+
+def _reduces_to_nothing(C: CubeComplex, drop: int | None = None) -> bool:
+    """Whether the augmented chain complex of C, less the open top cell
+    `drop` when one is given, reduces to nothing: C - drop is acyclic."""
+    return not any(_reduce(C, drop)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -571,28 +563,36 @@ def betti_numbers(C: CubeComplex, coeff="z") -> HomologyProfile:
     exact at every size.
 
     A connected closed orientable surface takes its certified path.
-    Otherwise the augmented chain complex is reduced by coreductions and
-    free-face collapses, and the integer Smith normal form of the small
-    remainder gives the invariant factors from which every coefficient
-    ring's ranks are read (see the module docstring). The augmentation's
-    (-1)-cell takes one class from H_0, so b_0 is the reduced b_0 plus 1
-    on a non-empty complex. The reduction emits one DEBUG record under
-    cubulations.topology: cells in, pairs removed, the remainder's size per
-    dimension and the seconds taken.
+    Otherwise the augmented chain complex is reduced (_reduce, which emits
+    one DEBUG record), and the integer Smith normal form of the boundary
+    on the cells left gives the invariant factors from which every
+    coefficient ring's ranks are read (see the module docstring). The
+    augmentation's (-1)-cell takes one class from H_0, so b_0 is the
+    reduced b_0 plus 1 on a non-empty complex.
     """
     kind, p = _parse_coeff(coeff)
     # torsion-free by certificate, so the answer serves every coefficient ring
     fast = _surface_profile(C)
     if fast is not None:
         return fast
-    t0 = time.perf_counter()
-    pairs, levels = _reduced_boundaries(C)
+    _, _, left = _reduce(C)
+    # level L = k + 1 holds the k-cells, k = -1..dim; the boundary on what
+    # is left is the restriction of the original one
+    levels: list[list[dict[int, int]]] = [
+        [{}] * len(left[0]), [{0: 1} if left[0] else {} for _ in left[1]]]
+    for k in range(1, C.dim + 1):
+        row = {g: i for i, g in enumerate(left[k])}
+        ids, coeffs = C.incidence().facets(k)
+        w = 2 * k
+        levels.append([
+            {row[x]: c for x, c in zip(ids[w * g:w * g + w],
+                                       coeffs[w * g:w * g + w]) if x in row}
+            for g in left[k + 1]])
     factors = [smith_invariant_factors(cols) for cols in levels] + [[]]
     if kind == "p":
         ranks = [sum(1 for x in inv if x % p) for inv in factors]
     else:
         ranks = [len(inv) for inv in factors]
-    # level L = k + 1 holds the k-cells, k = -1..dim
     betti = [len(levels[k + 1]) - ranks[k + 1] - ranks[k + 2]
              for k in range(C.dim + 1)]
     if C.f_vector()[0]:
@@ -600,10 +600,6 @@ def betti_numbers(C: CubeComplex, coeff="z") -> HomologyProfile:
     torsion = tuple(
         tuple(x for x in factors[k + 2] if x > 1) if kind == "z" else ()
         for k in range(C.dim + 1))
-    log.debug("betti_numbers: %d cells with the (-1)-cell, %d pairs "
-              "removed, remainder %s in dimensions -1..%d, %.3f s",
-              sum(C.f_vector()) + 1, pairs, [len(cols) for cols in levels],
-              C.dim, time.perf_counter() - t0)
     return HomologyProfile(betti=tuple(betti), torsion=torsion,
                            euler=C.euler_characteristic())
 
@@ -686,12 +682,12 @@ def _connected_skeleton(C: CubeComplex) -> bool:
 def homology_sphere_check(C: CubeComplex, d: int) -> bool:
     """Whether C is d-dimensional with the integral homology of the
     d-sphere: Betti numbers (1, 0, ..., 0, 1) and no torsion. Exact at
-    every size. C less its open top cell 0 is collapsed first; a collapse
-    to one vertex certifies the answer (see the module docstring). A stuck
-    collapse, or a C with no d-cell, goes to betti_numbers."""
+    every size. C less its open top cell 0 is reduced first; a reduction
+    to nothing certifies the answer (see the module docstring). One that
+    leaves a cell, or a C with no d-cell, goes to betti_numbers."""
     if d != C.dim or d < 1:
         return False
-    if C.cells.get(d) and _collapse(C, drop=0):
+    if C.cells.get(d) and _reduces_to_nothing(C, drop=0):
         return True
     prof = betti_numbers(C, "z")
     return prof.betti == (1,) + (0,) * (d - 1) + (1,) \

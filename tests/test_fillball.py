@@ -278,7 +278,7 @@ def test_verify_certifies_a_collapsible_ball_without_homology(monkeypatch):
 
 
 def test_stuck_collapse_gives_the_same_fill_checks(monkeypatch):
-    # the Betti numbers decide when the collapse proves nothing
+    # the Betti numbers decide when the reduction proves nothing
     S = pillar_sphere(2)
     cert = fill_ball(S)
     two_balls = build_complex(3, [tuple(range(8)), tuple(range(8, 16))])
@@ -286,7 +286,8 @@ def test_stuck_collapse_gives_the_same_fill_checks(monkeypatch):
              (FillCertificate(two_balls, {v: v for v in range(16)}),
               boundary_c3())]
     before = [verify_filling(c, T) for c, T in cases]
-    monkeypatch.setattr(fillball, "_collapse", lambda C, drop=None: False)
+    monkeypatch.setattr(fillball, "_reduces_to_nothing",
+                        lambda C, drop=None: False)
     assert [verify_filling(c, T) for c, T in cases] == before
     assert before[0] and "homology" in before[1].reason
 

@@ -37,7 +37,7 @@ from cubulations.fillball import FillFailed
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
 from test_fillball import opposite_pinwheel
-from test_topology import klein_4x4, sphere_wedge, torus_4x4
+from test_topology import dunce_hat, klein_4x4, sphere_wedge, torus_4x4
 from cubulations.sphere_builder import (
     AssemblyError,
     FillRequest,
@@ -632,7 +632,24 @@ def test_doubling_collapses_both_spheres(heegaard_s3, caplog):
 
 def test_heegaard_s3_collapses_at_every_facet(heegaard_s3):
     assert len(heegaard_s3.cells[3]) == 494
-    assert all(topology._collapse(heegaard_s3, i) for i in range(494))
+
+    def collapses(i):
+        collapsed, pairs, left = topology._reduce(heegaard_s3, i)
+        return collapsed == pairs and not any(left)
+
+    assert all(collapses(i) for i in range(494))
+
+
+def test_longitude_handlebody_reduces_to_one_edge(heegaard_pieces, caplog):
+    # the collapse takes the solid torus to a circle and coreductions take
+    # the circle to one edge, the generator of H_1
+    hbB = heegaard_pieces[3].complex
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        assert betti_numbers(hbB).betti == (1, 1, 0, 0)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "cubulations.topology"]
+    assert len(messages) == 1
+    assert "remainder [0, 0, 1, 0, 0] in dimensions -1..3" in messages[0]
 
 
 def _opposite_pinwheel_ball(monkeypatch):
@@ -653,18 +670,20 @@ def _opposite_pinwheel_ball(monkeypatch):
 
 
 @pytest.mark.parametrize("stuck", [False, True])
-def test_sphere_check_matches_the_betti_oracle(heegaard_s3, monkeypatch,
+def test_sphere_check_matches_the_betti_oracle(heegaard_pieces,
+                                               heegaard_s3, monkeypatch,
                                                stuck):
     """homology_sphere_check gives the verdict of the Betti numbers, by
-    the collapse and, with the collapse stuck, by its fallback."""
+    the reduction and, with the reduction stuck, by its fallback."""
     C3, C4 = boundary_c3(), boundary_c4()
     ball = _opposite_pinwheel_ball(monkeypatch)
     assert ball.f_vector() == (58, 139, 117, 36)
     cases = [(C3, True), (C4, True), (induct_dimension(C4), True),
              (heegaard_s3, True), (torus_4x4(), False), (klein_4x4(), False),
-             (sphere_wedge(C3, C3), False), (ball, True)]
+             (sphere_wedge(C3, C3), False), (ball, True),
+             (dunce_hat(), False), (heegaard_pieces[3].complex, False)]
     if stuck:
-        monkeypatch.setattr(topology, "_collapse",
+        monkeypatch.setattr(topology, "_reduces_to_nothing",
                             lambda C, drop=None: False)
     for C, verdict in cases:
         prof = betti_numbers(C)

@@ -11,6 +11,7 @@ from cubulations.core import (
     build_complex,
     cube_faces,
     relabel,
+    validate,
     vertex_link,
 )
 from cubulations import topology
@@ -31,7 +32,7 @@ from cubulations.topology import (
     surface_invariants,
 )
 from cubulations.sphere_builder import sphere3
-from cubulations.transforms import torus_complex
+from cubulations.transforms import remove_facet, torus_complex
 from test_core import (
     link_is_path,
     link_is_single_cycle,
@@ -83,6 +84,33 @@ def sphere_wedge(S, T):
     tops = list(S.maximal_cells()[S.dim]) \
         + list(relabel(T, shift).maximal_cells()[T.dim])
     return build_complex(S.dim, tops)
+
+
+def dunce_hat():
+    """A cubulated dunce hat: a 9-gon whose rim b0..b8 reads
+    P u w P u w P w u (a a a^-1, with a = P u w P), an inner ring r0..r8
+    and a centre c, with triangles (b_i, b_i+1, r_i+1), (b_i, r_i, r_i+1)
+    and (c, r_i, r_i+1), each cut into three squares at its barycentre
+    and edge midpoints. Contractible, and with no free edge."""
+    rim = [0, 1, 2, 0, 1, 2, 0, 2, 1]  # P = 0, u = 1, w = 2
+    ring = [3 + i for i in range(9)]
+    centre = 12
+    mids: dict = {}
+
+    def mid(x, y):
+        return mids.setdefault(frozenset((x, y)), 13 + len(mids))
+
+    triangles = []
+    for i in range(9):
+        j = (i + 1) % 9
+        triangles += [(rim[i], rim[j], ring[j]), (rim[i], ring[i], ring[j]),
+                      (centre, ring[i], ring[j])]
+    tops = []
+    for t, (x, y, z) in enumerate(triangles):
+        barycentre = 13 + 39 + t  # after the 39 edge midpoints
+        for v, p, q in ((x, y, z), (y, z, x), (z, x, y)):
+            tops.append((v, mid(v, p), mid(v, q), barycentre))
+    return build_complex(2, tops)
 
 
 def sphere_wedge_moore_space(n=35):
@@ -427,10 +455,12 @@ def test_collapse_logs_one_debug_record(caplog):
     with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
         assert homology_sphere_check(boundary_c4(), 3)
     records = [r for r in caplog.records if r.name == "cubulations.topology"]
-    assert len(records) == 1  # certified: no betti_numbers record
+    assert len(records) == 1  # certified: no betti_numbers reduction
     assert re.fullmatch(
-        r"collapse: 80 cells, dropped 3-cell 0, 39 pairs removed, 1 cells "
-        r"left, certified, \d+\.\d{3} s", records[0].getMessage())
+        r"reduce: 80 cells, dropped 3-cell 0, 39 pairs removed, 1 cells "
+        r"left, certified contractible; 39 pairs by collapse, remainder "
+        r"\[0, 0, 0, 0, 0\] in dimensions -1\.\.3, \d+\.\d{3} s",
+        records[0].getMessage())
 
 
 def test_stuck_collapse_logs_its_fallback(caplog):
@@ -444,10 +474,40 @@ def test_stuck_collapse_logs_its_fallback(caplog):
                 if r.name == "cubulations.topology"]
     assert len(messages) == 2
     # the five squares left of the first sphere collapse; the other
-    # sphere's squares have no free edge, so it stops after the top level
-    assert "51 cells, dropped 2-cell 0, 5 pairs removed, 40 cells left, " \
-        "fallback" in messages[0]
-    assert messages[1].startswith("betti_numbers:")
+    # sphere's squares have no free edge, so the collapse stops after the
+    # top level, and coreductions leave one square: the other sphere
+    assert "51 cells, dropped 2-cell 0, 24 pairs removed, 2 cells left, " \
+        "undecided; 5 pairs by collapse, remainder [0, 0, 0, 1] " \
+        in messages[0]
+    # betti_numbers' own reduction: one square per sphere
+    assert "51 cells, dropped none, 24 pairs removed, 3 cells left, " \
+        "undecided; 0 pairs by collapse, remainder [0, 0, 0, 2] " \
+        in messages[1]
+
+
+def test_dunce_hat_is_acyclic_but_does_not_collapse(caplog):
+    D = dunce_hat()
+    assert validate(D).is_complex
+    assert D.f_vector() == (79, 159, 81)
+    with caplog.at_level(logging.DEBUG, logger="cubulations.topology"):
+        prof = betti_numbers(D)
+    assert prof.betti == (1, 0, 0) and not any(prof.torsion)
+    records = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("reduce:")]
+    # every edge lies in two or three squares, so nothing collapses
+    assert len(records) == 1 and "; 0 pairs by collapse," in records[0]
+
+
+@given(small_complexes())
+@settings(max_examples=150, deadline=None)
+def test_reduction_less_a_top_cell_matches_the_full_matrices(C):
+    """C less the open top cell i reduces to nothing exactly when
+    remove_facet(C, i) is acyclic by the full boundary matrices."""
+    d = C.dim
+    acyclic = ((1,) + (0,) * d, ((),) * (d + 1))
+    for i, cell in enumerate(C.cells[d]):
+        assert topology._reduces_to_nothing(C, drop=i) == (
+            _betti_by_full_matrices(remove_facet(C, cell), "z") == acyclic)
 
 
 @given(st.permutations(list(range(16))))
