@@ -10,7 +10,8 @@ pillow with solid cubes and insetting a cube into each produces the cylinder.
 The two Q'' ends are then closed by handlebodies: cut Q'' along half of a
 basis of curves, cap with disks, and the result is a sphere which bounds a
 ball after one more product layer.  Gluing the five pieces yields a complex
-with the homology of S^3.
+with the homology of S^3: each seam is checked on its own, against the piece
+it lands on, and the pieces' maximal cells are closed once, together.
 
 Fills go through fillball's search, which is incomplete, so every stage comes
 in two levels: "full" carries the complexes, "structural" carries verified
@@ -50,6 +51,8 @@ from .core import (
 from .topology import betti_numbers, homology_sphere_check, surface_invariants
 from .transforms import (
     GADGETS,
+    GlueError,
+    _check_seam,
     boundary_complex,
     cartesian_product,
     cut_along_curve,
@@ -306,8 +309,13 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
 
     Full level fills every pillow and insets a cube into each solid
     cube; on any fill failure the report drops to the structural level
-    with the complete pillow list.
+    with the complete pillow list.  Emits one DEBUG record under
+    cubulations.sphere_builder with the level, the pillows, the parity
+    fixes, the f-vector of the cylinder (None when not built), the
+    seconds, and why it fell back to the structural level: it was asked
+    to, or the fill of a pillow ran out of budget (FillFailed).
     """
+    t0 = time.perf_counter()
     if isinstance(Qp, RefineReport):
         if chains is None:
             chains = Qp.edge_chains
@@ -432,6 +440,7 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
 
     requests: list[FillRequest] = []
     failed: list[int] = []
+    why = "structural level requested" if structural else ""
     all_cubes: list[tuple[int, ...]] = []
     for F, edges in zip(Q.cells[2], sides):
         sqs: list[tuple[int, ...]] = [F]
@@ -448,8 +457,9 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
             continue
         try:
             cert = fill_ball(local)
-        except FillFailed:
+        except FillFailed as e:
             failed.append(len(requests) - 1)
+            why = f"FillFailed at request {failed[-1]}: {e}"
             continue
         l2g = dict(enumerate(used))
         for lid in range(local.n_vertices, cert.ball.n_vertices):
@@ -466,9 +476,18 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
         "parity_fixes": len(fixes),
         "scaffold_vertices": scaffold,
     }
+
+    def done(report: CylinderReport) -> CylinderReport:
+        log.debug("refining_cylinder: level %s, %d pillows, %d parity fixes, "
+                  "f %s, %.3f s%s", report.level, len(requests), len(fixes),
+                  report.complex.f_vector() if report.complex else None,
+                  time.perf_counter() - t0,
+                  f"; fell back: {why}" if why else "")
+        return report
+
     if structural or failed:
-        return CylinderReport(None, Qpp, tuple(requests), "structural",
-                              tuple(failed), census)
+        return done(CylinderReport(None, Qpp, tuple(requests), "structural",
+                                   tuple(failed), census))
 
     census["filled_cubes"] = len(all_cubes)
     inset = []
@@ -486,7 +505,7 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
     if rim != want:
         raise AssemblyError("cylinder boundary is not the two ends")
     census["inset_cubes"] = len(cyl.cells[3])
-    return CylinderReport(cyl, Qpp, tuple(requests), "full", (), census)
+    return done(CylinderReport(cyl, Qpp, tuple(requests), "full", (), census))
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +536,13 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     is Qpp again, reached through boundary_map.
 
     With no curves the input must already be a sphere and the handlebody
-    is a thickened ball.  The far ball is filled as-is, without cube
-    insets.  Emits one DEBUG record under cubulations.sphere_builder with
-    the level, the f-vectors of the sphere and of the handlebody, the
-    seconds, and why it fell back to the structural level: it was asked
-    to, or the fill ran out of budget (FillFailed).
+    is a thickened ball: the input itself is the sphere, nothing is cut
+    or rebuilt, and the surface facts of the input check stand for it.
+    The far ball is filled as-is, without cube insets.  Emits one DEBUG
+    record under cubulations.sphere_builder with the level, the f-vectors
+    of the sphere and of the handlebody, the seconds, and why it fell
+    back to the structural level: it was asked to, or the fill ran out
+    of budget (FillFailed).
     """
     t0 = time.perf_counter()
     if Qpp.dim != 2:
@@ -541,20 +562,21 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
         S = cut_along_curve(S, c)  # copies sit at base .. base+len-1
         copy_ids.append(tuple(range(base, base + len(c))))
 
-    tops = list(S.cells[2])
-    nxt = S.n_vertices
     disk_interiors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for c, cp in zip(curves, copy_ids):
-        sides = []
-        for cycle in (tuple(c), cp):
-            cells, used = _disk_cells(cycle, nxt)
-            tops.extend(cells)
-            sides.append(tuple(range(nxt, nxt + used)))
-            nxt += used
-        disk_interiors.append((sides[0], sides[1]))
-    sphere = build_complex(2, tops, n_vertices=nxt)
-
-    closed, orientable, genus = surface_invariants(sphere)
+    sphere = Qpp
+    if curves:
+        tops = list(S.cells[2])
+        nxt = S.n_vertices
+        for c, cp in zip(curves, copy_ids):
+            sides = []
+            for cycle in (tuple(c), cp):
+                cells, used = _disk_cells(cycle, nxt)
+                tops.extend(cells)
+                sides.append(tuple(range(nxt, nxt + used)))
+                nxt += used
+            disk_interiors.append((sides[0], sides[1]))
+        sphere = build_complex(2, tops, n_vertices=nxt)
+        closed, orientable, genus = surface_invariants(sphere)
     if not (closed and orientable and genus == 0):
         raise AssemblyError(
             f"cutting and capping left genus {genus}, not a sphere; the "
@@ -630,18 +652,57 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
 # assembly
 
 
+def _seam_ids(seam: str, A: CubeComplex, a_ids: Sequence[int],
+              B: CubeComplex, pairs: dict[int, int], fresh: int
+              ) -> tuple[list[int], int]:
+    """The ids of B's vertices in an assembly, numbered as glue numbers
+    them, and the next fresh id.
+
+    pairs identifies B's vertices with vertices of the piece A it lands
+    on, whose ids in the assembly are a_ids; every other vertex of B gets
+    the next fresh id, in increasing order.  The identification is first
+    checked against A alone, as glue checks it; a failure is an
+    AssemblyError naming the seam."""
+    try:
+        _check_seam(A, B, pairs)
+    except GlueError as e:
+        raise AssemblyError(f"{seam}: {e}") from None
+    ids = []
+    for v in range(B.n_vertices):
+        a = pairs.get(v)
+        if a is None:
+            a, fresh = fresh, fresh + 1
+        else:
+            a = a_ids[a]
+        ids.append(a)
+    return ids, fresh
+
+
 def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
                      hb_bottom: HandlebodyReport, hb_top: HandlebodyReport,
                      ) -> CubeComplex:
-    """Glue product cylinder, two refining cylinders and two handlebodies.
+    """Product cylinder, two refining cylinders and two handlebodies, in
+    one complex.
 
     The same cylinder report serves both ends (the construction is
-    id-for-id identical on either side); the handlebodies may differ.
-    All three reports must be at the full level.  The result is checked
-    to be a closed pseudomanifold with the homology of S^3 whose vertex
-    links are spheres.  Emits one DEBUG record under
+    id-for-id identical on either side); the handlebodies may differ, or
+    be one report.  All three reports must be at the full level.
+
+    The ids are those four glue calls would give, piece after piece.
+    The product P = Q x I_k keeps its own: (v, t) is v (k+1) + t.  The
+    bottom cylinder's near end lands on P's layer t = 0, the top one's on
+    t = k, and each cylinder's other vertices follow, in cylinder id
+    order.  Each handlebody's boundary_map lands on the far end of its
+    cylinder, and its other vertices follow, bottom before top.  Every
+    seam is checked as glue checks it, against the piece it lands on:
+    the cylinder seams against P, the handlebody seams against the
+    cylinder.  The five pieces' maximal cells are then closed once, by
+    one build_complex.
+
+    The result is checked to be a closed pseudomanifold with the homology
+    of S^3 whose vertex links are spheres.  Emits one DEBUG record under
     cubulations.sphere_builder with the level, the f-vector and the
-    seconds of the gluing and of the checks.
+    seconds of the gluing (the seams and the closure) and of the checks.
     """
     t0 = time.perf_counter()
     if cyl.level != "full" or hb_bottom.level != "full" \
@@ -651,18 +712,27 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
         raise AssemblyError("the product cylinder needs at least one layer")
     nb = Q.n_vertices
     n_end = cyl.end.n_vertices
+    C = cyl.complex
 
     P = cartesian_product(Q, interval_complex(k))
-    A, m1 = glue(P, cyl.complex,
-                 {v: v * (k + 1) for v in range(nb)}, with_map=True)
-    A, m2 = glue(A, cyl.complex,
-                 {v: v * (k + 1) + k for v in range(nb)}, with_map=True)
-    A, _ = glue(A, hb_bottom.complex,
-                {hb_bottom.boundary_map[x]: m1[nb + x] for x in range(n_end)},
-                with_map=True)
-    A, _ = glue(A, hb_top.complex,
-                {hb_top.boundary_map[x]: m2[nb + x] for x in range(n_end)},
-                with_map=True)
+    fresh = P.n_vertices
+    on_p = range(fresh)
+    m1, fresh = _seam_ids("bottom cylinder seam", P, on_p, C,
+                          {v: v * (k + 1) for v in range(nb)}, fresh)
+    m2, fresh = _seam_ids("top cylinder seam", P, on_p, C,
+                          {v: v * (k + 1) + k for v in range(nb)}, fresh)
+    placed = [(C, m1), (C, m2)]
+    for seam, hb, m in (("bottom handlebody seam", hb_bottom, m1),
+                        ("top handlebody seam", hb_top, m2)):
+        bmap = hb.boundary_map
+        ids, fresh = _seam_ids(seam, C, m, hb.complex,
+                               {bmap[x]: nb + x for x in range(n_end)}, fresh)
+        placed.append((hb.complex, ids))
+    tops = list(chain.from_iterable(P.maximal_cells().values()))
+    for B, ids in placed:
+        for level in B.maximal_cells().values():
+            tops.extend(tuple(map(ids.__getitem__, c)) for c in level)
+    A = build_complex(3, tops, n_vertices=fresh)
     t1 = time.perf_counter()
 
     rep = validate(A)
@@ -699,7 +769,13 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
     been verified against the filling lemma's hypotheses.  The ribbon
     surgery's regular-neighbourhood certificates are re-checked on the
     refined surface with verify_neighborhoods before anything is built
-    on it.
+    on it.  At genus 0 there are no curves, and one handlebody, the
+    thickened ball over the refined sphere, serves both ends.
+
+    Emits one DEBUG record under cubulations.sphere_builder with the
+    stage levels and the seconds of each stage: surface and basis,
+    refinement, cylinder, handlebodies, product and assembly ("skipped"
+    for a stage that did not run).
     """
     if not _is_odd_prime(n) or n < 11:
         raise AssemblyError("n must be an odd prime at least 11")
@@ -708,21 +784,47 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
     if k < 1:
         raise AssemblyError("k must be at least 1")
 
+    stage_s: dict[str, float | None] = {}
+    t = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal t
+        now = time.perf_counter()
+        stage_s[stage] = now - t
+        t = now
+
     Q, _srep = surface_report(n)
     B = canonical_basis(Q)
+    lap("surface and basis")
     rep = refine_report(Q, B)
     Q2, B2, certs, chains2 = regularize_with_chains(
         rep.complex, rep.basis, rep.edge_chains)
     if not verify_neighborhoods(Q2, B2, certs):
         raise AssemblyError("a regular-neighbourhood certificate of the "
                             "refined basis does not hold")
+    lap("refinement")
 
     cyl = refining_cylinder(Q, Q2, B2, chains=chains2,
                             structural=structural)
+    lap("cylinder")
     alpha, beta = _split_alpha_beta(B2)
     hb_structural = structural or cyl.level != "full"
     hbA = handlebody(cyl.end, alpha, structural=hb_structural)
-    hbB = handlebody(cyl.end, beta, structural=hb_structural)
+    hbB = handlebody(cyl.end, beta, structural=hb_structural) \
+        if B2.curves else hbA
+    lap("handlebodies")
+    levels = {
+        "refining_cylinder": cyl.level,
+        "handlebody_bottom": hbA.level,
+        "handlebody_top": hbB.level,
+    }
+
+    def done(result, census: PipelineCensus):
+        log.debug("sphere3: n %d, k %d, levels %s; %s", n, k, levels,
+                  ", ".join(f"{stage} {s:.3f} s" if s is not None
+                            else f"{stage} skipped"
+                            for stage, s in stage_s.items()))
+        return result, census
 
     f_Q = Q.f_vector()
     predicted_v = (k + 1) * f_Q[0]
@@ -736,10 +838,12 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
     }
     build_product = predicted_c <= PRODUCT_BUILD_LIMIT
     measured_v, measured_c = predicted_v, predicted_c
+    stage_s["product"] = None
     if build_product:
         P = cartesian_product(Q, interval_complex(k))
         stage_f["cylinder"] = P.f_vector()
         measured_v, measured_c = P.f_vector()[0], P.f_vector()[3]
+        lap("product")
 
     cyl_extra = cyl.census["scaffold_vertices"] - f_Q[0]
     scaffold = predicted_v + 2 * cyl_extra \
@@ -759,21 +863,17 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         growth_constant=(scaffold - predicted_v) / n ** 4,
     )
 
+    stage_s["assembly"] = None
     if cyl.level == "full" and hbA.level == "full" and hbB.level == "full":
         S3 = assemble_sphere3(Q, k, cyl, hbA, hbB)
         bounds = upper_bound_checks(S3)
         if not bounds.facet_bound_ok or bounds.cube_bound_ok is False:
             raise AssemblyError("assembled sphere exceeds the facet bounds")
+        lap("assembly")
         stage_f = dict(stage_f)
         stage_f["final"] = S3.f_vector()
-        census = replace(census, stage_f=stage_f)
-        return S3, census
+        return done(S3, replace(census, stage_f=stage_f))
 
-    levels = {
-        "refining_cylinder": cyl.level,
-        "handlebody_bottom": hbA.level,
-        "handlebody_top": hbB.level,
-    }
     report = StructuralReport(
         requests=tuple(cyl.requests) + tuple(hbA.requests)
         + tuple(hbB.requests),
@@ -781,7 +881,7 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         notes=("the refining cylinder is built once and used at both ends; "
                "its pillow fills are shared",),
     )
-    return report, census
+    return done(report, census)
 
 
 # ---------------------------------------------------------------------------

@@ -292,20 +292,43 @@ def _identified_cells(C: CubeComplex, verts: set[int]) -> dict[int, set[tuple[in
     return out
 
 
+def _check_seam(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]) -> None:
+    """glue's conditions on an identification of B ids with A ids: the map
+    is injective, stays inside both complexes, and carries the cells of B
+    its domain spans onto exactly the cells of A its image spans. Raises
+    GlueError naming the first that fails."""
+    if len(set(pairs.values())) != len(pairs):
+        raise GlueError("vertex map is not injective")
+    domain = set(pairs)
+    image = set(pairs.values())
+    if any(v < 0 or v >= B.n_vertices for v in domain):
+        raise GlueError("map domain outside B")
+    if any(v < 0 or v >= A.n_vertices for v in image):
+        raise GlueError("map image outside A")
+    sub_b = _identified_cells(B, domain)
+    sub_a = _identified_cells(A, image)
+    mapped = {
+        k: {canonical([pairs[v] for v in c]) for c in cells}
+        for k, cells in sub_b.items()
+    }
+    if mapped != sub_a:
+        raise GlueError("identified subcomplexes are not isomorphic under the map")
+
+
 def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
     """Glue B onto A along the vertex identification m (B ids -> A ids).
 
     The identified vertex sets must span isomorphic subcomplexes cell by
-    cell. Passing the same object as A and B performs a self-identification
-    (quotient), e.g. closing an interval into a cycle. The result is
-    re-validated. With with_map=True, returns (complex, mapping of B
-    vertices into the result).
+    cell (_check_seam). Passing the same object as A and B performs a
+    self-identification (quotient), e.g. closing an interval into a cycle.
+    The result is re-validated. With with_map=True, returns (complex,
+    mapping of B vertices into the result); B's unidentified vertices get
+    fresh ids from A.n_vertices up, in increasing order.
     """
     pairs = dict(m.pairs) if isinstance(m, VertexMap) else dict(m)
-    if len(set(pairs.values())) != len(pairs):
-        raise GlueError("vertex map is not injective")
-
     if B is A:
+        if len(set(pairs.values())) != len(pairs):
+            raise GlueError("vertex map is not injective")
         if set(pairs) & set(pairs.values()):
             raise GlueError("self-gluing domain and image overlap")
         mapping = {v: pairs.get(v, v) for v in range(A.n_vertices)}
@@ -323,21 +346,7 @@ def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
             return dense, {v: old_to_new[mapping[v]] for v in range(A.n_vertices)}
         return dense
 
-    domain = set(pairs)
-    image = set(pairs.values())
-    if any(v < 0 or v >= B.n_vertices for v in domain):
-        raise GlueError("map domain outside B")
-    if any(v < 0 or v >= A.n_vertices for v in image):
-        raise GlueError("map image outside A")
-    sub_b = _identified_cells(B, domain)
-    sub_a = _identified_cells(A, image)
-    mapped = {
-        k: {canonical([pairs[v] for v in c]) for c in cells}
-        for k, cells in sub_b.items()
-    }
-    if mapped != sub_a:
-        raise GlueError("identified subcomplexes are not isomorphic under the map")
-
+    _check_seam(A, B, pairs)
     fresh = A.n_vertices
     b_to_out: dict[int, int] = {}
     for v in range(B.n_vertices):

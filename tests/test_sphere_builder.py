@@ -4,7 +4,7 @@ import logging
 import random
 import re
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +26,7 @@ from cubulations.transforms import (
     remove_facet,
     torus_complex,
 )
-from cubulations import core, fillball, sphere_builder, topology
+from cubulations import core, fillball, sphere_builder, topology, transforms
 from cubulations.basis import (
     RegularNeighborhoodCert,
     canonical_basis,
@@ -260,6 +260,38 @@ def test_report_input_form():
     assert len(cyl.requests) == len(Q.cells[2])
 
 
+def test_refining_cylinder_logs_one_debug_record(caplog, monkeypatch):
+    Q = boundary_c3()
+    cyl, msg = _one_record(caplog, lambda: refining_cylinder(Q, Q))
+    assert cyl.level == "full"
+    assert msg.startswith("refining_cylinder: level full, 6 pillows, "
+                          "0 parity fixes, f (64, 152, 132, 42), ")
+    assert re.search(r", \d+\.\d{3} s$", msg)
+
+    cyl, msg = _one_record(caplog, lambda: refining_cylinder(
+        Q, Q, structural=True))
+    assert cyl.level == "structural"
+    assert "level structural, 6 pillows" in msg and "f None" in msg
+    assert re.search(r"\d+\.\d{3} s; fell back: structural level requested$",
+                     msg)
+
+    real, calls = fillball.fill_ball, []
+
+    def runs_out_at_the_third(sphere):
+        calls.append(sphere)
+        if len(calls) == 3:
+            raise FillFailed(3, 1, 2, 30, 36, 3)
+        return real(sphere)
+
+    monkeypatch.setattr(sphere_builder, "fill_ball", runs_out_at_the_third)
+    cyl, msg = _one_record(caplog, lambda: refining_cylinder(Q, Q))
+    assert cyl.level == "structural" and cyl.failed == (2,)
+    assert len(cyl.requests) == 6 and len(calls) == 3
+    assert "level structural" in msg and "f None" in msg
+    assert "fell back: FillFailed at request 2: fill search exhausted " \
+        "after 3" in msg
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=3, max_value=12))
 def test_wheels_are_valid_disks(half):
@@ -400,6 +432,13 @@ def test_handlebody_rejects_wrong_curve_count():
         handlebody(T, [])
 
 
+def test_handlebody_without_curves_takes_its_input_as_the_sphere(toy_pieces):
+    Q, _, hb = toy_pieces
+    assert hb.sphere is Q
+    structural = handlebody(Q, [], structural=True)
+    assert structural.sphere is Q and structural.requests[0].sphere is Q
+
+
 # ---------------------------------------------------------------------------
 # assembled 3-spheres
 
@@ -429,6 +468,83 @@ def test_heegaard_sphere_from_torus(heegaard_pieces):
 def test_heegaard_sphere_checks_match_the_oracles(heegaard_pieces):
     T, cyl, hbA, hbB = heegaard_pieces
     assert_checks_match_the_oracles(assemble_sphere3(T, 2, cyl, hbA, hbB))
+
+
+def _assemble_by_glue(Q, k, cyl, hb_bottom, hb_top):
+    """The assembly as four glue calls, each closing and validating the
+    growing union: the reference assemble_sphere3 must equal."""
+    nb = Q.n_vertices
+    n_end = cyl.end.n_vertices
+
+    P = cartesian_product(Q, interval_complex(k))
+    A, m1 = glue(P, cyl.complex,
+                 {v: v * (k + 1) for v in range(nb)}, with_map=True)
+    A, m2 = glue(A, cyl.complex,
+                 {v: v * (k + 1) + k for v in range(nb)}, with_map=True)
+    A, _ = glue(A, hb_bottom.complex,
+                {hb_bottom.boundary_map[x]: m1[nb + x] for x in range(n_end)},
+                with_map=True)
+    A, _ = glue(A, hb_top.complex,
+                {hb_top.boundary_map[x]: m2[nb + x] for x in range(n_end)},
+                with_map=True)
+    return A
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_assembly_equals_the_four_glues(heegaard_pieces, k):
+    T, cyl, hbA, hbB = heegaard_pieces
+    S3 = assemble_sphere3(T, k, cyl, hbA, hbB)
+    ref = _assemble_by_glue(T, k, cyl, hbA, hbB)
+    assert S3.n_vertices == ref.n_vertices
+    assert S3.cells == ref.cells
+
+
+def test_assembly_with_one_handlebody_equals_the_four_glues(toy_pieces):
+    Q, cyl, hb = toy_pieces
+    assert assemble_sphere3(Q, 2, cyl, hb, hb) \
+        == _assemble_by_glue(Q, 2, cyl, hb, hb)
+
+
+def _count_calls(monkeypatch, name):
+    """Every binding of core's or transforms' function `name` in the
+    package, wrapped to record the arguments of each call."""
+    calls = []
+    real = getattr(core, name, None) or getattr(transforms, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (core, transforms, topology, fillball, sphere_builder):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_assembly_closes_and_validates_once(heegaard_pieces, monkeypatch):
+    T, cyl, hbA, hbB = heegaard_pieces
+    builds = _count_calls(monkeypatch, "build_complex")
+    validates = _count_calls(monkeypatch, "validate")
+    glues = _count_calls(monkeypatch, "glue")
+    S3 = assemble_sphere3(T, 2, cyl, hbA, hbB)
+    assert S3.f_vector() == (578, 1566, 1482, 494)
+    # the interval I_k is the one other closure
+    assert [args[0] for args in builds] == [1, 3]
+    assert len(validates) == 1 and validates[0][0] is S3
+    assert glues == []
+
+
+def test_seam_that_does_not_match_names_its_seam(heegaard_pieces):
+    T, cyl, hbA, hbB = heegaard_pieces
+    bmap = hbB.boundary_map
+    shifted = replace(hbB, boundary_map={
+        x: bmap[(x + 1) % len(bmap)] for x in bmap})
+    with pytest.raises(AssemblyError, match=re.escape(
+            "top handlebody seam: identified subcomplexes are not "
+            "isomorphic under the map")):
+        assemble_sphere3(T, 2, cyl, hbA, shifted)
+    with pytest.raises(AssemblyError, match="^bottom handlebody seam: "):
+        assemble_sphere3(T, 2, cyl, shifted, hbB)
 
 
 def test_assembly_needs_full_pieces(toy_pieces):
@@ -490,6 +606,42 @@ def test_census_is_k_independent(pipeline11):
     stages8, stages27 = d8["stage_f"], d27["stage_f"]
     assert {key for key in stages8 if stages8[key] != stages27.get(key)} \
         == {"cylinder"}
+
+
+def test_genus_zero_pipeline_makes_one_handlebody(monkeypatch):
+    made = []
+    real = sphere_builder.handlebody
+
+    def counted(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sphere_builder, "handlebody", counted)
+    res, census = sphere3(11, k=8, structural=True)
+    assert len(made) == 1
+    assert len(res.requests) == census.stage_f["surface"][2] + 2
+    assert res.requests[-1].sphere is res.requests[-2].sphere
+    assert res.requests[-1].sphere is made[0].sphere
+    assert census.stage_f["sphere_bottom"] == census.stage_f["sphere_top"]
+
+
+def test_sphere3_logs_one_debug_record(caplog):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cubulations.sphere_builder"):
+        sphere3(11, k=4, structural=True)
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "cubulations.sphere_builder"
+            and r.getMessage().startswith("sphere3:")]
+    assert len(msgs) == 1
+    msg = msgs[0]
+    assert msg.startswith(
+        "sphere3: n 11, k 4, levels {'refining_cylinder': 'structural', "
+        "'handlebody_bottom': 'structural', 'handlebody_top': "
+        "'structural'}; ")
+    for stage in ("surface and basis", "refinement", "cylinder",
+                  "handlebodies", "product"):
+        assert re.search(stage + r" \d+\.\d{3} s", msg), stage
+    assert msg.endswith(", assembly skipped")
 
 
 def test_pipeline_input_validation():
