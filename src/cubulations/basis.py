@@ -794,9 +794,8 @@ def _verify_curves(Q: CubeComplex, B: CurveBasis, tally: _VerifyTally
     for (i, j), k in unsigned.items():
         if i == j:
             return False  # self-crossing
-        partners = (i // 2 == j // 2)
-        if partners != (k == 1):
-            return False
+        if i // 2 != j // 2 or k != 1:
+            return False  # only partners cross, and once
     for s in range(g):
         if unsigned.get((2 * s, 2 * s + 1), 0) != 1:
             return False

@@ -1,4 +1,4 @@
-"""Plain-text and JSON serialization of cube complexes.
+"""Plain-text serialization of cube complexes.
 
 The text format has one header line and one line per maximal cell:
 
@@ -11,14 +11,10 @@ line is a comment, blank lines are skipped. The writer emits maximal
 cells in canonical order by ascending dimension, so writing, reading
 and writing again reproduces the file byte for byte; reading what the
 writer produced reproduces the complex exactly.
-
-The JSON form carries the same data ({"dim", "n_vertices", "cubes"})
-for consumers that would rather not parse anything by hand.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .core import CubeComplex, CubeComplexError, build_complex
@@ -27,8 +23,6 @@ __all__ = [
     "FormatError",
     "dumps_complex",
     "loads_complex",
-    "dumps_json",
-    "loads_json",
     "read_complex",
     "write_complex",
 ]
@@ -89,51 +83,9 @@ def loads_complex(text: str) -> CubeComplex:
         raise FormatError(str(e)) from e
 
 
-def dumps_json(C: CubeComplex) -> str:
-    maximal = C.maximal_cells()
-    cubes = [list(cell) for k in sorted(maximal) for cell in maximal[k]]
-    return json.dumps({"dim": C.dim, "n_vertices": C.n_vertices,
-                       "cubes": cubes}, indent=2) + "\n"
+def read_complex(path: str | Path) -> CubeComplex:
+    return loads_complex(Path(path).read_text())
 
 
-def loads_json(text: str) -> CubeComplex:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e}") from None
-    if not isinstance(data, dict) or not {"dim", "n_vertices",
-                                          "cubes"} <= set(data):
-        raise FormatError("JSON object needs keys dim, n_vertices, cubes")
-    try:
-        return build_complex(data["dim"],
-                             [tuple(c) for c in data["cubes"]],
-                             n_vertices=data["n_vertices"])
-    except (TypeError, CubeComplexError) as e:
-        raise FormatError(str(e)) from e
-
-
-def _pick_format(path: Path, fmt: str | None, text: str | None = None) -> str:
-    if fmt is not None:
-        if fmt not in ("cc", "json"):
-            raise FormatError(f"unknown format {fmt!r}, expected cc or json")
-        return fmt
-    if path.suffix == ".json":
-        return "json"
-    if text is not None and text.lstrip()[:1] == "{":
-        return "json"
-    return "cc"
-
-
-def read_complex(path: str | Path, fmt: str | None = None) -> CubeComplex:
-    p = Path(path)
-    text = p.read_text()
-    if _pick_format(p, fmt, text) == "json":
-        return loads_json(text)
-    return loads_complex(text)
-
-
-def write_complex(C: CubeComplex, path: str | Path,
-                  fmt: str | None = None) -> None:
-    p = Path(path)
-    out = dumps_json(C) if _pick_format(p, fmt) == "json" else dumps_complex(C)
-    p.write_text(out)
+def write_complex(C: CubeComplex, path: str | Path) -> None:
+    Path(path).write_text(dumps_complex(C))

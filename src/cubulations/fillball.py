@@ -379,25 +379,23 @@ def _cube_squares(cube: tuple[int, ...]) -> list[Square]:
     return out
 
 
-# a cube's six squares, the squares gluing it drops, and those it adds
-Move = tuple[list[Square], tuple[Square, ...], list[Square]]
+# the squares gluing a cube drops, and those it adds
+Move = tuple[tuple[Square, ...], list[Square]]
 
 
 def _delta(bd: _Boundary, glued: tuple[Square, ...], cube: tuple[int, ...]
            ) -> Move | None:
-    """The cube's six squares and the squares its gluing drops from the
-    boundary of bd and adds, or None when the move is rejected before
-    any legality check.
+    """The squares the cube's gluing drops from the boundary of bd and
+    adds, or None when the move is rejected before any legality check.
 
     The glued squares leave the boundary; each remaining cube face
     cancels an equal boundary square or joins the boundary. A face on
     the four vertices of a boundary square with the other diagonal can
     do neither. It costs two lookups per square and walks nothing.
     """
-    squares = _cube_squares(cube)
     drop = list(glued)
     add: list[Square] = []
-    for f in squares:
+    for f in _cube_squares(cube):
         if f in glued:
             continue
         if f in bd.squares:
@@ -406,7 +404,7 @@ def _delta(bd: _Boundary, glued: tuple[Square, ...], cube: tuple[int, ...]
             return None
         else:
             add.append(f)
-    return squares, tuple(drop), add
+    return tuple(drop), add
 
 
 def _faces_clash(bd: _Boundary, dropped: set[Square], add: list[Square]
@@ -586,7 +584,7 @@ def _corners(bd: _Boundary, nid: int, cap: int, parent: dict[int, Corner],
     for v, corner in table.items():
         move = corner[3]
         if move is not None:
-            grow = len(move[2]) - len(move[1])
+            grow = len(move[1]) - len(move[0])
             if grow <= room:
                 ranked.append(((corner[2], grow, v), corner))
     ranked.sort(key=lambda r: r[0])
@@ -606,15 +604,14 @@ def _named(corner: Corner, nid: int) -> tuple[tuple[int, ...], Move]:
     def rename(sq: Square) -> Square:
         return tuple(nid if u == old else u for u in sq) if old in sq else sq
 
-    squares, drop, add = move
-    return (cube[:7] + (nid,),
-            ([rename(sq) for sq in squares], drop, [rename(sq) for sq in add]))
+    drop, add = move
+    return cube[:7] + (nid,), (drop, [rename(sq) for sq in add])
 
 
-# a move the search examines: its kind, cube, the cube's squares, the
-# squares it drops and adds, the next boundary, and the next fresh id
-Step = tuple[str, tuple[int, ...], list[Square], tuple[Square, ...],
-             list[Square], frozenset[Square], int]
+# a move the search examines: its kind, cube, the squares it drops and
+# adds, the next boundary, and the next fresh id
+Step = tuple[str, tuple[int, ...], tuple[Square, ...], list[Square],
+             frozenset[Square], int]
 
 
 def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
@@ -641,7 +638,7 @@ def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
               ) -> Move | None:
         tally.candidates += 1
         move = _delta(bd, glued, cube)
-        if move is None or len(state) - len(move[1]) + len(move[2]) > cap:
+        if move is None or len(state) - len(move[0]) + len(move[1]) > cap:
             return None
         return move
 
@@ -649,12 +646,11 @@ def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
              move: Move | None) -> Step | None:
         if move is None:
             return None
-        squares, drop, add = move
+        drop, add = move
         tally.checked += 1
         if not _legal(bd, drop, add):
             return None
-        return (kind, cube, squares, drop, add,
-                state.difference(drop).union(add), nid2)
+        return kind, cube, drop, add, state.difference(drop).union(add), nid2
 
     for corner in corners:
         cube, move = _named(corner, nid)
@@ -784,7 +780,7 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
             raise FillFailed(tally.steps, tally.glued, tally.states, best,
                              len(start), budget)
         tally.steps += 1  # every examined candidate counts, or pruning is free
-        kind, cube, _, drop, add, nxt, nid = got
+        kind, cube, drop, add, nxt, nid = got
         tally.kinds[kind] += 1
         if nxt in visited:
             tally.visited += 1

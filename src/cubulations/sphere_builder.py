@@ -61,7 +61,7 @@ from .transforms import (
 )
 from .transforms import remove_facet as _remove_facet
 from .fillball import FillFailed, _sphere_defect, fill_ball
-from .basis import EdgePathBasis, RefineReport, canonical_basis, refine_report, \
+from .basis import EdgePathBasis, canonical_basis, refine_report, \
     regularize_with_chains, verify_neighborhoods
 from .surface_gen import _is_odd_prime, surface_report
 
@@ -289,14 +289,14 @@ def _patch_map(Q: CubeComplex, Qp: CubeComplex,
     return patches
 
 
-def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
+def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
+                      Bpp: EdgePathBasis | None = None, *,
                       chains: dict[Edge, tuple[int, ...]] | None = None,
                       structural: bool = False) -> CylinderReport:
     """Cylinder interpolating between Q and its refinement in one step.
 
-    Qp may be a RefineReport (chains and basis are taken from it) or a
-    plain complex with `chains` mapping each base edge to its subdivided
-    vertex path.  Passing Qp equal to Q stands for the trivial
+    Qp is the refinement, with `chains` mapping each base edge to its
+    subdivided vertex path.  Passing Qp equal to Q stands for the trivial
     refinement and yields a plain product layer.
 
     Every base edge must be subdivided into the same parity of edge
@@ -316,12 +316,6 @@ def refining_cylinder(Q: CubeComplex, Qp, Bpp: EdgePathBasis | None = None, *,
     to, or the fill of a pillow ran out of budget (FillFailed).
     """
     t0 = time.perf_counter()
-    if isinstance(Qp, RefineReport):
-        if chains is None:
-            chains = Qp.edge_chains
-        if Bpp is None:
-            Bpp = Qp.basis
-        Qp = Qp.complex
     if chains is None:
         if Qp == Q:
             chains = {tuple(e): tuple(e) for e in Q.cells[1]}
@@ -741,7 +735,7 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     if not homology_sphere_check(A, 3):
         # the check's fallback computed these already; this second run,
         # on the failure path only, names them in the error
-        prof = betti_numbers(A, "z")
+        prof = betti_numbers(A)
         raise AssemblyError(f"assembled homology is {prof.betti} with "
                             f"torsion {prof.torsion}, not a 3-sphere's")
     if not manifold_check(A, 3):

@@ -171,6 +171,9 @@ def trace_cycles(G: CirculantBipartite) -> RotationSurface:
 # ---------------------------------------------------------------------------
 # property checks
 
+WINDOW_LIMIT = 10  # (II): the longest window of a cycle that must be simple
+C_BOUND = 1.2      # (III): the measured c must stay at or below this
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -187,11 +190,11 @@ class PropertyReport:
                 and self.property_iii is not False)
 
 
-def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None,
-                     window_limit: int = 10) -> PropertyReport:
+def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None
+                     ) -> PropertyReport:
     """(I): each window j,?,k occurs once per parity class. (II): windows of
-    up to `window_limit` steps are simple. (III): measured path count from
-    the split, reported as c = paths / |V(G)|."""
+    up to WINDOW_LIMIT steps are simple. (III): measured path count from
+    the split, reported as c = paths / |V(G)|, at most C_BOUND."""
     windows: dict[str, dict[tuple[int, int], tuple[int, int]]] = {
         "even": {}, "odd": {}}
     witness_i = None
@@ -214,7 +217,7 @@ def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None,
     for ci, cyc in enumerate(R.cycles):
         vs = cyc.vertices
         L = len(vs)
-        span = min(window_limit + 1, L)
+        span = min(WINDOW_LIMIT + 1, L)
         for t in range(L):
             window = [vs[(t + s) % L] for s in range(span)]
             if len(set(window)) != span:
@@ -229,7 +232,7 @@ def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None,
                               None, None)
     n_paths = sum(len(c.pieces) for c in split.cycles)
     c_measured = n_paths / (2 * R.graph.n)
-    ok_iii = c_measured <= split.c_bound
+    ok_iii = c_measured <= C_BOUND
     return PropertyReport(ok_i, ok_ii, ok_iii, witness_i, witness_ii,
                           n_paths, c_measured)
 
@@ -254,7 +257,6 @@ class SplitCycle:
 @dataclass(frozen=True)
 class CyclePathSplit:
     cycles: tuple[SplitCycle, ...]
-    c_bound: float = 1.2  # measured c must stay below this
 
 
 def _split_simple_cycle(vs: tuple[int, ...], endpoint_class: str,
@@ -455,12 +457,6 @@ def _build_surface(n: int) -> tuple[CirculantBipartite, RotationSurface,
         tops.extend(gadget.build(least, n_vertices))
         n_vertices += gadget.n_new_vertices
     return G, R, report, _checked_complex(tops, n_vertices)
-
-
-def n_square_surface(n: int) -> CubeComplex:
-    """End-to-end driver: graph, tracing, checks, split, cubulation; if the
-    square count is odd, one square is subdivided in ten to fix the parity."""
-    return _build_surface(n)[3]
 
 
 @dataclass(frozen=True)

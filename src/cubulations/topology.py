@@ -1,4 +1,4 @@
-"""Cellular homology over Z, Q and prime fields, plus surface classification.
+"""Cellular homology over Z, plus surface classification.
 
 Boundary matrices are read off the complex's incidence index, whose docstring
 in core fixes the chain convention. So is every fact about a square surface
@@ -22,9 +22,9 @@ complex is first reduced, then eliminated:
      the original one (Kaczynski-Mischaikow-Mrozek, Computational
      Homology; Mrozek-Batko, Coreduction homology algorithm).
   3. The integer Smith normal form of what is left gives the invariant
-     factors of every boundary map. Every coefficient ring reads its ranks
-     off them: over Z and Q the rank is their number, mod p the number not
-     divisible by p. Each pivot is the unit entry of least Markowitz cost
+     factors of every boundary map: the rank of the boundary of the
+     (k+1)-cells is their number, and those above 1 are the torsion of
+     H_k. Each pivot is the unit entry of least Markowitz cost
      (|row| - 1)(|column| - 1) (Markowitz 1957), ties to the least
      (row, column); with no unit left, the entry of least (|v|, row,
      column). A unit alone in its row or column costs 0, the least there
@@ -546,32 +546,17 @@ def _surface_profile(C: CubeComplex) -> HomologyProfile | None:
 # ---------------------------------------------------------------------------
 # public homology interface
 
-def _parse_coeff(coeff) -> tuple[str, int]:
-    if coeff in ("z", "Z", None, "int", "integers"):
-        return "z", 0
-    if coeff in ("q", "Q", 0, "rationals"):
-        return "q", 0
-    if isinstance(coeff, int) and coeff >= 2:
-        return "p", coeff
-    if isinstance(coeff, str) and coeff.isdigit() and int(coeff) >= 2:
-        return "p", int(coeff)
-    raise CubeComplexError(f"unrecognized coefficient system {coeff!r}")
-
-
-def betti_numbers(C: CubeComplex, coeff="z") -> HomologyProfile:
-    """Betti numbers (and, over the integers, torsion invariant factors),
-    exact at every size.
+def betti_numbers(C: CubeComplex) -> HomologyProfile:
+    """Betti numbers and torsion invariant factors of the integral
+    homology, exact at every size.
 
     A connected closed orientable surface takes its certified path.
     Otherwise the augmented chain complex is reduced (_reduce, which emits
     one DEBUG record), and the integer Smith normal form of the boundary
-    on the cells left gives the invariant factors from which every
-    coefficient ring's ranks are read (see the module docstring). The
-    augmentation's (-1)-cell takes one class from H_0, so b_0 is the
-    reduced b_0 plus 1 on a non-empty complex.
+    on the cells left gives the ranks and the torsion (see the module
+    docstring). The augmentation's (-1)-cell takes one class from H_0, so
+    b_0 is the reduced b_0 plus 1 on a non-empty complex.
     """
-    kind, p = _parse_coeff(coeff)
-    # torsion-free by certificate, so the answer serves every coefficient ring
     fast = _surface_profile(C)
     if fast is not None:
         return fast
@@ -589,17 +574,12 @@ def betti_numbers(C: CubeComplex, coeff="z") -> HomologyProfile:
                                        coeffs[w * g:w * g + w]) if x in row}
             for g in left[k + 1]])
     factors = [smith_invariant_factors(cols) for cols in levels] + [[]]
-    if kind == "p":
-        ranks = [sum(1 for x in inv if x % p) for inv in factors]
-    else:
-        ranks = [len(inv) for inv in factors]
-    betti = [len(levels[k + 1]) - ranks[k + 1] - ranks[k + 2]
+    betti = [len(levels[k + 1]) - len(factors[k + 1]) - len(factors[k + 2])
              for k in range(C.dim + 1)]
     if C.f_vector()[0]:
         betti[0] += 1
-    torsion = tuple(
-        tuple(x for x in factors[k + 2] if x > 1) if kind == "z" else ()
-        for k in range(C.dim + 1))
+    torsion = tuple(tuple(x for x in factors[k + 2] if x > 1)
+                    for k in range(C.dim + 1))
     return HomologyProfile(betti=tuple(betti), torsion=torsion,
                            euler=C.euler_characteristic())
 
@@ -689,7 +669,7 @@ def homology_sphere_check(C: CubeComplex, d: int) -> bool:
         return False
     if C.cells.get(d) and _reduces_to_nothing(C, drop=0):
         return True
-    prof = betti_numbers(C, "z")
+    prof = betti_numbers(C)
     return prof.betti == (1,) + (0,) * (d - 1) + (1,) \
         and not any(prof.torsion)
 

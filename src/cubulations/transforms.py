@@ -13,7 +13,6 @@ from operator import itemgetter, neg
 from typing import Callable, Sequence
 
 from .core import (
-    Cube,
     CubeComplex,
     CubeComplexError,
     Incidence,
@@ -166,7 +165,6 @@ def torus_complex(d: int) -> CubeComplex:
 
 @dataclass(frozen=True)
 class GadgetTemplate:
-    name: str
     cell_dim: int
     n_new_vertices: int
     n_new_cells: int
@@ -215,40 +213,24 @@ def _square_10(q: Sequence[int], base: int) -> list[tuple[int, ...]]:
 
 
 GADGETS: dict[str, GadgetTemplate] = {
-    "insert_square_5": GadgetTemplate("insert_square_5", 2, 4, 5, _insert_square_5),
-    "inset_cube_7": GadgetTemplate("inset_cube_7", 3, 8, 7, _inset_cube_7),
-    "square_10": GadgetTemplate("square_10", 2, 9, 10, _square_10),
+    "insert_square_5": GadgetTemplate(2, 4, 5, _insert_square_5),
+    "inset_cube_7": GadgetTemplate(3, 8, 7, _inset_cube_7),
+    "square_10": GadgetTemplate(2, 9, 10, _square_10),
 }
 
 
-def check_template(g: GadgetTemplate) -> None:
-    """Template invariants: right cell/vertex counts, valid pattern, boundary
-    of the replaced cell untouched."""
-    k = g.cell_dim
-    cell = tuple(range(1 << k))
-    cells = g.build(cell, 1 << k)
-    assert len(cells) == g.n_new_cells
-    pattern = build_complex(k, cells)
-    assert pattern.n_vertices == (1 << k) + g.n_new_vertices
-    rep = validate(pattern)
-    assert rep.is_complex, rep.violations
-    outer = set(build_complex(k, [cell]).cells[k - 1])
-    assert set(pattern.incidence().rim()) == outer, \
-        "pattern boundary differs from the replaced cell"
-
-
-def apply_gadget(C: CubeComplex, cell, g) -> CubeComplex:
-    """Replace one maximal cell by a gadget pattern; new ids start at
-    C.n_vertices in the template's documented order."""
-    if isinstance(g, str):
-        if g not in GADGETS:
-            raise CubeComplexError(f"unknown gadget {g!r}")
-        g = GADGETS[g]
-    corners = tuple(cell.corners if isinstance(cell, Cube) else cell)
+def apply_gadget(C: CubeComplex, corners: tuple[int, ...], name: str
+                 ) -> CubeComplex:
+    """Replace the maximal cell with these corners by the GADGETS pattern
+    of that name; new ids start at C.n_vertices in the template's
+    documented order."""
+    if name not in GADGETS:
+        raise CubeComplexError(f"unknown gadget {name!r}")
+    g = GADGETS[name]
     k = len(corners).bit_length() - 1
     if k != g.cell_dim:
         raise CubeComplexError(
-            f"gadget {g.name} replaces {g.cell_dim}-cells, got a {k}-cell")
+            f"gadget {name} replaces {g.cell_dim}-cells, got a {k}-cell")
     target = canonical(corners)
     inc = C.incidence()
     if target not in inc.position(k):
@@ -268,19 +250,6 @@ def apply_gadget(C: CubeComplex, cell, g) -> CubeComplex:
 
 # ---------------------------------------------------------------------------
 # glue / cut / boundary
-
-
-@dataclass(frozen=True)
-class VertexMap:
-    """Injective partial vertex map, used to identify a subcomplex of B with
-    a subcomplex of A when gluing."""
-
-    pairs: dict[int, int]  # B vertex -> A vertex
-
-    def __post_init__(self):
-        vals = list(self.pairs.values())
-        if len(set(vals)) != len(vals):
-            raise GlueError("vertex map is not injective")
 
 
 def _identified_cells(C: CubeComplex, verts: set[int]) -> dict[int, set[tuple[int, ...]]]:
@@ -315,8 +284,9 @@ def _check_seam(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]) -> None:
         raise GlueError("identified subcomplexes are not isomorphic under the map")
 
 
-def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
-    """Glue B onto A along the vertex identification m (B ids -> A ids).
+def glue(A: CubeComplex, B: CubeComplex, pairs: dict[int, int], *,
+         with_map: bool = False):
+    """Glue B onto A along the vertex identification pairs (B ids -> A ids).
 
     The identified vertex sets must span isomorphic subcomplexes cell by
     cell (_check_seam). Passing the same object as A and B performs a
@@ -325,7 +295,6 @@ def glue(A: CubeComplex, B: CubeComplex, m, *, with_map: bool = False):
     mapping of B vertices into the result); B's unidentified vertices get
     fresh ids from A.n_vertices up, in increasing order.
     """
-    pairs = dict(m.pairs) if isinstance(m, VertexMap) else dict(m)
     if B is A:
         if len(set(pairs.values())) != len(pairs):
             raise GlueError("vertex map is not injective")
@@ -462,10 +431,10 @@ def boundary_complex(C: CubeComplex, with_map: bool = False):
     return B
 
 
-def remove_facet(C: CubeComplex, F) -> CubeComplex:
-    """Delete one open facet; every proper face of it stays. The result
-    carries C's facet table with the removed facet's row dropped."""
-    corners = tuple(F.corners if isinstance(F, Cube) else F)
+def remove_facet(C: CubeComplex, corners: tuple[int, ...]) -> CubeComplex:
+    """Delete the open facet with these corners; every proper face of it
+    stays. The result carries C's facet table with the removed facet's
+    row dropped."""
     target = canonical(corners)
     d = C.dim
     inc = C.incidence()

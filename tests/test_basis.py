@@ -268,6 +268,23 @@ def test_unimodular_pattern_n31(n31):
     assert verify_basis(Q, B)
 
 
+def test_curves_that_are_not_partners_must_not_cross_n31(n31, monkeypatch):
+    """Curves 0 and 2 lie in different handle pairs. Two crossings of
+    theirs with opposite signs leave the pairing unimodular, but the
+    curves are no longer disjoint, so the basis is rejected."""
+    Q, B = n31
+    real = basis.arrangement_crossings
+
+    def crossed(Q, curves):
+        signed, unsigned = real(Q, curves)
+        unsigned[(0, 2)] = 2
+        signed[(0, 2)] = 0
+        return signed, unsigned
+
+    monkeypatch.setattr(basis, "arrangement_crossings", crossed)
+    assert not verify_basis(Q, B)
+
+
 def test_pairing_matrix_pivots_all_cost_0_n31(n31, caplog):
     Q, B = n31
     M = pairing_matrix(Q, B)

@@ -29,13 +29,7 @@ from cubulations.core import (
     validate,
     vertex_link,
 )
-from cubulations.fileio import (
-    FormatError,
-    dumps_complex,
-    dumps_json,
-    loads_complex,
-    loads_json,
-)
+from cubulations.fileio import FormatError, dumps_complex, loads_complex
 from cubulations.topology import boundary_columns
 from cubulations.transforms import boundary_complex
 
@@ -317,11 +311,6 @@ def test_text_comments_and_errors():
         loads_complex("cubecomplex 2 4\ncube 2 0 1 2\n")
     with pytest.raises(FormatError, match="'cube' line"):
         loads_complex("cubecomplex 2 4\nsquare 0 1 2 3\n")
-
-
-def test_json_round_trip():
-    C = build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5)])
-    assert loads_json(dumps_json(C)) == C
 
 
 # ---------------------------------------------------------------------------

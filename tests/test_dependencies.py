@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and imports only what
+it uses."""
 
 import ast
 import sys
@@ -48,3 +49,50 @@ def test_foreign_imports_are_found():
               "import numpy as np\nfrom scipy.sparse import csr_matrix\n"
               "def f():\n    import networkx\n")
     assert foreign_imports(source) == ["numpy", "scipy.sparse", "networkx"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a source file imports but neither uses nor lists in its
+    __all__. Names in string annotations count as used."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names
+                         if alias.name != "*"]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        # an argument's or assignment's annotation, or a return annotation
+        note = getattr(node, "annotation", None) or getattr(node, "returns",
+                                                            None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(note.value))
+                        if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def test_package_imports_only_what_it_uses():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) > 5
+    found = {path.name: unused_imports(path.read_text()) for path in files}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport json\n"
+              "import os.path\nfrom . import core\n"
+              "from .core import Cube, build_complex as _build, validate\n"
+              "from .fileio import FormatError\n"
+              "__all__ = ['FormatError']\n"
+              "def f(x: 'Cube | None') -> int:\n"
+              "    return _build(core.dim)\n")
+    assert unused_imports(source) == ["json", "os", "validate"]

@@ -1,4 +1,4 @@
-"""Text and JSON serialization round-trips."""
+"""Text serialization round-trips."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from cubulations.core import build_complex, cube_faces
 from cubulations.fileio import (
     FormatError,
     dumps_complex,
-    dumps_json,
     loads_complex,
-    loads_json,
     read_complex,
     write_complex,
 )
@@ -36,13 +34,6 @@ def test_text_round_trip_is_exact():
         text = dumps_complex(C)
         assert loads_complex(text) == C
         assert dumps_complex(loads_complex(text)) == text
-
-
-def test_json_round_trip_is_exact():
-    for C in samples():
-        text = dumps_json(C)
-        assert loads_json(text) == C
-        assert dumps_json(loads_json(text)) == text
 
 
 def test_header_shape():
@@ -75,25 +66,11 @@ def test_malformed_inputs_rejected():
         loads_complex("cubecomplex 2 4\ncube 2 0 1 2 x\n")
     with pytest.raises(FormatError):  # ids not dense
         loads_complex("cubecomplex 2 9\ncube 2 0 1 2 3\n")
-    with pytest.raises(FormatError, match="JSON"):
-        loads_json("{not json")
-    with pytest.raises(FormatError, match="keys"):
-        loads_json('{"dim": 2}')
 
 
-def test_file_io_and_format_sniffing(tmp_path):
+def test_file_round_trip(tmp_path):
     C = torus_complex(2)
-    cc = tmp_path / "t.cc"
-    js = tmp_path / "t.json"
-    write_complex(C, cc)
-    write_complex(C, js)
-    assert cc.read_text().startswith("cubecomplex")
-    assert js.read_text().lstrip().startswith("{")
-    assert read_complex(cc) == C
-    assert read_complex(js) == C
-    # explicit format overrides the extension
-    write_complex(C, cc, fmt="json")
-    assert read_complex(cc) == C  # sniffed from content
-    assert read_complex(cc, fmt="json") == C
-    with pytest.raises(FormatError, match="unknown format"):
-        write_complex(C, cc, fmt="xml")
+    path = tmp_path / "t.cc"
+    write_complex(C, path)
+    assert path.read_text() == dumps_complex(C)
+    assert read_complex(path) == C

@@ -483,7 +483,7 @@ def test_local_check_matches_the_rebuild(monkeypatch):
         if move is None:
             got, kind = None, "rejected early"
         else:
-            _, drop, add = move
+            drop, add = move
             legal = fillball._legal(bd, drop, add)
             got = state.difference(drop).union(add) if legal else None
             kind = "legal" if legal else "illegal"
@@ -551,11 +551,11 @@ def _moves_by_rebuild(state, nid, cap):
     corner candidate built, and each move's legality decided by a
     rebuild of the whole next boundary. Returns the ranked corner
     candidates as (cube, next fresh id, split), and the legal moves in
-    order as (cube, squares, next boundary, next fresh id)."""
+    order as (cube, next boundary, next fresh id)."""
     bd = fillball._Boundary(state, fillball._Pairs())
 
     def size(move):
-        return len(state) - len(move[1]) + len(move[2])
+        return len(state) - len(move[0]) + len(move[1])
 
     def offer(glued, cube):
         move = fillball._delta(bd, glued, cube)
@@ -592,10 +592,10 @@ def _moves_by_rebuild(state, nid, cap):
     for cube, nid2, move in tries:
         if move is None:
             continue
-        squares, drop, add = move
+        drop, add = move
         nxt = _sphere_by_rebuild(state, set(drop), add)
         if nxt is not None:
-            moves.append((cube, squares, frozenset(nxt), nid2))
+            moves.append((cube, frozenset(nxt), nid2))
     return ranked, moves
 
 
@@ -628,8 +628,8 @@ def test_frames_match_a_fresh_generation(monkeypatch):
         frames["checked"] += 1
         n = 0
         for mv in real(bd, nid, cap, corners, tally):
-            _, cube, squares, _, _, nxt, nid2 = mv
-            assert (cube, squares, nxt, nid2) == want[n]
+            _, cube, _, _, nxt, nid2 = mv
+            assert (cube, nxt, nid2) == want[n]
             n += 1
             yield mv
         assert n == len(want)

@@ -37,7 +37,13 @@ from cubulations.fillball import FillFailed
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
 from test_fillball import opposite_pinwheel
-from test_topology import dunce_hat, klein_4x4, sphere_wedge, torus_4x4
+from test_topology import (
+    betti_over,
+    dunce_hat,
+    klein_4x4,
+    sphere_wedge,
+    torus_4x4,
+)
 from cubulations.sphere_builder import (
     AssemblyError,
     FillRequest,
@@ -255,7 +261,8 @@ def test_report_input_form():
     Q, _ = surface_report(11)
     B = canonical_basis(Q)
     rep = refine_report(Q, B)
-    cyl = refining_cylinder(Q, rep, structural=True)
+    cyl = refining_cylinder(Q, rep.complex, rep.basis,
+                            chains=rep.edge_chains, structural=True)
     assert cyl.level == "structural"
     assert len(cyl.requests) == len(Q.cells[2])
 
@@ -330,7 +337,7 @@ def test_ball_as_genus_zero_handlebody(toy_pieces):
     assert hb.level == "full"
     assert hb.complex.f_vector() == (16, 32, 24, 7)
     assert hb.census["fill_cubes"] == 1
-    prof = betti_numbers(hb.complex, "z")
+    prof = betti_numbers(hb.complex)
     assert prof.betti == (1, 0, 0, 0)
 
 
@@ -342,7 +349,7 @@ def test_solid_torus_from_meridian(heegaard_pieces):
     assert surface_invariants(sphere) == (True, True, 0)
     assert hbA.complex.f_vector() == (86, 230, 212, 68)
     # homology of a solid torus
-    prof = betti_numbers(hbA.complex, "z")
+    prof = betti_numbers(hbA.complex)
     assert prof.betti == (1, 1, 0, 0)
     assert all(not t for t in prof.torsion)
 
@@ -447,7 +454,7 @@ def test_toy_sphere_from_cube_boundary(toy_pieces):
     Q, cyl, hb = toy_pieces
     S3 = assemble_sphere3(Q, 2, cyl, hb, hb)
     assert S3.f_vector() == (152, 372, 330, 110)
-    prof = betti_numbers(S3, "z")
+    prof = betti_numbers(S3)
     assert prof.betti == (1, 0, 0, 1)
     assert all(not t for t in prof.torsion)
     assert manifold_check(S3, 3)
@@ -459,7 +466,7 @@ def test_heegaard_sphere_from_torus(heegaard_pieces):
     assert S3.f_vector() == (578, 1566, 1482, 494)
     rep = validate(S3)
     assert rep.is_complex and rep.is_closed_pseudomanifold
-    prof = betti_numbers(S3, "z")
+    prof = betti_numbers(S3)
     assert prof.betti == (1, 0, 0, 1)
     assert all(not t for t in prof.torsion)
     assert manifold_check(S3, 3)
@@ -678,7 +685,7 @@ def test_double_cube_boundary():
     assert S4.f_vector() == (64, 192, 232, 136, 34)
     assert S4.n_vertices == 4 * 16
     assert len(S4.cells[4]) >= 2 * 8
-    prof = betti_numbers(S4, "z")
+    prof = betti_numbers(S4)
     assert prof.betti == (1, 0, 0, 0, 1)
     assert all(not t for t in prof.torsion)
 
@@ -688,8 +695,9 @@ def test_doubling_twice_within_budget():
     S4 = induct_dimension(boundary_c4())
     S5 = induct_dimension(S4)
     assert S5.n_vertices == 256
-    assert betti_numbers(S5, "q").betti == (1, 0, 0, 0, 0, 1)
-    assert betti_numbers(S5, 2).betti == (1, 0, 0, 0, 0, 1)
+    prof = betti_numbers(S5)
+    assert betti_over(prof, "q") == (1, 0, 0, 0, 0, 1)
+    assert betti_over(prof, 2) == (1, 0, 0, 0, 0, 1)
     assert time.time() - start < 120
 
 

@@ -24,7 +24,6 @@ from cubulations.surface_gen import (
     cubulate_cycles,
     d_max_for,
     divisibility_table,
-    n_square_surface,
     split_paths,
     surface_report,
     trace_cycles,
@@ -367,14 +366,14 @@ def test_hub_and_interior_vertex_degrees():
 
 
 def test_n_square_surface_smoke_n11():
-    Q = n_square_surface(11)
+    Q = surface_report(11)[0]
     assert Q.f_vector() == (44, 84, 42)
     assert len(Q.cells[2]) % 2 == 0
 
 
 def test_n_square_surface_parity_gadget():
     # n=37 cubulates to 277 squares; one ten-square subdivision fixes parity
-    Q = n_square_surface(37)
+    Q = surface_report(37)[0]
     assert len(Q.cells[2]) == 286
     assert surface_invariants(Q) == (True, True, 73)
     # the gadget is applied before the one build, to the square
@@ -387,7 +386,7 @@ def test_n_square_surface_parity_gadget():
 
 @pytest.mark.parametrize("n", [11, 31, 41])
 def test_n_square_surface_survives_checks(n):
-    Q = n_square_surface(n)
+    Q = surface_report(n)[0]
     closed, orientable, genus = surface_invariants(Q)
     assert closed and orientable
     assert genus == (d_max_for(n) - 1) * (2 * n - 1) // 2

@@ -18,11 +18,9 @@ from cubulations.transforms import (
     GADGETS,
     CutError,
     GlueError,
-    VertexMap,
     apply_gadget,
     boundary_complex,
     cartesian_product,
-    check_template,
     cut_along_curve,
     glue,
     interval_complex,
@@ -192,6 +190,22 @@ def test_torus_complex_dims():
 # gadgets
 
 
+def check_template(g):
+    """Template invariants: right cell/vertex counts, valid pattern, boundary
+    of the replaced cell untouched."""
+    k = g.cell_dim
+    cell = tuple(range(1 << k))
+    cells = g.build(cell, 1 << k)
+    assert len(cells) == g.n_new_cells
+    pattern = build_complex(k, cells)
+    assert pattern.n_vertices == (1 << k) + g.n_new_vertices
+    rep = validate(pattern)
+    assert rep.is_complex, rep.violations
+    outer = set(build_complex(k, [cell]).cells[k - 1])
+    assert set(pattern.incidence().rim()) == outer, \
+        "pattern boundary differs from the replaced cell"
+
+
 @pytest.mark.parametrize("name", sorted(GADGETS))
 def test_gadget_templates_are_sound(name):
     check_template(GADGETS[name])
@@ -270,8 +284,7 @@ def test_glue_two_solid_cubes_along_a_square():
     A = solid_cube()
     B = solid_cube()
     # B's bottom square onto A's top square (axis 2)
-    m = VertexMap({0: 4, 1: 5, 2: 6, 3: 7})
-    C = glue(A, B, m)
+    C = glue(A, B, {0: 4, 1: 5, 2: 6, 3: 7})
     assert C.f_vector() == (12, 20, 11, 2)
     assert validate(C).is_complex
 
@@ -306,8 +319,12 @@ def test_glue_rejects_bad_maps():
 def test_glue_seam_only_validation():
     A = solid_cube()
     B = solid_cube()
-    C = glue(A, B, VertexMap({0: 4, 1: 5, 2: 6, 3: 7}))
-    assert C.f_vector() == (12, 20, 11, 2)
+    with pytest.raises(GlueError, match="injective"):
+        glue(A, B, {0: 4, 1: 4})
+    with pytest.raises(GlueError, match="outside B"):
+        glue(A, B, {0: 4, 8: 5})
+    with pytest.raises(GlueError, match="outside A"):
+        glue(A, B, {0: 4, 1: 8})
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +463,7 @@ def test_warmup_counts(m, f0, f2):
     assert W.f_vector()[0] == 12 * m * m + 2 * m + 2 == f0
     assert W.f_vector()[2] == m ** 4 + 10 * m * m == f2
     assert validate(W).is_complex
-    prof = betti_numbers(W, "z")
+    prof = betti_numbers(W)
     assert prof.betti[1] == 0 and not prof.torsion[1]
     bipartite_classes(W)
 
@@ -456,7 +473,7 @@ def test_warmup_dim3():
     assert W.f_vector()[0] == 2 * 54
     assert W.f_vector()[3] == 56
     assert validate(W).is_complex
-    prof = betti_numbers(W, "z")
+    prof = betti_numbers(W)
     assert prof.betti[1] == 0 and not prof.torsion[1]
 
 
