@@ -30,14 +30,20 @@ first time it is asked for, as are the other parts, so a complex pays only
 for what its callers use. Caching it on the complex is sound because
 complexes never change after construction.
 
-The structural checks read corner positions and canonicalise nothing.
-validate decides each pair of maximal cells sharing 2^m corners from their
-positions: an m-subcube of each cell, with the same edges in both. A
-k-cell at v spans the link simplex of the corners at v's position with
-one bit flipped, read off star(k); the link checks use degree counts, one
-walk and, for a 2-sphere, the Euler characteristic. In a surface,
-_link_cycle reads the squares around a vertex in cyclic order off the
-same spans, for the callers that cut or cross curves there.
+The structural checks read corner positions and canonicalise nothing,
+and each verdict has one owner. validate decides only that any two cells
+meet in a common face, each pair of maximal cells sharing 2^m corners
+from their positions: an m-subcube of each cell, with the same edges in
+both. Whether the top cells make a closed pseudomanifold is
+pseudomanifold_check's, asked by the callers that need it. A k-cell at v
+spans the link simplex of the corners at v's position with one bit
+flipped, read off star(k). In a 2-complex _link_shapes reads every link
+in one pass over the squares, and manifold_check(C, 2) and
+topology.surface_invariants both read their verdicts off it; the link of
+a vertex of a 3-complex is checked by degree counts, one walk and the
+Euler characteristic. In a surface, _link_cycle reads the squares around
+a vertex in cyclic order off the same spans, for the callers that cut or
+cross curves there.
 """
 
 from __future__ import annotations
@@ -217,7 +223,6 @@ class Cube:
 @dataclass(frozen=True)
 class ValidationReport:
     is_complex: bool
-    is_closed_pseudomanifold: bool
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...], str], ...]
 
 
@@ -497,6 +502,8 @@ def _meets_in_face(ca: tuple[int, ...], cb: tuple[int, ...], n: int) -> bool:
 
 def validate(C: CubeComplex) -> ValidationReport:
     """Check the defining property: any two cells meet in a common face.
+    Nothing else is decided here; pseudomanifold_check and manifold_check
+    own the other structural verdicts.
 
     It suffices to check pairs of maximal cells (faces of cubes meet in faces,
     and a common face of two cubes induces common faces of all their faces).
@@ -522,13 +529,11 @@ def validate(C: CubeComplex) -> ValidationReport:
             reason = "shared-diagonal" if n == 2 else "non-face intersection"
             violations.append((maximal[a], maximal[b], reason))
     violations.sort()
-    is_complex = not violations
-    closed_pm = pseudomanifold_check(C) if is_complex else False
     log.debug("validate: %d maximal cells, pairs by shared vertices %s, "
               "%d violations, %.3f s", len(maximal),
               dict(sorted(Counter(shared.values()).items())),
               len(violations), time.perf_counter() - t0)
-    return ValidationReport(is_complex, closed_pm, tuple(violations))
+    return ValidationReport(not violations, tuple(violations))
 
 
 def pseudomanifold_check(C: CubeComplex) -> bool:
@@ -610,19 +615,6 @@ def vertex_link(C: CubeComplex, v: int) -> set[frozenset[int]]:
             for r in range(1, k + 1) for face in combinations(s, r)}
 
 
-def _link_skeleton(C: CubeComplex, v: int
-                   ) -> tuple[dict[int, list[int]], set[tuple[int, int]]]:
-    """The 1-skeleton of the link of v: neighbour -> adjacent neighbours,
-    and the link edges as ascending pairs. Squares at v that span the same
-    pair give one link edge, as in vertex_link."""
-    edges = {(a, b) if a < b else (b, a) for a, b in _link_spans(C, v, 2)}
-    adj: dict[int, list[int]] = {a: [] for (a,) in _link_spans(C, v, 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj, edges
-
-
 def _ring_walk(around: Iterable[tuple[int, Sequence[int]]]
                ) -> tuple[list[int], list[int]] | None:
     """The squares around a vertex as one cycle, or None when they do
@@ -660,24 +652,69 @@ def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
     return _ring_walk(zip(owners[ptr[v]:ptr[v + 1]], _link_spans(C, v, 2)))
 
 
-def _link_shape(C: CubeComplex, v: int) -> str | None:
-    """"cycle" or "path" when the link of v in a 2-complex is a single
-    cycle, or a single path with at least one edge; None otherwise. A
-    connected graph whose degrees are all 1 or 2 is one of the two, so
-    this takes the degree counts and one breadth-first walk."""
-    adj, _ = _link_skeleton(C, v)
-    degrees = {len(ns) for ns in adj.values()}
-    if not adj or degrees - {1, 2} \
-            or len(_reachable(next(iter(adj)), adj.__getitem__)) != len(adj):
-        return None
-    return "path" if 1 in degrees else "cycle"
+def _link_shapes(C: CubeComplex) -> list[str | None]:
+    """Per vertex of the 2-complex C, "cycle" or "path" when its link is a
+    single cycle, or a single path with at least one edge; None otherwise.
+
+    All links are read in one pass over the squares. The link vertices at
+    v are the darts of the edges at v: dart 2e + s sits at corner s of
+    edge e. A square (a, b, c, d), boundary walk a-b-d-c, with facets
+    ac, bd, ab, cd, gives one link edge at each corner, between the darts
+    of its two edges there; squares that give the same pair give one link
+    edge. A link is a single cycle or path exactly when it has a dart,
+    every dart has degree 1 or 2, and it is connected: its darts less the
+    merges a union-find makes along its link edges number one. A dart of
+    degree 1 makes it a path."""
+    squares = C.cells.get(2, ())
+    ends = list(chain.from_iterable(C.cells.get(1, ())))
+    ids, _ = C.incidence().facets(2)
+    links: set[tuple[int, int]] = set()
+    it = iter(ids)
+    for (a, b, c, d), ac, bd, ab, cd in zip(squares, it, it, it, it):
+        # a is the least corner and b < c, so a is the low end of ab and
+        # ac, and b and c the high ends
+        ab, ac, bd, cd = 2 * ab, 2 * ac, 2 * bd + (b > d), 2 * cd + (c > d)
+        links.update(((ab, ac) if ab < ac else (ac, ab),
+                      (ab + 1, bd) if ab < bd else (bd, ab + 1),
+                      (ac + 1, cd) if ac < cd else (cd, ac + 1),
+                      (bd ^ 1, cd ^ 1) if bd < cd else (cd ^ 1, bd ^ 1)))
+    degree = [0] * len(ends)
+    parent = list(range(len(ends)))
+    merges = [0] * C.n_vertices
+    for x, y in links:
+        degree[x] += 1
+        degree[y] += 1
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            merges[ends[x]] += 1
+    darts = [0] * C.n_vertices
+    for v in ends:
+        darts[v] += 1
+    shapes: list[str | None] = [
+        "cycle" if darts[v] - merges[v] == 1 else None
+        for v in range(C.n_vertices)]
+    for v, k in zip(ends, degree):
+        if not 0 < k < 3:
+            shapes[v] = None
+        elif k == 1 and shapes[v]:
+            shapes[v] = "path"
+    return shapes
 
 
 def _link_is_sphere(C: CubeComplex, v: int) -> bool:
     """Whether the link of v in a 3-complex is a 2-sphere: it has a
     triangle, every link edge lies in exactly two triangles, it is
-    connected, and its Euler characteristic is 2."""
-    adj, edges = _link_skeleton(C, v)
+    connected, and its Euler characteristic is 2. Squares at v that span
+    the same pair give one link edge, as in vertex_link."""
+    edges = {(a, b) if a < b else (b, a) for a, b in _link_spans(C, v, 2)}
+    adj: dict[int, list[int]] = {a: [] for (a,) in _link_spans(C, v, 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     tris = {tuple(sorted(s)) for s in _link_spans(C, v, 3)}
     if not tris:
         return False
@@ -690,20 +727,22 @@ def _link_is_sphere(C: CubeComplex, v: int) -> bool:
 
 
 def manifold_check(C: CubeComplex, d: int) -> bool:
-    """Local sphere-link checks for d <= 3; for d > 3 only the pseudomanifold
+    """Whether every vertex link of the d-complex C is a (d-1)-sphere, for
+    d <= 3: for d = 1 every vertex id lies on exactly two edges, for d = 2
+    every shape _link_shapes reads is "cycle", and for d = 3 each link is
+    checked by _link_is_sphere. For d > 3 only the pseudomanifold
     conditions are verified (partial check, as documented)."""
     if d != C.dim:
         return False
     if d > 3:
         return pseudomanifold_check(C)
     if d == 1:
-        count: dict[int, int] = {}
-        for e in C.cells.get(1, ()):
-            for v in e:
-                count[v] = count.get(v, 0) + 1
-        return bool(count) and all(c == 2 for c in count.values())
+        count = [0] * C.n_vertices
+        for v in chain.from_iterable(C.cells.get(1, ())):
+            count[v] += 1
+        return bool(count) and all(c == 2 for c in count)
     if d == 2:
-        return all(_link_shape(C, v) == "cycle" for v in range(C.n_vertices))
+        return all(s == "cycle" for s in _link_shapes(C))
     return all(_link_is_sphere(C, v) for v in range(C.n_vertices))
 
 

@@ -1,4 +1,6 @@
-"""Plain-text serialization of cube complexes.
+"""Plain-text serialization of cube complexes, to and from strings:
+dumps_complex writes the text and loads_complex reads it, and a caller
+that keeps a complex in a file reads or writes the text itself.
 
 The text format has one header line and one line per maximal cell:
 
@@ -15,16 +17,12 @@ writer produced reproduces the complex exactly.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .core import CubeComplex, CubeComplexError, build_complex
 
 __all__ = [
     "FormatError",
     "dumps_complex",
     "loads_complex",
-    "read_complex",
-    "write_complex",
 ]
 
 
@@ -81,11 +79,3 @@ def loads_complex(text: str) -> CubeComplex:
         return build_complex(dim, tops, n_vertices=n_vertices)
     except CubeComplexError as e:
         raise FormatError(str(e)) from e
-
-
-def read_complex(path: str | Path) -> CubeComplex:
-    return loads_complex(Path(path).read_text())
-
-
-def write_complex(C: CubeComplex, path: str | Path) -> None:
-    Path(path).write_text(dumps_complex(C))

@@ -45,6 +45,7 @@ from .core import (
     canonical,
     cube_faces,
     manifold_check,
+    pseudomanifold_check,
     upper_bound_checks,
     validate,
 )
@@ -529,21 +530,26 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     end and a filled ball at the other.  The identified end's boundary
     is Qpp again, reached through boundary_map.
 
-    With no curves the input must already be a sphere and the handlebody
-    is a thickened ball: the input itself is the sphere, nothing is cut
-    or rebuilt, and the surface facts of the input check stand for it.
-    The far ball is filled as-is, without cube insets.  Emits one DEBUG
-    record under cubulations.sphere_builder with the level, the f-vectors
-    of the sphere and of the handlebody, the seconds, and why it fell
-    back to the structural level: it was asked to, or the fill ran out
-    of budget (FillFailed).
+    The sphere is checked once, by check_fill_request on its request,
+    and one that fails is an AssemblyError saying the curves are not
+    half of a basis.  With curves the input is first checked to be a
+    closed orientable surface.  With no curves the input must already be
+    a sphere and the handlebody is a thickened ball: the input itself is
+    the sphere, nothing is cut or rebuilt, and the sphere's check is the
+    input's.  The far ball is filled as-is, without cube insets.  Emits
+    one DEBUG record under cubulations.sphere_builder with the level, the
+    f-vectors of the sphere and of the handlebody, the seconds, and why
+    it fell back to the structural level: it was asked to, or the fill
+    ran out of budget (FillFailed).
     """
     t0 = time.perf_counter()
     if Qpp.dim != 2:
         raise AssemblyError("handlebody needs a 2-complex")
-    closed, orientable, genus = surface_invariants(Qpp)
-    if not (closed and orientable):
-        raise AssemblyError("handlebody needs a closed orientable surface")
+    if curves:
+        closed, orientable, _ = surface_invariants(Qpp)
+        if not (closed and orientable):
+            raise AssemblyError(
+                "handlebody needs a closed orientable surface")
 
     S = Qpp
     copy_ids: list[tuple[int, ...]] = []
@@ -570,13 +576,12 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
                 nxt += used
             disk_interiors.append((sides[0], sides[1]))
         sphere = build_complex(2, tops, n_vertices=nxt)
-        closed, orientable, genus = surface_invariants(sphere)
-    if not (closed and orientable and genus == 0):
-        raise AssemblyError(
-            f"cutting and capping left genus {genus}, not a sphere; the "
-            "curves are not half of a basis")
     req = FillRequest(sphere, "handlebody end")
-    check_fill_request(req)
+    try:
+        check_fill_request(req)
+    except AssemblyError as e:
+        raise AssemblyError(
+            f"{e}; the curves are not half of a basis") from None
 
     census = {
         "curves": len(curves),
@@ -729,8 +734,7 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     A = build_complex(3, tops, n_vertices=fresh)
     t1 = time.perf_counter()
 
-    rep = validate(A)
-    if not rep.is_complex or not rep.is_closed_pseudomanifold:
+    if not validate(A).is_complex or not pseudomanifold_check(A):
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
     if not homology_sphere_check(A, 3):
         # the check's fallback computed these already; this second run,
@@ -963,8 +967,7 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     if d < 2:
         raise AssemblyError("dimension raising needs a sphere of dim >= 2")
     t0 = time.perf_counter()
-    rep = validate(S)
-    if not rep.is_complex or not rep.is_closed_pseudomanifold:
+    if not validate(S).is_complex or not pseudomanifold_check(S):
         raise AssemblyError("input is not a closed pseudomanifold")
     target = S.cells[d][0] if facet is None else \
         canonical(facet) if len(facet) == 1 << d else None

@@ -5,7 +5,9 @@ in core fixes the chain convention. So is every fact about a square surface
 that other modules ask for: orientation_assignment orients the squares by
 their boundary coefficients in facets(2), across the squares on each edge
 in cofaces(1), and _is_closed (every edge in exactly two squares) reads
-cofaces(1).
+cofaces(1). Whether every vertex link is a cycle or a path is read in one
+pass over the squares by core._link_shapes, the same pass that
+manifold_check(C, 2) reads.
 
 Homology is exact over the integers at every size. A connected closed
 orientable surface is certified directly (see _surface_profile). Any other
@@ -63,12 +65,13 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 
 from .core import (
     CubeComplex,
     CubeComplexError,
+    _link_shapes,
     _reachable,
     pseudomanifold_check,
 )
@@ -586,13 +589,14 @@ def betti_numbers(C: CubeComplex) -> HomologyProfile:
 
 def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
     """(closed, orientable, genus) of a 2-complex whose vertex links are
-    cycles or paths; anything else raises NonSurfaceLinkError naming the
-    vertex. Genus is reported for connected closed orientable surfaces."""
+    cycles or paths, as core._link_shapes reads them in one pass; the
+    first vertex whose link is neither raises NonSurfaceLinkError naming
+    it. Genus is reported for connected closed orientable surfaces."""
     if C.dim != 2:
         raise CubeComplexError("surface_invariants needs a 2-complex")
-    v = _first_non_surface_link(C)
-    if v is not None:
-        raise NonSurfaceLinkError(v)
+    shapes = _link_shapes(C)
+    if None in shapes:
+        raise NonSurfaceLinkError(shapes.index(None))
     closed = _is_closed(C)
     orientable, _, _ = orientation_assignment(C)
     genus: int | None = None
@@ -601,52 +605,6 @@ def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
         assert (2 - chi) % 2 == 0
         genus = (2 - chi) // 2
     return closed, orientable, genus
-
-
-def _first_non_surface_link(C: CubeComplex) -> int | None:
-    """The first vertex whose link in the 2-complex C is not a single cycle
-    or a single path with an edge, or None.
-
-    All links are read in one pass over the squares. The link vertices at
-    v are the darts of the edges at v: dart 2e + s sits at corner s of
-    edge e. A square (a, b, c, d), boundary walk a-b-d-c, with facets
-    ac, bd, ab, cd, gives one link edge at each corner, between the darts
-    of its two edges there; squares that give the same pair give one link
-    edge. A link is a single cycle or path exactly when it has a dart,
-    every dart has degree 1 or 2, and it is connected: its darts less the
-    merges a union-find makes along its link edges number one."""
-    squares = C.cells.get(2, ())
-    ends = list(chain.from_iterable(C.cells.get(1, ())))
-    ids, _ = C.incidence().facets(2)
-    links: set[tuple[int, int]] = set()
-    it = iter(ids)
-    for (a, b, c, d), ac, bd, ab, cd in zip(squares, it, it, it, it):
-        # a is the least corner and b < c, so a is the low end of ab and
-        # ac, and b and c the high ends
-        ab, ac, bd, cd = 2 * ab, 2 * ac, 2 * bd + (b > d), 2 * cd + (c > d)
-        links.update(((ab, ac) if ab < ac else (ac, ab),
-                      (ab + 1, bd) if ab < bd else (bd, ab + 1),
-                      (ac + 1, cd) if ac < cd else (cd, ac + 1),
-                      (bd ^ 1, cd ^ 1) if bd < cd else (cd ^ 1, bd ^ 1)))
-    degree = [0] * len(ends)
-    parent = list(range(len(ends)))
-    merges = [0] * C.n_vertices
-    for x, y in links:
-        degree[x] += 1
-        degree[y] += 1
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            merges[ends[x]] += 1
-    darts = [0] * C.n_vertices
-    for v in ends:
-        darts[v] += 1
-    bad = {ends[x] for x, k in enumerate(degree) if not 0 < k < 3}
-    return next((v for v in range(C.n_vertices)
-                 if v in bad or darts[v] - merges[v] != 1), None)
 
 
 def _connected_skeleton(C: CubeComplex) -> bool:

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubulations import core
 from cubulations.core import (
     BoundReport,
     Cube,
@@ -15,8 +16,8 @@ from cubulations.core import (
     OddCycleError,
     ValidationReport,
     _link_is_sphere,
+    _link_shapes,
     _reachable,
-    _link_shape,
     bipartite_classes,
     build_complex,
     canonical,
@@ -198,8 +199,16 @@ def test_three_shared_vertices_is_a_non_face_intersection():
 
 
 def test_boundary_cube_is_valid_closed_pseudomanifold():
-    rep = validate(boundary_c3())
-    assert rep.is_complex and rep.is_closed_pseudomanifold
+    C = boundary_c3()
+    assert validate(C).is_complex and pseudomanifold_check(C)
+
+
+def test_validate_decides_only_the_face_property(monkeypatch):
+    def refuse(C):
+        raise AssertionError("validate ran pseudomanifold_check")
+
+    monkeypatch.setattr(core, "pseudomanifold_check", refuse)
+    assert validate(boundary_c3()) == ValidationReport(True, ())
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +233,13 @@ def test_manifold_check_rejects_pinched_surface():
     # two squares glued at a single vertex: link at the pinch is two points
     C = build_complex(2, [(0, 1, 2, 3), (3, 4, 5, 6)])
     assert not manifold_check(C, 2)
+
+
+def test_manifold_check_dim1_counts_every_vertex():
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert manifold_check(build_complex(1, cycle), 1)
+    # an isolated vertex has no edge, so its link is empty, not two points
+    assert not manifold_check(build_complex(1, cycle + [(4,)]), 1)
 
 
 def test_manifold_check_dim3_boundary_c4():
@@ -522,9 +538,7 @@ def _validate_by_canonicalising(C):
             reason = "shared-diagonal" if len(shared) == 2 else "non-face intersection"
             violations.append((ca, cb, reason))
     violations.sort()
-    is_complex = not violations
-    closed_pm = pseudomanifold_check(C) if is_complex else False
-    return ValidationReport(is_complex, closed_pm, tuple(violations))
+    return ValidationReport(not violations, tuple(violations))
 
 
 def _link_graph(link):
@@ -600,7 +614,7 @@ def assert_checks_match_the_oracles(C):
         assert manifold_check(C, C.dim) == manifold_check_by_links(C, C.dim)
         links = [vertex_link(C, v) for v in range(C.n_vertices)]
     if C.dim == 2:
-        assert [_link_shape(C, v) for v in range(C.n_vertices)] == [
+        assert _link_shapes(C) == [
             "cycle" if link_is_single_cycle(link)
             else "path" if link_is_path(link) else None for link in links]
     if C.dim == 3:
@@ -686,8 +700,7 @@ def test_pinched_vertex_matches_the_oracles():
 
 def test_edge_in_three_squares_matches_the_oracles():
     C = build_complex(2, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)])
-    rep = validate(C)
-    assert rep.is_complex and not rep.is_closed_pseudomanifold
+    assert validate(C).is_complex and not pseudomanifold_check(C)
     assert not manifold_check(C, 2)
     assert_checks_match_the_oracles(C)
 
@@ -736,8 +749,7 @@ def test_apex_link_of_a_cubical_cone(triangles, sphere):
 
 def test_boundary_c4_matches_the_oracles():
     C = build_complex(3, list(cube_faces(tuple(range(16)))))
-    rep = validate(C)
-    assert rep.is_complex and rep.is_closed_pseudomanifold
+    assert validate(C).is_complex and pseudomanifold_check(C)
     assert manifold_check(C, 3)
     assert_checks_match_the_oracles(C)
 

@@ -1,7 +1,8 @@
-"""The package runs on the standard library alone, and imports only what
-it uses."""
+"""The package runs on the standard library alone, imports only what it
+uses, and keeps every function the benchmark's tracer wraps."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -96,3 +97,25 @@ def test_unused_imports_are_found():
               "def f(x: 'Cube | None') -> int:\n"
               "    return _build(core.dim)\n")
     assert unused_imports(source) == ["json", "os", "validate"]
+
+
+def traced_functions() -> dict[str, tuple[str, ...]]:
+    """TRACED_FUNCTIONS of perfbench/spec.py, read without importing it:
+    package module -> the names the tracer wraps there."""
+    tree = ast.parse((ROOT / "perfbench" / "spec.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED_FUNCTIONS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spec.py defines no TRACED_FUNCTIONS")
+
+
+def test_every_traced_function_exists():
+    traced = traced_functions()
+    assert "core" in traced and "validate" in traced["core"]
+    missing = [f"{module}.{name}" for module, names in traced.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"cubulations.{module}"), name, None))]
+    assert not missing, missing

@@ -7,8 +7,6 @@ from cubulations.fileio import (
     FormatError,
     dumps_complex,
     loads_complex,
-    read_complex,
-    write_complex,
 )
 from cubulations.transforms import apply_gadget, torus_complex
 
@@ -66,11 +64,3 @@ def test_malformed_inputs_rejected():
         loads_complex("cubecomplex 2 4\ncube 2 0 1 2 x\n")
     with pytest.raises(FormatError):  # ids not dense
         loads_complex("cubecomplex 2 9\ncube 2 0 1 2 3\n")
-
-
-def test_file_round_trip(tmp_path):
-    C = torus_complex(2)
-    path = tmp_path / "t.cc"
-    write_complex(C, path)
-    assert path.read_text() == dumps_complex(C)
-    assert read_complex(path) == C

@@ -14,6 +14,7 @@ from cubulations.core import (
     build_complex,
     cube_faces,
     manifold_check,
+    pseudomanifold_check,
     relabel,
     validate,
 )
@@ -439,6 +440,21 @@ def test_handlebody_rejects_wrong_curve_count():
         handlebody(T, [])
 
 
+def test_genus_zero_handlebody_reads_its_surface_once(monkeypatch):
+    calls = []
+    real = topology.surface_invariants
+
+    def counted(C):
+        calls.append(C)
+        return real(C)
+
+    for module in (sphere_builder, fillball):
+        monkeypatch.setattr(module, "surface_invariants", counted)
+    Q = boundary_c3()
+    hb = handlebody(Q, [], structural=True)
+    assert hb.sphere is Q and calls == [Q]
+
+
 def test_handlebody_without_curves_takes_its_input_as_the_sphere(toy_pieces):
     Q, _, hb = toy_pieces
     assert hb.sphere is Q
@@ -464,8 +480,7 @@ def test_heegaard_sphere_from_torus(heegaard_pieces):
     T, cyl, hbA, hbB = heegaard_pieces
     S3 = assemble_sphere3(T, 2, cyl, hbA, hbB)
     assert S3.f_vector() == (578, 1566, 1482, 494)
-    rep = validate(S3)
-    assert rep.is_complex and rep.is_closed_pseudomanifold
+    assert validate(S3).is_complex and pseudomanifold_check(S3)
     prof = betti_numbers(S3)
     assert prof.betti == (1, 0, 0, 1)
     assert all(not t for t in prof.torsion)
