@@ -25,9 +25,9 @@ here uses that one typecode. build_complex fills the facet table in: its
 closure computes every cell's facets anyway, and hands them over remapped
 to sorted positions. Products derive theirs from their factors' tables
 (transforms.cartesian_product), and remove_facet passes on its input's
-with one row dropped. from_cells and relabel leave it to be built the
-first time it is asked for, as are the other parts, so a complex pays only
-for what its callers use. Caching it on the complex is sound because
+with one row dropped. from_cells leaves it to be built the first time
+it is asked for, as are the other parts, so a complex pays only for
+what its callers use. Caching it on the complex is sound because
 complexes never change after construction.
 
 The structural checks read corner positions and canonicalise nothing,
@@ -368,9 +368,6 @@ class CubeComplex:
             self._maximal = out
         return self._maximal
 
-    def vertices_used(self) -> set[int]:
-        return set(chain.from_iterable(chain.from_iterable(self.cells.values())))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubeComplex):
             return NotImplemented
@@ -441,27 +438,6 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
     C = CubeComplex(dim, n_vertices, {k: cells[k] for k in range(dim + 1)})
     C._incidence = Incidence(C, facets)
     return C
-
-
-def relabel(C: CubeComplex, mapping: dict[int, int],
-            n_vertices: int | None = None) -> CubeComplex:
-    """Apply a vertex relabeling (total on used vertices), re-canonicalizing."""
-    cells: dict[int, set[tuple[int, ...]]] = {}
-    for k, level in C.cells.items():
-        out = set()
-        for c in level:
-            out.add(canonical([mapping[v] for v in c]))
-        cells[k] = out
-    if n_vertices is None:
-        n_vertices = max(mapping.values()) + 1 if mapping else 0
-    return CubeComplex.from_cells(C.dim, n_vertices, {k: v for k, v in cells.items()})
-
-
-def relabel_dense(C: CubeComplex) -> tuple[CubeComplex, dict[int, int]]:
-    """Compress used vertex ids to [0, count), order preserving."""
-    used = sorted(C.vertices_used())
-    mapping = {v: i for i, v in enumerate(used)}
-    return relabel(C, mapping, len(used)), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -687,17 +687,21 @@ def _sphere_defect(S: CubeComplex) -> str | None:
         return f"fill_ball needs a 2-complex, got dimension {S.dim}"
     if not validate(S).is_complex:
         return "input sphere is not a valid complex"
-    if not _is_closed(S):
+    not_surface = None
+    try:
+        closed, orientable, genus = surface_invariants(S)
+    except NonSurfaceLinkError as e:
+        # closedness is still reported first, as on a surface
+        closed, not_surface = _is_closed(S), f"input is not a surface: {e}"
+    if not closed:
         return "input surface is not closed"
     f2 = len(S.cells[2])
     if f2 % 2:
         return (f"sphere has an odd number of squares ({f2}); a cubulated "
                 "ball boundary always has evenly many")
-    try:
-        closed, orientable, genus = surface_invariants(S)
-    except NonSurfaceLinkError as e:
-        return f"input is not a surface: {e}"
-    if not closed or not orientable or genus is None:
+    if not_surface:
+        return not_surface
+    if not orientable or genus is None:
         return "input surface is not a connected orientable closed surface"
     if genus != 0:
         return f"input surface has genus {genus}, not a sphere"

@@ -53,11 +53,10 @@ from .topology import betti_numbers, homology_sphere_check, surface_invariants
 from .transforms import (
     GADGETS,
     GlueError,
-    _check_seam,
+    _seam_ids,
     boundary_complex,
     cartesian_product,
     cut_along_curve,
-    glue,
     interval_complex,
 )
 from .transforms import remove_facet as _remove_facet
@@ -519,6 +518,27 @@ def _disk_cells(cycle: Sequence[int], base: int
     return cells, nxt - base
 
 
+def _quotient_ids(P: CubeComplex, pairs: dict[int, int]) -> list[int]:
+    """The ids of P's vertices in its quotient by pairs, which identifies
+    each vertex of the domain with its image: a vertex takes the rank of
+    its image among the vertices outside the domain.  The map must be
+    injective, its domain must not meet its image, and no cube of P may
+    lose a corner; the first that fails is an AssemblyError."""
+    if len(set(pairs.values())) != len(pairs):
+        raise AssemblyError("self-gluing map is not injective")
+    if not pairs.keys().isdisjoint(pairs.values()):
+        raise AssemblyError("self-gluing domain and image overlap")
+    rank, r = [], 0
+    for v in range(P.n_vertices):
+        rank.append(r)
+        r += v not in pairs
+    ids = [rank[pairs.get(v, v)] for v in range(P.n_vertices)]
+    for c in P.cells[P.dim]:
+        if len(set(map(ids.__getitem__, c))) != len(c):
+            raise AssemblyError(f"self-gluing degenerates cell {c}")
+    return ids
+
+
 def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
                structural: bool = False) -> HandlebodyReport:
     """Handlebody bounded by Qpp, built by cutting along the given curves.
@@ -528,7 +548,9 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     must be a 2-sphere with evenly many squares.  The solid is that
     sphere times an interval with the two disk copies identified at one
     end and a filled ball at the other.  The identified end's boundary
-    is Qpp again, reached through boundary_map.
+    is Qpp again, reached through boundary_map.  The prism's quotient is
+    numbered directly (_quotient_ids), and its cubes and the ball's are
+    closed by one build_complex and checked by one validate.
 
     The sphere is checked once, by check_fill_request on its request,
     and one that fails is an AssemblyError saying the curves are not
@@ -620,17 +642,14 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
             pairs[2 * a] = 2 * b
         for a, b in zip(in2, in1):
             pairs[2 * a] = 2 * b
-    if pairs:
-        H0, qmap = glue(P, P, pairs, with_map=True)
-    else:
-        H0, qmap = P, {v: v for v in range(P.n_vertices)}
+    qmap = _quotient_ids(P, pairs)
 
     l2g = {x: qmap[2 * x + 1] for x in range(sphere.n_vertices)}
-    fresh = H0.n_vertices
+    fresh = P.n_vertices - len(pairs)
     for lid in range(sphere.n_vertices, cert.ball.n_vertices):
         l2g[lid] = fresh
         fresh += 1
-    cubes = list(H0.cells[3])
+    cubes = [tuple(map(qmap.__getitem__, cube)) for cube in P.cells[3]]
     cubes.extend(tuple(l2g[v] for v in cube) for cube in cert.ball.cells[3])
     H = build_complex(3, cubes, n_vertices=fresh)
     rep = validate(H)
@@ -651,32 +670,6 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
 # assembly
 
 
-def _seam_ids(seam: str, A: CubeComplex, a_ids: Sequence[int],
-              B: CubeComplex, pairs: dict[int, int], fresh: int
-              ) -> tuple[list[int], int]:
-    """The ids of B's vertices in an assembly, numbered as glue numbers
-    them, and the next fresh id.
-
-    pairs identifies B's vertices with vertices of the piece A it lands
-    on, whose ids in the assembly are a_ids; every other vertex of B gets
-    the next fresh id, in increasing order.  The identification is first
-    checked against A alone, as glue checks it; a failure is an
-    AssemblyError naming the seam."""
-    try:
-        _check_seam(A, B, pairs)
-    except GlueError as e:
-        raise AssemblyError(f"{seam}: {e}") from None
-    ids = []
-    for v in range(B.n_vertices):
-        a = pairs.get(v)
-        if a is None:
-            a, fresh = fresh, fresh + 1
-        else:
-            a = a_ids[a]
-        ids.append(a)
-    return ids, fresh
-
-
 def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
                      hb_bottom: HandlebodyReport, hb_top: HandlebodyReport,
                      ) -> CubeComplex:
@@ -693,10 +686,10 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     t = k, and each cylinder's other vertices follow, in cylinder id
     order.  Each handlebody's boundary_map lands on the far end of its
     cylinder, and its other vertices follow, bottom before top.  Every
-    seam is checked as glue checks it, against the piece it lands on:
-    the cylinder seams against P, the handlebody seams against the
-    cylinder.  The five pieces' maximal cells are then closed once, by
-    one build_complex.
+    seam is checked and numbered by glue's one rule, transforms._seam_ids,
+    against the piece it lands on: the cylinder seams against P, the
+    handlebody seams against the cylinder.  The five pieces' maximal
+    cells are then closed once, by one build_complex.
 
     The result is checked to be a closed pseudomanifold with the homology
     of S^3 whose vertex links are spheres.  Emits one DEBUG record under
@@ -716,17 +709,25 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     P = cartesian_product(Q, interval_complex(k))
     fresh = P.n_vertices
     on_p = range(fresh)
-    m1, fresh = _seam_ids("bottom cylinder seam", P, on_p, C,
-                          {v: v * (k + 1) for v in range(nb)}, fresh)
-    m2, fresh = _seam_ids("top cylinder seam", P, on_p, C,
-                          {v: v * (k + 1) + k for v in range(nb)}, fresh)
+
+    def seam(name, A, a_ids, B, pairs):
+        nonlocal fresh
+        try:
+            ids, fresh = _seam_ids(A, B, pairs, a_ids, fresh)
+        except GlueError as e:
+            raise AssemblyError(f"{name}: {e}") from None
+        return ids
+
+    m1 = seam("bottom cylinder seam", P, on_p, C,
+              {v: v * (k + 1) for v in range(nb)})
+    m2 = seam("top cylinder seam", P, on_p, C,
+              {v: v * (k + 1) + k for v in range(nb)})
     placed = [(C, m1), (C, m2)]
-    for seam, hb, m in (("bottom handlebody seam", hb_bottom, m1),
+    for name, hb, m in (("bottom handlebody seam", hb_bottom, m1),
                         ("top handlebody seam", hb_top, m2)):
         bmap = hb.boundary_map
-        ids, fresh = _seam_ids(seam, C, m, hb.complex,
-                               {bmap[x]: nb + x for x in range(n_end)}, fresh)
-        placed.append((hb.complex, ids))
+        placed.append((hb.complex, seam(
+            name, C, m, hb.complex, {bmap[x]: nb + x for x in range(n_end)})))
     tops = list(chain.from_iterable(P.maximal_cells().values()))
     for B, ids in placed:
         for level in B.maximal_cells().values():

@@ -1,7 +1,11 @@
 """Reusable constructions: products, gadget subdivisions, glue/cut, warm-up.
 
 Vertex id conventions are fixed and documented per operation so that outputs
-are reproducible byte for byte.
+are reproducible byte for byte. Every seam has one rule, _seam_ids: it
+checks that the identification matches cells with cells and numbers the
+glued piece's vertices, the identified ones by their images and the rest by
+fresh ids in increasing order. glue is that rule plus one closure and one
+validate; sphere_builder.assemble_sphere3 applies it to each of its seams.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from .core import (
     _link_cycle,
     build_complex,
     canonical,
-    relabel,
-    relabel_dense,
     validate,
 )
 
@@ -261,11 +263,16 @@ def _identified_cells(C: CubeComplex, verts: set[int]) -> dict[int, set[tuple[in
     return out
 
 
-def _check_seam(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]) -> None:
-    """glue's conditions on an identification of B ids with A ids: the map
-    is injective, stays inside both complexes, and carries the cells of B
-    its domain spans onto exactly the cells of A its image spans. Raises
-    GlueError naming the first that fails."""
+def _seam_ids(A: CubeComplex, B: CubeComplex, pairs: dict[int, int],
+              a_ids: Sequence[int], fresh: int) -> tuple[list[int], int]:
+    """The seam rule: the ids of B's vertices once B is glued onto A along
+    pairs (B ids -> A ids), and the next fresh id.
+
+    The map must be injective, stay inside both complexes, and carry the
+    cells of B its domain spans onto exactly the cells of A its image
+    spans; GlueError names the first condition that fails. An identified
+    vertex takes the id a_ids gives its image, and every other vertex of
+    B the next fresh id, in increasing order."""
     if len(set(pairs.values())) != len(pairs):
         raise GlueError("vertex map is not injective")
     domain = set(pairs)
@@ -282,60 +289,35 @@ def _check_seam(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]) -> None:
     }
     if mapped != sub_a:
         raise GlueError("identified subcomplexes are not isomorphic under the map")
+    ids = []
+    for v in range(B.n_vertices):
+        a = pairs.get(v)
+        if a is None:
+            a, fresh = fresh, fresh + 1
+        else:
+            a = a_ids[a]
+        ids.append(a)
+    return ids, fresh
 
 
-def glue(A: CubeComplex, B: CubeComplex, pairs: dict[int, int], *,
-         with_map: bool = False):
+def glue(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]
+         ) -> CubeComplex:
     """Glue B onto A along the vertex identification pairs (B ids -> A ids).
 
     The identified vertex sets must span isomorphic subcomplexes cell by
-    cell (_check_seam). Passing the same object as A and B performs a
-    self-identification (quotient), e.g. closing an interval into a cycle.
-    The result is re-validated. With with_map=True, returns (complex,
-    mapping of B vertices into the result); B's unidentified vertices get
-    fresh ids from A.n_vertices up, in increasing order.
+    cell (_seam_ids). A keeps its ids; an identified vertex of B takes its
+    image's, and B's other vertices get fresh ids from A.n_vertices up, in
+    increasing order. The maximal cells of both are closed by one
+    build_complex and the result is validated.
     """
-    if B is A:
-        if len(set(pairs.values())) != len(pairs):
-            raise GlueError("vertex map is not injective")
-        if set(pairs) & set(pairs.values()):
-            raise GlueError("self-gluing domain and image overlap")
-        mapping = {v: pairs.get(v, v) for v in range(A.n_vertices)}
-        for level in A.maximal_cells().values():
-            for c in level:
-                if len({mapping[v] for v in c}) != len(c):
-                    raise GlueError(f"self-gluing degenerates cell {c}")
-        quot = relabel(A, mapping, n_vertices=A.n_vertices)
-        dense, old_to_new = relabel_dense(quot)
-        rep = validate(dense)
-        if not rep.is_complex:
-            raise GlueError(f"gluing produced an invalid complex: "
-                            f"{rep.violations[:3]}")
-        if with_map:
-            return dense, {v: old_to_new[mapping[v]] for v in range(A.n_vertices)}
-        return dense
-
-    _check_seam(A, B, pairs)
-    fresh = A.n_vertices
-    b_to_out: dict[int, int] = {}
-    for v in range(B.n_vertices):
-        if v in pairs:
-            b_to_out[v] = pairs[v]
-        else:
-            b_to_out[v] = fresh
-            fresh += 1
-    tops: list[tuple[int, ...]] = []
-    for kk, level in A.maximal_cells().items():
-        tops.extend(level)
-    for kk, level in B.maximal_cells().items():
-        for c in level:
-            tops.append(tuple(b_to_out[v] for v in c))
+    ids, fresh = _seam_ids(A, B, pairs, range(A.n_vertices), A.n_vertices)
+    tops = list(chain.from_iterable(A.maximal_cells().values()))
+    for level in B.maximal_cells().values():
+        tops.extend(tuple(map(ids.__getitem__, c)) for c in level)
     out = build_complex(max(A.dim, B.dim), tops, n_vertices=fresh)
     rep = validate(out)
     if not rep.is_complex:
         raise GlueError(f"gluing produced an invalid complex: {rep.violations[:3]}")
-    if with_map:
-        return out, b_to_out
     return out
 
 

@@ -25,7 +25,6 @@ from cubulations.core import (
     cube_faces,
     manifold_check,
     pseudomanifold_check,
-    relabel_dense,
     upper_bound_checks,
     validate,
     vertex_link,
@@ -152,16 +151,6 @@ def test_build_requires_dense_ids():
         build_complex(2, [(0, 1, 2, 4)])
     C = build_complex(2, [(0, 1, 2, 3)], n_vertices=4)
     assert C.n_vertices == 4
-
-
-def test_relabel_dense():
-    sparse = CubeComplex.from_cells(2, 7, {2: [(0, 2, 4, 6)]})
-    D, mapping = relabel_dense(sparse)
-    assert mapping == {0: 0, 2: 1, 4: 2, 6: 3}
-    assert D.cells[2] == ((0, 1, 2, 3),)
-    big = build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5)])
-    D2, m2 = relabel_dense(big)
-    assert D2 == big and m2 == {v: v for v in range(6)}
 
 
 def test_maximal_cells_of_non_pure_complex():

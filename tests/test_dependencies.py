@@ -1,9 +1,11 @@
 """The package runs on the standard library alone, imports only what it
-uses, and keeps every function the benchmark's tracer wraps."""
+uses, calls every private helper it defines, and keeps every function
+the benchmark's tracer wraps."""
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,41 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(
                    f"cubulations.{module}"), name, None))]
     assert not missing, missing
+
+
+def orphan_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes named _name, in sources
+    (module name -> source), that no source names anywhere but inside
+    their own definition, as module.name."""
+    def names(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(names, trees.values()), Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and everywhere[node.name] == names(node)[node.name]]
+
+
+def test_every_private_helper_has_a_caller():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) > 5
+    found = orphan_helpers({path.stem: path.read_text() for path in files})
+    assert not found, found
+
+
+def test_orphan_helpers_are_found():
+    sources = {
+        "a": ("class _Used:\n    pass\n"
+              "def _orphan(x):\n    return _orphan(x - 1) if x else _Used\n"
+              "def _called():\n    return 1\n"
+              "def public():\n    return 0\n"),
+        "b": ("from . import a\nfrom .a import _called\n"
+              "def _lone():\n    pass\n"
+              "def f():\n    return _called() + a._Used.__name__\n"),
+    }
+    assert orphan_helpers(sources) == ["a._orphan", "b._lone"]

@@ -1,5 +1,6 @@
 """Sphere assembly: refining cylinders, handlebodies, the pipeline, doubling."""
 
+import hashlib
 import logging
 import random
 import re
@@ -15,7 +16,6 @@ from cubulations.core import (
     cube_faces,
     manifold_check,
     pseudomanifold_check,
-    relabel,
     validate,
 )
 from cubulations.topology import betti_numbers, surface_invariants
@@ -27,13 +27,15 @@ from cubulations.transforms import (
     remove_facet,
     torus_complex,
 )
-from cubulations import core, fillball, sphere_builder, topology, transforms
+from cubulations import basis, core, fillball, sphere_builder, topology, \
+    transforms
 from cubulations.basis import (
     RegularNeighborhoodCert,
     canonical_basis,
     refine_report,
     regularize_with_chains,
 )
+from cubulations.fileio import dumps_complex
 from cubulations.fillball import FillFailed
 from cubulations.surface_gen import surface_report
 from test_core import assert_checks_match_the_oracles
@@ -42,6 +44,7 @@ from test_topology import (
     betti_over,
     dunce_hat,
     klein_4x4,
+    relabel,
     sphere_wedge,
     torus_4x4,
 )
@@ -51,6 +54,7 @@ from cubulations.sphere_builder import (
     StructuralReport,
     _disk_cells,
     _patch_map,
+    _quotient_ids,
     _wheel,
     assemble_sphere3,
     check_fill_request,
@@ -227,6 +231,13 @@ def test_fill_request_of_a_non_surface_is_an_assembly_error():
     S = glue(boundary_c3(), boundary_c3(), {0: 0})
     with pytest.raises(AssemblyError, match="wedge: input is not a surface"):
         check_fill_request(FillRequest(S, "wedge"))
+
+
+def test_fill_request_decides_closedness_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_is_closed")
+    Q = boundary_c3()
+    check_fill_request(FillRequest(Q, "cube boundary"))
+    assert calls == [(Q,)]
 
 
 def test_cylinder_is_deterministic(toy_pieces):
@@ -455,6 +466,67 @@ def test_genus_zero_handlebody_reads_its_surface_once(monkeypatch):
     assert hb.sphere is Q and calls == [Q]
 
 
+def test_quotient_refuses_bad_self_identifications():
+    with pytest.raises(AssemblyError, match="not injective"):
+        _quotient_ids(interval_complex(3), {2: 0, 3: 0})
+    with pytest.raises(AssemblyError, match="domain and image overlap"):
+        _quotient_ids(interval_complex(3), {1: 0, 2: 1})
+    with pytest.raises(AssemblyError, match="degenerates"):
+        _quotient_ids(interval_complex(1), {1: 0})  # the only edge onto itself
+
+
+def test_quotient_numbers_by_rank_outside_the_domain():
+    # closing a path into a cycle: 8 -> 0, and 5 -> 2 on a longer path
+    assert _quotient_ids(interval_complex(8), {8: 0}) == [*range(8), 0]
+    assert _quotient_ids(interval_complex(6), {1: 4, 5: 2}) \
+        == [0, 3, 1, 2, 3, 1, 4]
+
+
+def test_full_handlebody_closes_and_validates_once(monkeypatch):
+    builds = _count_calls(monkeypatch, "build_complex")
+    validates = _count_calls(monkeypatch, "validate")
+    real_fill = sphere_builder.fill_ball
+
+    def fill(S):
+        cert = real_fill(S)
+        # the sphere's and the ball's own checks are not the solid's
+        builds.clear()
+        validates.clear()
+        return cert
+
+    monkeypatch.setattr(sphere_builder, "fill_ball", fill)
+    hb = handlebody(torus_complex(2), [TORUS_MERIDIAN])
+    # the interval of the prism is the one other closure
+    assert [args[0] for args in builds] == [1, 3]
+    assert len(validates) == 1 and validates[0][0] is hb.complex
+
+
+# sha256 of dumps_complex: climb's handlebodies by curve, its Heegaard S^3
+# at k = 2, and that sphere doubled at facet 0
+HANDLEBODY_DIGESTS = {
+    TORUS_MERIDIAN: "ce0c56bb68c60fd7f02db01da0f7d0b18cf7fb51362e1d62e48786"
+                    "2b33de5d44",
+    TORUS_LONGITUDE: "d46da85902b6369a43867ba129f1d993f839da18e1e4d888259036"
+                     "f7b0b131d2",
+}
+HEEGAARD_DIGEST = ("561b8d3b286633f7dc3992376c0a6dede4bd17db076492a757a21bbe"
+                   "c4ebc27f")
+DOUBLED_DIGEST = ("826501367476e2500aff3596f3e396337aadccfb023292d625b5a178"
+                  "52e0b975")
+
+
+def _digest(C):
+    return hashlib.sha256(dumps_complex(C).encode()).hexdigest()
+
+
+def test_heegaard_complexes_are_pinned(heegaard_pieces, heegaard_s3):
+    _, _, hbA, hbB = heegaard_pieces
+    assert {TORUS_MERIDIAN: _digest(hbA.complex),
+            TORUS_LONGITUDE: _digest(hbB.complex)} == HANDLEBODY_DIGESTS
+    assert _digest(heegaard_s3) == HEEGAARD_DIGEST
+    assert _digest(induct_dimension(heegaard_s3)) == DOUBLED_DIGEST
+
+
 def test_handlebody_without_curves_takes_its_input_as_the_sphere(toy_pieces):
     Q, _, hb = toy_pieces
     assert hb.sphere is Q
@@ -492,23 +564,31 @@ def test_heegaard_sphere_checks_match_the_oracles(heegaard_pieces):
     assert_checks_match_the_oracles(assemble_sphere3(T, 2, cyl, hbA, hbB))
 
 
+def _glue_ids(A, B, pairs):
+    """B's ids in glue(A, B, pairs), by glue's documented rule: an
+    identified vertex takes its image's id, the others fresh ids from
+    A.n_vertices up, in increasing order."""
+    fresh = iter(range(A.n_vertices, A.n_vertices + B.n_vertices))
+    return [pairs[v] if v in pairs else next(fresh)
+            for v in range(B.n_vertices)]
+
+
 def _assemble_by_glue(Q, k, cyl, hb_bottom, hb_top):
     """The assembly as four glue calls, each closing and validating the
     growing union: the reference assemble_sphere3 must equal."""
     nb = Q.n_vertices
     n_end = cyl.end.n_vertices
+    C = cyl.complex
 
-    P = cartesian_product(Q, interval_complex(k))
-    A, m1 = glue(P, cyl.complex,
-                 {v: v * (k + 1) for v in range(nb)}, with_map=True)
-    A, m2 = glue(A, cyl.complex,
-                 {v: v * (k + 1) + k for v in range(nb)}, with_map=True)
-    A, _ = glue(A, hb_bottom.complex,
-                {hb_bottom.boundary_map[x]: m1[nb + x] for x in range(n_end)},
-                with_map=True)
-    A, _ = glue(A, hb_top.complex,
-                {hb_top.boundary_map[x]: m2[nb + x] for x in range(n_end)},
-                with_map=True)
+    A = cartesian_product(Q, interval_complex(k))
+    ends = []
+    for t in (0, k):
+        pairs = {v: v * (k + 1) + t for v in range(nb)}
+        ends.append(_glue_ids(A, C, pairs))
+        A = glue(A, C, pairs)
+    for hb, m in zip((hb_bottom, hb_top), ends):
+        A = glue(A, hb.complex,
+                 {hb.boundary_map[x]: m[nb + x] for x in range(n_end)})
     return A
 
 
@@ -528,16 +608,18 @@ def test_assembly_with_one_handlebody_equals_the_four_glues(toy_pieces):
 
 
 def _count_calls(monkeypatch, name):
-    """Every binding of core's or transforms' function `name` in the
-    package, wrapped to record the arguments of each call."""
+    """Every binding in the package of the function `name` of core,
+    transforms or topology, wrapped to record the arguments of each
+    call."""
     calls = []
-    real = getattr(core, name, None) or getattr(transforms, name)
+    modules = (core, transforms, topology, fillball, sphere_builder, basis)
+    real = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for mod in (core, transforms, topology, fillball, sphere_builder):
+    for mod in modules:
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counted)
     return calls

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubulations.core import (
+    CubeComplex,
     CubeComplexError,
     build_complex,
+    canonical,
     cube_faces,
-    relabel,
     validate,
     vertex_link,
 )
@@ -75,6 +76,14 @@ def klein_4x4():
     for j in range(4):
         tops.append((v(3, j), v(0, -j), v(3, j + 1), v(0, -j - 1)))
     return build_complex(2, tops)
+
+
+def relabel(C, mapping):
+    """C with each vertex v renamed mapping[v] and every cell put in
+    canonical form again; its ids run up to the largest new one."""
+    cells = {k: {canonical([mapping[v] for v in c]) for c in level}
+             for k, level in C.cells.items()}
+    return CubeComplex.from_cells(C.dim, max(mapping.values()) + 1, cells)
 
 
 def sphere_wedge(S, T):

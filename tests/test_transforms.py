@@ -289,19 +289,15 @@ def test_glue_two_solid_cubes_along_a_square():
     assert validate(C).is_complex
 
 
-def test_glue_interval_into_cycle():
-    I = interval_complex(8)
-    C = glue(I, I, {8: 0})
-    assert C.f_vector() == (8, 8)
-    assert betti_numbers(C).betti == (1, 1)
-
-
 def test_glue_with_map():
     A = build_complex(2, [(0, 1, 2, 3)])
-    B = build_complex(2, [(0, 1, 2, 3)])
-    C, b_map = glue(A, B, {0: 2, 1: 3}, with_map=True)
-    assert b_map == {0: 2, 1: 3, 2: 4, 3: 5}
-    assert C.f_vector() == (6, 7, 2)
+    B = build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5)])
+    C = glue(A, B, {0: 2, 1: 3})
+    # identified vertices take their images' ids, the rest of B's get
+    # fresh ones from A.n_vertices up, in increasing order: 2..5 -> 4..7
+    assert C.n_vertices == 8
+    assert C.cells[2] == ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7))
+    assert C.f_vector() == (8, 10, 3)
 
 
 def test_glue_rejects_bad_maps():
@@ -311,9 +307,6 @@ def test_glue_rejects_bad_maps():
         glue(A, B, {0: 1, 2: 1})
     with pytest.raises(GlueError, match="isomorphic"):
         glue(A, B, {0: 0, 1: 3})  # edge onto a diagonal pair
-    I1 = interval_complex(1)
-    with pytest.raises(GlueError, match="degenerates"):
-        glue(I1, I1, {1: 0})  # self-gluing the only edge onto itself
 
 
 def test_glue_seam_only_validation():
