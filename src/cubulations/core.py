@@ -19,16 +19,17 @@ Face incidence lives in one place, the Incidence index of a complex
   - star(k): for each vertex, the indices of the k-cells containing it;
   - cofaces(k): for each k-cell, the indices of the (k+1)-cells it is a
     facet of, the facet table of level k+1 transposed once.
-The rim (ridges in exactly one facet) and the maximal cells are read off
-the facet table. Ids are 4-byte array("i") entries, and every index array
-here uses that one typecode. build_complex fills the facet table in: its
-closure computes every cell's facets anyway, and hands them over remapped
-to sorted positions. Products derive theirs from their factors' tables
-(transforms.cartesian_product), and remove_facet passes on its input's
-with one row dropped. from_cells leaves it to be built the first time
-it is asked for, as are the other parts, so a complex pays only for
-what its callers use. Caching it on the complex is sound because
-complexes never change after construction.
+The rim (ridges in exactly one facet), the maximal cells and closure (the
+cells some cells generate, the one read of a boundary or of a cell's faces)
+are read off the facet table, as positions. Ids are 4-byte array("i")
+entries, and every index array here uses that one typecode. build_complex
+fills the facet table in: its closure computes every cell's facets anyway,
+and hands them over remapped to sorted positions. Products derive theirs
+from their factors' tables (transforms.cartesian_product), and remove_facet
+passes on its input's with one row dropped. from_cells leaves it to be
+built the first time it is asked for, as are the other parts, so a complex
+pays only for what its callers use. Caching it on the complex is sound
+because complexes never change after construction.
 
 The structural checks read corner positions and canonicalise nothing,
 and each verdict has one owner. validate decides only that any two cells
@@ -312,11 +313,20 @@ class Incidence:
             got = self._star[k] = _transpose(corners, 1 << k, self.n_vertices)
         return got
 
-    def rim(self) -> list[tuple[int, ...]]:
-        """The (d-1)-cells that are a facet of exactly one d-cell."""
+    def rim(self) -> list[int]:
+        """Positions of the (d-1)-cells in exactly one d-cell, ascending."""
         ptr, _ = self.cofaces(self.dim - 1)
-        return [c for i, c in enumerate(self.cells.get(self.dim - 1, ()))
-                if ptr[i + 1] - ptr[i] == 1]
+        return [i for i in range(len(ptr) - 1) if ptr[i + 1] - ptr[i] == 1]
+
+    def closure(self, k: int, ids: Iterable[int]) -> list[list[int]]:
+        """Per level j = 0..k, the ascending positions of the j-cells of
+        the subcomplex that the k-cells at positions ids generate."""
+        levels = [sorted(set(ids))]
+        for j in range(k, 0, -1):
+            rows, w = self.facets(j)[0], 2 * j
+            levels.append(sorted({f for i in levels[-1]
+                                  for f in rows[w * i:w * i + w]}))
+        return levels[::-1]
 
 
 class CubeComplex:

@@ -53,8 +53,8 @@ Each call logs one DEBUG record under cubulations.fillball with its
 work counts.
 
 Soundness does not rest on the search. Every certificate is passed
-through verify_filling before it is returned, and the verifier rederives
-the boundary of the ball from scratch. An exhausted budget raises
+through verify_filling before it is returned, and the verifier reads the
+boundary off the ball's own facet tables. An exhausted budget raises
 FillFailed with frontier statistics; a wrong certificate is never
 returned. The verifier also accepts externally produced certificates,
 see read_certificate.
@@ -67,7 +67,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CubeComplex,
@@ -81,7 +81,6 @@ from .core import (
 from .fileio import FormatError, dumps_complex, loads_complex
 from .topology import NonSurfaceLinkError, _is_closed, \
     _reduces_to_nothing, betti_numbers, surface_invariants
-from .transforms import boundary_complex
 
 __all__ = [
     "FillCertificate",
@@ -827,13 +826,13 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
 def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     """Independent check of a filling certificate against its sphere.
 
-    Re-derives the boundary of the ball, maps it through boundary_iso,
-    and compares cell by cell with S in every dimension; also checks
-    that the ball is a valid complex with the homology of a ball: it is
+    Checks that the ball is a valid complex with the homology of a ball:
     acyclic if its chain complex reduces to nothing (topology._reduce),
-    and otherwise its Betti numbers decide. The certificate's producer
-    is not trusted, so external certificates go through the same gate.
-    Returns a report; the witness on a cell mismatch is an unmatched cell.
+    and otherwise by its Betti numbers. Then maps the ball's boundary, in
+    its own ids (_rim_cells), through boundary_iso and compares it cell by
+    cell with S in every dimension. The certificate's producer is not
+    trusted, so external certificates go through the same gate. Returns a
+    report; the witness on a cell mismatch is an unmatched cell.
     """
     ball = cert.ball
     if ball.dim != 3:
@@ -847,32 +846,24 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
         if prof.betti != (1, 0, 0, 0) or any(prof.torsion):
             return FillCheck(False,
                              f"ball homology {prof.betti} differs from a ball")
-    try:
-        bdry, idmap = boundary_complex(ball, with_map=True)
-    except CubeComplexError as e:
-        return FillCheck(False, f"boundary not derivable: {e}")
-    if bdry.dim != 2:
-        return FillCheck(False, "ball boundary is not 2-dimensional")
-    phi: dict[int, int] = {}
-    for new, old in idmap.items():
-        if old not in cert.boundary_iso:
+    bdry = _rim_cells(ball)
+    iso = cert.boundary_iso
+    for (v,) in bdry[0]:
+        if v not in iso:
             return FillCheck(False,
-                             f"boundary vertex {old} missing from the map")
-        phi[new] = cert.boundary_iso[old]
-    if len(set(phi.values())) != len(phi):
+                             f"boundary vertex {v} missing from the map")
+    if len({iso[v] for (v,) in bdry[0]}) != len(bdry[0]):
         return FillCheck(False, "boundary map is not injective on vertices")
-    if len(phi) != S.n_vertices:
+    if len(bdry[0]) != S.n_vertices:
         return FillCheck(
-            False, f"boundary has {len(phi)} vertices, sphere has "
+            False, f"boundary has {len(bdry[0])} vertices, sphere has "
             f"{S.n_vertices}")
     for k in range(3):
-        have = sorted(canonical(tuple(phi[v] for v in cell))
-                      for cell in bdry.cells.get(k, ()))
+        have = sorted(canonical(tuple(iso[v] for v in cell))
+                      for cell in bdry[k])
         want = sorted(S.cells.get(k, ()))
         if have != want:
-            extra = set(have) - set(want)
-            missing = set(want) - set(have)
-            witness = min(extra or missing)
+            witness = min(set(have) - set(want) or set(want) - set(have))
             return FillCheck(
                 False, f"boundary and sphere differ in dimension {k}",
                 witness)
@@ -882,13 +873,17 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
 # ---------------------------------------------------------------------------
 # certificate files
 
-def _global_index(C: CubeComplex) -> list[tuple[int, ...]]:
-    """Cells of all dimensions in one list: dimensions ascending, each
-    level in its canonical sorted order."""
-    out: list[tuple[int, ...]] = []
-    for k in range(C.dim + 1):
-        out.extend(C.cells.get(k, ()))
-    return out
+def _rim_cells(ball: CubeComplex) -> dict[int, list[tuple[int, ...]]]:
+    """The ball's boundary: per level its cells, in the ball's own ids and
+    sorted order, read off the facet tables (Incidence.closure)."""
+    inc = ball.incidence()
+    return {k: [ball.cells[k][i] for i in ids]
+            for k, ids in enumerate(inc.closure(ball.dim - 1, inc.rim()))}
+
+
+def _global_index(cells: dict[int, Sequence[tuple[int, ...]]]) -> list:
+    """The cells of a per-level table in one list, dimensions ascending."""
+    return [c for k in sorted(cells) for c in cells[k]]
 
 
 def write_certificate(cert: FillCertificate, S: CubeComplex,
@@ -897,17 +892,16 @@ def write_certificate(cert: FillCertificate, S: CubeComplex,
 
     The ball is serialized in the interchange format; each following
     `bmap <sphere-cell-index> <ball-boundary-cell-index>` line pairs a
-    cell of the sphere with a cell of boundary_complex(ball). Indices
-    count all cells, dimensions ascending, each dimension in canonical
-    order. Certificates from any producer are read back with
+    cell of the sphere with a cell of the ball's boundary (_rim_cells).
+    Indices count all cells, dimensions ascending, each dimension in
+    canonical order. Certificates from any producer are read back with
     read_certificate and checked with verify_filling.
     """
-    bdry, idmap = boundary_complex(cert.ball, with_map=True)
-    phi = {new: cert.boundary_iso[old] for new, old in idmap.items()}
-    s_at = {cell: i for i, cell in enumerate(_global_index(S))}
+    bdry = _rim_cells(cert.ball)
+    s_at = {cell: i for i, cell in enumerate(_global_index(S.cells))}
     lines = [dumps_complex(cert.ball).rstrip("\n")]
     for j, cell in enumerate(_global_index(bdry)):
-        image = canonical(tuple(phi[v] for v in cell))
+        image = canonical(tuple(cert.boundary_iso[v] for v in cell))
         lines.append(f"bmap {s_at[image]} {j}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -937,9 +931,8 @@ def read_certificate(path: str | Path, S: CubeComplex) -> FillCertificate:
         else:
             cc_lines.append(raw)
     ball = loads_complex("\n".join(cc_lines))
-    bdry, idmap = boundary_complex(ball, with_map=True)
-    s_cells = _global_index(S)
-    b_cells = _global_index(bdry)
+    s_cells = _global_index(S.cells)
+    b_cells = _global_index(_rim_cells(ball))
     seen_j: set[int] = set()
     phi: dict[int, int] = {}
     for i, j in pairs:
@@ -963,4 +956,4 @@ def read_certificate(path: str | Path, S: CubeComplex) -> FillCertificate:
         if canonical(tuple(phi[v] for v in bc)) != s_cells[i]:
             raise FormatError(f"bmap pair ({i}, {j}) contradicts the "
                               "vertex pairs in the same file")
-    return FillCertificate(ball, {idmap[new]: s for new, s in phi.items()})
+    return FillCertificate(ball, phi)

@@ -43,7 +43,6 @@ from .core import (
     build_complex,
     bipartite_classes,
     canonical,
-    cube_faces,
     manifold_check,
     pseudomanifold_check,
     upper_bound_checks,
@@ -494,9 +493,8 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     if not rep.is_complex:
         raise AssemblyError(
             f"pillow fills do not assemble: {rep.violations[:2]}")
-    rim = set(cyl.incidence().rim())
     want = set(Q.cells[2]) | {tuple(T0 + x for x in t) for t in Qpp.cells[2]}
-    if rim != want:
+    if set(map(cyl.cells[2].__getitem__, cyl.incidence().rim())) != want:
         raise AssemblyError("cylinder boundary is not the two ends")
     census["inset_cubes"] = len(cyl.cells[3])
     return done(CylinderReport(cyl, Qpp, tuple(requests), "full", (), census))
@@ -658,9 +656,8 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
             f"handlebody pieces do not assemble: {rep.violations[:2]}")
 
     bmap = {v: qmap[2 * v] for v in range(Qpp.n_vertices)}
-    rim = set(H.incidence().rim())
     want = {canonical([bmap[v] for v in t]) for t in Qpp.cells[2]}
-    if rim != want:
+    if set(map(H.cells[2].__getitem__, H.incidence().rim())) != want:
         raise AssemblyError("handlebody boundary is not the input surface")
     census["fill_cubes"] = len(cert.ball.cells[3])
     return done(HandlebodyReport(H, bmap, sphere, (req,), "full", census))
@@ -953,8 +950,9 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     The boundary is written by its product formula, with bd for the
     boundary: bd(Q x I x I) = Q x bd(I x I)  u  bd(F) x I x I, two
     products that are closed and canonical and overlap in
-    bd(F) x bd(I x I).  bd(I x I) is the rim of the square's own product,
-    so vertex (q, i, j) is 4q + 2i + j, as in the product Q x I x I.
+    bd(F) x bd(I x I).  bd(F) is read off S's facet tables, and bd(I x I)
+    is the rim of the square's own product, so vertex (q, i, j) is
+    4q + 2i + j, as in the product Q x I x I.
     The second product adds only the cells bd(F) x (open square), 26 for
     d = 3, so the two are merged (_union): those cells are placed by
     bisection, and the first product's cells and facet rows move in runs
@@ -980,10 +978,9 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     t2 = time.perf_counter()
 
     Q = _remove_facet(S, target)
-    level, faces = {target}, {}
-    for k in range(d - 1, -1, -1):
-        level = faces[k] = {canonical(f) for c in level for f in cube_faces(c)}
-    rim_F = CubeComplex.from_cells(d - 1, S.n_vertices, faces)
+    faces = S.incidence().closure(d, [S.incidence().position(d)[target]])
+    rim_F = CubeComplex.from_cells(d - 1, S.n_vertices, {
+        k: [S.cells[k][i] for i in faces[k]] for k in range(d)})
     square = cartesian_product(interval_complex(1), interval_complex(1))
     sides = cartesian_product(Q, boundary_complex(square))
     ends = cartesian_product(rim_F, square)

@@ -395,22 +395,21 @@ def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
     return build_complex(2, tops, n_vertices=S.n_vertices + L)
 
 
-def boundary_complex(C: CubeComplex, with_map: bool = False):
-    """Subcomplex of (d-1)-cells lying in exactly one d-cell, relabeled to
-    dense ids (order preserving); with_map also returns new id -> old id."""
+def boundary_complex(C: CubeComplex) -> CubeComplex:
+    """Subcomplex of (d-1)-cells lying in exactly one d-cell, read off C's
+    facet tables (Incidence.closure) and relabeled to dense ids in order,
+    which keeps every cell canonical and every level sorted."""
     d = C.dim
     if not C.cells.get(d):
         raise CubeComplexError("complex has no top-dimensional cells")
-    rim = C.incidence().rim()
-    if not rim:
+    inc = C.incidence()
+    levels = inc.closure(d - 1, inc.rim())
+    if not levels[-1]:
         raise CubeComplexError("complex is closed; boundary is empty")
-    used = sorted({v for f in rim for v in f})
-    old_to_new = {v: i for i, v in enumerate(used)}
-    tops = [tuple(old_to_new[v] for v in f) for f in rim]
-    B = build_complex(d - 1, tops, n_vertices=len(used))
-    if with_map:
-        return B, {i: v for v, i in old_to_new.items()}
-    return B
+    new = {v: i for i, v in enumerate(levels[0])}
+    return CubeComplex.from_cells(d - 1, len(new), {
+        k: [tuple(map(new.__getitem__, C.cells[k][i])) for i in ids]
+        for k, ids in enumerate(levels)})
 
 
 def remove_facet(C: CubeComplex, corners: tuple[int, ...]) -> CubeComplex:

@@ -455,16 +455,54 @@ def test_maximal_cells_match_a_scan(C):
         assert m[k] == tuple(c for c in C.cells[k] if c not in covered)
 
 
+def _boundary_by_rebuild(C):
+    """The rim renumbered in the order of its vertex ids and closed again
+    by build_complex (reference oracle)."""
+    rim = sorted(_rim_by_count(C))
+    new = {v: i for i, v in enumerate(sorted({v for c in rim for v in c}))}
+    return build_complex(C.dim - 1, [tuple(new[v] for v in c) for c in rim],
+                         n_vertices=len(new))
+
+
 @given(small_complexes())
 @settings(max_examples=150, deadline=None)
 def test_boundary_complex_rim_matches_a_face_count(C):
     rim = _rim_by_count(C)
+    got = C.incidence().rim()
+    assert got == sorted(got)
+    assert {C.cells[C.dim - 1][i] for i in got} == rim
     if not rim:
         with pytest.raises(CubeComplexError, match="closed"):
             boundary_complex(C)
         return
-    B, back = boundary_complex(C, with_map=True)
-    assert {canonical([back[v] for v in c]) for c in B.cells[C.dim - 1]} == rim
+    assert boundary_complex(C) == _boundary_by_rebuild(C)
+
+
+def _closure_by_canonicalising(C, k, ids):
+    """The cells the k-cells at ids generate, per level, closed by
+    canonicalising cube_faces level by level (reference oracle)."""
+    level = {C.cells[k][i] for i in ids}
+    out = [level]
+    for _ in range(k):
+        level = {canonical(f) for c in level for f in cube_faces(c)}
+        out.append(level)
+    return out[::-1]
+
+
+@given(small_complexes(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_closure_matches_canonicalising_the_faces(C, data):
+    inc = C.incidence()
+    for k in range(C.dim + 1):
+        n = len(C.cells[k])
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=4)
+                        if n else st.just([]))
+        levels = inc.closure(k, ids)
+        assert len(levels) == k + 1
+        assert all(level == sorted(set(level)) for level in levels)
+        assert [{C.cells[j][i] for i in level}
+                for j, level in enumerate(levels)] \
+            == _closure_by_canonicalising(C, k, ids)
 
 
 # ---------------------------------------------------------------------------
