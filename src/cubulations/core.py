@@ -40,9 +40,10 @@ pseudomanifold_check's, asked by the callers that need it. A k-cell at v
 spans the link simplex of the corners at v's position with one bit
 flipped, read off star(k). In a 2-complex _link_shapes reads every link
 in one pass over the squares, and manifold_check(C, 2) and
-topology.surface_invariants both read their verdicts off it; the link of
-a vertex of a 3-complex is checked by degree counts, one walk and the
-Euler characteristic. In a surface, _link_cycle reads the squares around
+topology.surface_invariants both read their verdicts off it. In a
+3-complex _solid_link reads one link as "sphere", "disk" or None, from
+side counts, one walk over its triangles and the Euler characteristic,
+for manifold_check(C, 3) and fillball.verify_filling. In a surface, _link_cycle reads the squares around
 a vertex in cyclic order off the same spans, for the callers that cut or
 cross curves there.
 """
@@ -691,32 +692,52 @@ def _link_shapes(C: CubeComplex) -> list[str | None]:
     return shapes
 
 
-def _link_is_sphere(C: CubeComplex, v: int) -> bool:
-    """Whether the link of v in a 3-complex is a 2-sphere: it has a
-    triangle, every link edge lies in exactly two triangles, it is
-    connected, and its Euler characteristic is 2. Squares at v that span
-    the same pair give one link edge, as in vertex_link."""
+def _solid_link(C: CubeComplex, v: int) -> str | None:
+    """The link of v in the 3-complex C: "sphere" when it is a 2-sphere,
+    "disk" when it is a disk, None otherwise. Squares at v that span the
+    same pair give one link edge, as in vertex_link.
+
+    The link must be pure (every link vertex on a link edge, every link
+    edge on a triangle), every link edge must lie on at most two
+    triangles, and the triangles must be connected across shared edges
+    (one walk). Cutting such a link apart at each vertex where the
+    triangles around it make more than one fan leaves a connected
+    surface, closed exactly when every link edge lies on two triangles,
+    and raises the Euler characteristic by one per extra fan. A closed
+    connected surface has Euler characteristic at most 2, and only the
+    sphere has 2; one with boundary at most 1, and only the disk has 1.
+    So a closed link of characteristic 2 is a sphere, with nothing cut,
+    and a link with boundary of characteristic 1 a disk."""
+    ptr, _ = C.incidence().star(1)
+    n_verts = ptr[v + 1] - ptr[v]      # one link vertex per edge at v
     edges = {(a, b) if a < b else (b, a) for a, b in _link_spans(C, v, 2)}
-    adj: dict[int, list[int]] = {a: [] for (a,) in _link_spans(C, v, 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    tris = {tuple(sorted(s)) for s in _link_spans(C, v, 3)}
-    if not tris:
-        return False
-    sides = Counter(chain.from_iterable(
-        ((a, b), (a, c), (b, c)) for a, b, c in tris))
-    if sides.keys() != edges or any(n != 2 for n in sides.values()):
-        return False
-    return len(_reachable(next(iter(adj)), adj.__getitem__)) == len(adj) \
-        and len(adj) - len(edges) + len(tris) == 2
+    tris = list({tuple(sorted(s)) for s in _link_spans(C, v, 3)})
+    on: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, c) in enumerate(tris):
+        for side in ((a, b), (a, c), (b, c)):
+            on.setdefault(side, []).append(i)
+    if not tris or on.keys() != edges \
+            or any(len(t) > 2 for t in on.values()) \
+            or len(set(chain.from_iterable(edges))) != n_verts:
+        return None
+
+    def across(i: int) -> list[int]:
+        a, b, c = tris[i]
+        return on[a, b] + on[a, c] + on[b, c]
+
+    if len(_reachable(0, across)) != len(tris):
+        return None
+    chi = n_verts - len(edges) + len(tris)
+    if all(len(t) == 2 for t in on.values()):
+        return "sphere" if chi == 2 else None
+    return "disk" if chi == 1 else None
 
 
 def manifold_check(C: CubeComplex, d: int) -> bool:
     """Whether every vertex link of the d-complex C is a (d-1)-sphere, for
     d <= 3: for d = 1 every vertex id lies on exactly two edges, for d = 2
-    every shape _link_shapes reads is "cycle", and for d = 3 each link is
-    checked by _link_is_sphere. For d > 3 only the pseudomanifold
+    every shape _link_shapes reads is "cycle", and for d = 3 every shape
+    _solid_link reads is "sphere". For d > 3 only the pseudomanifold
     conditions are verified (partial check, as documented)."""
     if d != C.dim:
         return False
@@ -729,7 +750,7 @@ def manifold_check(C: CubeComplex, d: int) -> bool:
         return bool(count) and all(c == 2 for c in count)
     if d == 2:
         return all(s == "cycle" for s in _link_shapes(C))
-    return all(_link_is_sphere(C, v) for v in range(C.n_vertices))
+    return all(_solid_link(C, v) == "sphere" for v in range(C.n_vertices))
 
 
 def upper_bound_checks(C: CubeComplex) -> BoundReport:

@@ -74,6 +74,7 @@ from .core import (
     CubeComplexError,
     _meets_in_face,
     _reachable,
+    _solid_link,
     build_complex,
     canonical,
     validate,
@@ -826,13 +827,15 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
 def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     """Independent check of a filling certificate against its sphere.
 
-    Checks that the ball is a valid complex with the homology of a ball:
-    acyclic if its chain complex reduces to nothing (topology._reduce),
-    and otherwise by its Betti numbers. Then maps the ball's boundary, in
-    its own ids (_rim_cells), through boundary_iso and compares it cell by
-    cell with S in every dimension. The certificate's producer is not
-    trusted, so external certificates go through the same gate. Returns a
-    report; the witness on a cell mismatch is an unmatched cell.
+    Checks that the ball is a valid complex and a pure 3-complex with the
+    homology of a ball: acyclic if its chain complex reduces to nothing
+    (topology._reduce), and otherwise by its Betti numbers. Then reads
+    its boundary in its own ids (_rim_cells), checks that its vertex links
+    are 2-spheres inside and disks on the boundary (core._solid_link),
+    maps the boundary through boundary_iso and compares it cell by cell
+    with S in every dimension. The certificate's producer is not trusted, so
+    external certificates go through the same gate. Returns a report; the
+    witness on a cell mismatch is an unmatched cell, on a link a vertex.
     """
     ball = cert.ball
     if ball.dim != 3:
@@ -841,22 +844,31 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     if not rep.is_complex:
         return FillCheck(False, "ball is not a valid complex",
                          rep.violations[0] if rep.violations else None)
+    stray = [c for k in range(3) for c in ball.maximal_cells()[k]]
+    if stray:
+        return FillCheck(False, "ball is not a pure 3-complex", stray[0])
     if not _reduces_to_nothing(ball):
         prof = betti_numbers(ball)
         if prof.betti != (1, 0, 0, 0) or any(prof.torsion):
             return FillCheck(False,
                              f"ball homology {prof.betti} differs from a ball")
     bdry = _rim_cells(ball)
+    on_rim = {v for (v,) in bdry[0]}
+    for v in range(ball.n_vertices):
+        want = "disk" if v in on_rim else "sphere"
+        if _solid_link(ball, v) != want:
+            return FillCheck(False, f"link of vertex {v} is not a {want}",
+                             (v,))
     iso = cert.boundary_iso
-    for (v,) in bdry[0]:
-        if v not in iso:
-            return FillCheck(False,
-                             f"boundary vertex {v} missing from the map")
-    if len({iso[v] for (v,) in bdry[0]}) != len(bdry[0]):
+    missing = [v for (v,) in bdry[0] if v not in iso]
+    if missing:
+        return FillCheck(False,
+                         f"boundary vertex {missing[0]} missing from the map")
+    if len({iso[v] for v in on_rim}) != len(on_rim):
         return FillCheck(False, "boundary map is not injective on vertices")
-    if len(bdry[0]) != S.n_vertices:
+    if len(on_rim) != S.n_vertices:
         return FillCheck(
-            False, f"boundary has {len(bdry[0])} vertices, sphere has "
+            False, f"boundary has {len(on_rim)} vertices, sphere has "
             f"{S.n_vertices}")
     for k in range(3):
         have = sorted(canonical(tuple(iso[v] for v in cell))
@@ -894,14 +906,23 @@ def write_certificate(cert: FillCertificate, S: CubeComplex,
     `bmap <sphere-cell-index> <ball-boundary-cell-index>` line pairs a
     cell of the sphere with a cell of the ball's boundary (_rim_cells).
     Indices count all cells, dimensions ascending, each dimension in
-    canonical order. Certificates from any producer are read back with
-    read_certificate and checked with verify_filling.
+    canonical order. A boundary vertex that boundary_iso misses, or a
+    boundary cell it carries off S, raises FillError. Certificates from
+    any producer are read back with read_certificate and checked with
+    verify_filling.
     """
     bdry = _rim_cells(cert.ball)
+    iso = cert.boundary_iso
+    missing = [v for (v,) in bdry[0] if v not in iso]
+    if missing:
+        raise FillError(f"boundary vertex {missing[0]} missing from the map")
     s_at = {cell: i for i, cell in enumerate(_global_index(S.cells))}
     lines = [dumps_complex(cert.ball).rstrip("\n")]
     for j, cell in enumerate(_global_index(bdry)):
-        image = canonical(tuple(cert.boundary_iso[v] for v in cell))
+        image = canonical(tuple(iso[v] for v in cell))
+        if image not in s_at:
+            raise FillError(f"boundary cell {cell} maps to {image}, which "
+                            "is not a cell of the sphere")
         lines.append(f"bmap {s_at[image]} {j}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -15,9 +15,9 @@ from cubulations.core import (
     MalformedCubeError,
     OddCycleError,
     ValidationReport,
-    _link_is_sphere,
     _link_shapes,
     _reachable,
+    _solid_link,
     bipartite_classes,
     build_complex,
     canonical,
@@ -606,29 +606,32 @@ def link_is_path(link):
     return _connected(adj)
 
 
-def link_is_2_sphere(link):
-    edges = {s for s in link if len(s) == 2}
-    tris = {s for s in link if len(s) == 3}
-    if not tris:
-        return False
-    edge_count = {e: 0 for e in edges}
-    for t in tris:
-        for pair in combinations(sorted(t), 2):
-            e = frozenset(pair)
-            if e not in edge_count:
-                return False
-            edge_count[e] += 1
-    if any(c != 2 for c in edge_count.values()):
-        return False
+def link_shape(link):
+    """"sphere" or "disk" when the simplicial 2-complex link is a 2-sphere
+    or a disk, else None: it has a triangle, is connected, the link of
+    each of its vertices is a single cycle (for a disk, a cycle or a
+    path, and a path somewhere), and its Euler characteristic is 2 (for
+    a disk, 1)."""
     adj = _link_graph(link)
-    if not adj or not _connected(adj):
-        return False
-    return len(adj) - len(edges) + len(tris) == 2
+    if not any(len(s) == 3 for s in link) or not adj or not _connected(adj):
+        return None
+    around = [{s - {u} for s in link if u in s and len(s) > 1} for u in adj]
+    shapes = {"cycle" if link_is_single_cycle(sub)
+              else "path" if link_is_path(sub) else None for sub in around}
+    chi = sum((-1) ** (len(s) - 1) for s in link)
+    if shapes == {"cycle"} and chi == 2:
+        return "sphere"
+    if None not in shapes and "path" in shapes and chi == 1:
+        return "disk"
+    return None
 
 
 def manifold_check_by_links(C, d):
     """manifold_check for d = 2 and 3, from the simplicial links."""
-    check = link_is_single_cycle if d == 2 else link_is_2_sphere
+    def check(link):
+        return link_is_single_cycle(link) if d == 2 \
+            else link_shape(link) == "sphere"
+
     return d == C.dim and all(check(vertex_link(C, v))
                               for v in range(C.n_vertices))
 
@@ -645,8 +648,8 @@ def assert_checks_match_the_oracles(C):
             "cycle" if link_is_single_cycle(link)
             else "path" if link_is_path(link) else None for link in links]
     if C.dim == 3:
-        assert [_link_is_sphere(C, v) for v in range(C.n_vertices)] == [
-            link_is_2_sphere(link) for link in links]
+        assert [_solid_link(C, v) for v in range(C.n_vertices)] == [
+            link_shape(link) for link in links]
 
 
 @st.composite
@@ -770,8 +773,53 @@ RP2_6 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
 ])
 def test_apex_link_of_a_cubical_cone(triangles, sphere):
     C = _cubical_cone(triangles)
-    assert _link_is_sphere(C, 0) is sphere
+    assert (_solid_link(C, 0) == "sphere") is sphere
     assert_checks_match_the_oracles(C)
+
+
+HALF_OCTAHEDRON = [(10, b, c) for b in (12, 13) for c in (14, 15)]
+# a second octahedron on 10 and 11 and four new vertices: the two spheres
+# meet in two vertices and no edge
+TWIN_OCTAHEDRA = OCTAHEDRON + [(a, b, c) for a in (10, 11)
+                               for b in (16, 17) for c in (18, 19)]
+
+
+@pytest.mark.parametrize("triangles, shape", [
+    (HALF_OCTAHEDRON, "disk"),
+    (HALF_OCTAHEDRON[:1], "disk"),
+    # two triangles at one vertex: connected, chi 1, each edge on one
+    (HALF_OCTAHEDRON[:1] + [(10, 16, 17)], None),
+    # every edge on two triangles, connected, chi 2, but not a sphere
+    (TWIN_OCTAHEDRA, None),
+    (HALF_OCTAHEDRON + [(20, 21, 22)], None),     # chi 2, not connected
+])
+def test_apex_link_shapes(triangles, shape):
+    C = _cubical_cone(triangles)
+    assert _solid_link(C, 0) == shape
+    assert_checks_match_the_oracles(C)
+
+
+def _block(n):
+    """The n x n x n block of unit cubes, vertex (x, y, z) numbered
+    x + (n + 1) y + (n + 1)^2 z."""
+    m = n + 1
+    return build_complex(3, [
+        tuple(x + (c & 1) + m * (y + (c >> 1 & 1)) + m * m * (z + (c >> 2))
+              for c in range(8))
+        for x in range(n) for y in range(n) for z in range(n)])
+
+
+def test_solid_link_of_a_block_and_of_a_pinch():
+    cube = _block(1)
+    assert [_solid_link(cube, v) for v in range(8)] == ["disk"] * 8
+    block = _block(2)
+    assert _solid_link(block, 13) == "sphere"    # the centre
+    assert [v for v in range(27) if _solid_link(block, v) != "disk"] == [13]
+    pinch = build_complex(3, [tuple(range(8)), tuple(range(7, 15))])
+    assert _solid_link(pinch, 7) is None
+    assert _solid_link(pinch, 0) == _solid_link(pinch, 14) == "disk"
+    for C in (cube, block, pinch):
+        assert_checks_match_the_oracles(C)
 
 
 def test_boundary_c4_matches_the_oracles():

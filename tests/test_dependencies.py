@@ -1,6 +1,6 @@
 """The package runs on the standard library alone, imports only what it
-uses, calls every private helper it defines, and keeps every function
-the benchmark's tracer wraps."""
+uses, calls every private helper it defines, keeps every function the
+benchmark's tracer wraps, and adds no defaulted parameter or field."""
 
 import ast
 import importlib
@@ -159,3 +159,76 @@ def test_orphan_helpers_are_found():
               "def f():\n    return _called() + a._Used.__name__\n"),
     }
     assert orphan_helpers(sources) == ["a._orphan", "b._lone"]
+
+
+def defaulted_knobs(sources: dict[str, str]) -> list[str]:
+    """The parameters with a default of the public functions of sources
+    (module name -> source), of the public methods and __init__ of their
+    public classes, and the fields with a default of their public
+    dataclasses, as module.name.parameter."""
+    def defaulted(fn: ast.FunctionDef, owner: str) -> list[str]:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        named = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+        return [f"{owner}.{a.arg}" for a in named]
+
+    def is_dataclass(node: ast.ClassDef) -> bool:
+        return any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id == "dataclass"
+                   for d in node.decorator_list)
+
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            owner = f"{module}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                out += defaulted(node, owner)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                            not item.name.startswith("_")
+                            or item.name == "__init__"):
+                        out += defaulted(item, f"{owner}.{item.name}")
+                    elif is_dataclass(node) and isinstance(
+                            item, ast.AnnAssign) and item.value is not None:
+                        out.append(f"{owner}.{item.target.id}")
+    return out
+
+
+# Parameters and dataclass fields with a default on the package's public
+# names. A default is a knob, a second way to call a function, so the
+# count may fall, and this bound with it, but it may not rise.
+MAX_DEFAULTED_KNOBS = 19
+
+
+def test_no_new_defaulted_knob():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) > 5
+    found = defaulted_knobs({path.stem: path.read_text() for path in files})
+    assert len(found) <= MAX_DEFAULTED_KNOBS, found
+
+
+def test_defaulted_knobs_are_found():
+    sources = {
+        "a": ("from dataclasses import dataclass\n"
+              "def public(x, y=1, *, z=2, w):\n    pass\n"
+              "def _private(x=1):\n    pass\n"
+              "@dataclass(frozen=True)\nclass Report:\n"
+              "    ok: bool\n    reason: str = ''\n"
+              "    def shown(self, width=80):\n        pass\n"
+              "    def _inner(self, depth=3):\n        pass\n"
+              "class Plain:\n    limit: int = 5\n"
+              "    def __init__(self, n=0):\n        pass\n"
+              "@dataclass\nclass _Hidden:\n    n: int = 0\n"),
+        "b": "def f(a, /, b=2):\n    pass\nclass _C:\n    def g(self, k=1):\n"
+             "        pass\n",
+    }
+    assert defaulted_knobs(sources) == [
+        "a.public.y", "a.public.z", "a.Report.reason", "a.Report.shown.width",
+        "a.Plain.__init__.n", "b.f.b"]

@@ -30,7 +30,8 @@ from cubulations.fillball import (
     write_certificate,
 )
 from cubulations.sphere_builder import handlebody, sphere3
-from cubulations.transforms import apply_gadget, glue, torus_complex
+from cubulations.transforms import apply_gadget, boundary_complex, glue, \
+    torus_complex
 
 
 def boundary_c3():
@@ -327,6 +328,63 @@ def test_tampered_certificate_file_rejected(tmp_path):
     path.write_text("\n".join(text.splitlines()[:-4]) + "\n")
     with pytest.raises(FormatError, match="covers"):
         read_certificate(path, S)
+
+
+def test_certificate_map_that_misses_the_boundary_is_a_fill_error(tmp_path):
+    S = boundary_c3()
+    ball = fill_ball(S).ball
+    short = {v: v for v in range(7)}
+    with pytest.raises(FillError, match="boundary vertex 7 missing"):
+        write_certificate(FillCertificate(ball, short), S, tmp_path / "a")
+    twisted = {v: v for v in range(8)} | {1: 2, 2: 1}
+    with pytest.raises(FillError, match=re.escape(
+            "boundary cell (1, 5) maps to (2, 5), which is not a cell")):
+        write_certificate(FillCertificate(ball, twisted), S, tmp_path / "b")
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def _check_refused_through_a_file(cert, S, tmp_path, reason, witness):
+    """verify_filling refuses cert, and so it does after a write and a
+    read, which keep the certificate as it was."""
+    chk = verify_filling(cert, S)
+    assert (chk.ok, chk.reason, chk.witness) == (False, reason, witness)
+    path = tmp_path / "ball.cc"
+    write_certificate(cert, S, path)
+    back = read_certificate(path, S)
+    assert back == cert
+    assert verify_filling(back, S) == chk
+
+
+# a cube with a square hung on its edge (0, 1), and one with an edge hung
+# on its corner 0: contractible, valid, and bounded by the cube's own
+# boundary, so only their purity tells them from a ball
+@pytest.mark.parametrize("extra, f", [
+    ((0, 1, 8, 9), (10, 15, 7, 1)),
+    ((0, 8), (9, 13, 6, 1)),
+])
+def test_verify_refuses_a_cube_with_a_dangling_cell(extra, f, tmp_path):
+    ball = build_complex(3, [tuple(range(8)), extra])
+    assert ball.f_vector() == f and validate(ball).is_complex
+    cert = FillCertificate(ball, {v: v for v in range(8)})
+    _check_refused_through_a_file(cert, boundary_c3(), tmp_path,
+                                  "ball is not a pure 3-complex", extra)
+
+
+# two cubes on one vertex, or on one edge: pure, valid and contractible,
+# and their boundary is theirs, but a link there is two triangles
+@pytest.mark.parametrize("second, vertex", [
+    (tuple(range(7, 15)), 7),
+    ((0, 1, 8, 9, 10, 11, 12, 13), 0),
+])
+def test_verify_refuses_two_cubes_pinched_together(second, vertex,
+                                                   tmp_path):
+    ball = build_complex(3, [tuple(range(8)), second])
+    S = boundary_complex(ball)
+    assert S.n_vertices == ball.n_vertices  # every vertex is on the rim
+    cert = FillCertificate(ball, {v: v for v in range(ball.n_vertices)})
+    _check_refused_through_a_file(cert, S, tmp_path,
+                                  f"link of vertex {vertex} is not a disk",
+                                  (vertex,))
 
 
 def test_zero_growth_slack_still_fills_shrinking_instances(monkeypatch):
@@ -656,6 +714,14 @@ HANDLEBODY_FILLS = {
     (0, 4, 8, 12): ("1af4ab5f7ecf16b5f3a31453a45bc270fd5a42da39e4f567df727fc"
                     "974e135a8", (511, 134, 135, 1723, 1194)),
 }
+# The same fills' certificate files, as write_certificate writes them:
+# their sha256, so the boundary read keeps every bmap line where it was.
+HANDLEBODY_CERTIFICATES = {
+    (0, 1, 2, 3): "15d9c466e251e3c79b3a3999d889f0c482db6aae787df4c366577f7"
+                  "d73eaacc2",
+    (0, 4, 8, 12): "66d472d321aaf849ccd75d60adf20ce077d8c783fad25c556d50bc3"
+                   "f703036ed",
+}
 # sphere3(11, 4) fill requests at budget 800: FillFailed's (steps, glued,
 # states, best), then candidates generated and fully checked
 PILLOW_FAILURES = {
@@ -682,6 +748,17 @@ def test_search_outcomes_are_pinned(caplog, structural_n11):
             assert (e.steps, e.glued, e.states, e.best) == failure, i
             rec = RECORD.match(caplog.records[-1].getMessage())
             assert tuple(map(int, rec.groups()[5:7])) == counts, i
+
+
+def test_handlebody_certificates_are_pinned(tmp_path):
+    torus = torus_complex(2)
+    for curve, digest in HANDLEBODY_CERTIFICATES.items():
+        S = handlebody(torus, [curve]).sphere
+        cert = fill_ball(S)
+        path = tmp_path / "ball.cert"
+        write_certificate(cert, S, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, curve
+        assert read_certificate(path, S) == cert
 
 
 def test_cube_squares_match_canonical(monkeypatch):
