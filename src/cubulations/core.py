@@ -43,9 +43,9 @@ in one pass over the squares, and manifold_check(C, 2) and
 topology.surface_invariants both read their verdicts off it. In a
 3-complex _solid_link reads one link as "sphere", "disk" or None, from
 side counts, one walk over its triangles and the Euler characteristic,
-for manifold_check(C, 3) and fillball.verify_filling. In a surface, _link_cycle reads the squares around
-a vertex in cyclic order off the same spans, for the callers that cut or
-cross curves there.
+for manifold_check(C, 3) and fillball.verify_filling. In a surface,
+_link_cycle reads the squares around a vertex in cyclic order off the same
+spans, for the callers that cut or cross curves there.
 """
 
 from __future__ import annotations
