@@ -55,7 +55,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .core import CubeComplex, CubeComplexError, _link_cycle, _reachable, \
-    _ring_walk, build_complex, validate
+    _ring_walk, _validated, build_complex
 from .topology import NonSurfaceLinkError, _is_closed, \
     orientation_assignment, smith_invariant_factors, surface_invariants
 from .transforms import _insert_square_5
@@ -1058,12 +1058,8 @@ def refine_report(Q: CubeComplex, B: CurveBasis) -> RefineReport:
     for q in quads:
         tops.extend(_insert_square_5(q, base))
         base += 4
-    C = build_complex(2, tops, n_vertices=base)
-    rep = validate(C)
-    if not rep.is_complex:
-        first = rep.violations[0]
-        raise BasisError(f"refinement is not a complex; offending pair "
-                         f"{first[0]} / {first[1]} ({first[2]})")
+    C = _validated(build_complex(2, tops, n_vertices=base), "refinement",
+                   BasisError)
     assert C.f_vector() == census.f_vector
 
     paths: list[tuple[int, ...]] = []
@@ -1312,12 +1308,8 @@ def regularize_with_chains(Qp: CubeComplex, Bp: EdgePathBasis,
     used = sorted({v for t in P.sqs.values() for v in t})
     remap = {v: i for i, v in enumerate(used)}
     tops = [tuple(remap[v] for v in P.sqs[sid]) for sid in sorted(P.sqs)]
-    C = build_complex(2, tops, n_vertices=len(used))
-    rep = validate(C)
-    if not rep.is_complex:
-        first = rep.violations[0]
-        raise BasisError(f"surgery broke the complex; offending pair "
-                         f"{first[0]} / {first[1]} ({first[2]})")
+    C = _validated(build_complex(2, tops, n_vertices=len(used)),
+                   "surgered surface", BasisError)
     B2 = EdgePathBasis(g, tuple(tuple(remap[v] for v in p) for p in paths))
     chains2 = {k: tuple(remap[v] for v in t) for k, t in zip(keys, tracked)}
 

@@ -8,6 +8,9 @@ iff they agree up to that symmetry.
 
 Vertex ids of a complex are dense: they form the range [0, n_vertices).
 Complexes are immutable after construction; all operations here are pure.
+build_complex checks every corner array it is given itself: a power-of-two
+length 2^k with k at most the complex's dimension, distinct corners, no
+negative id; it canonicalises each with canonical.
 
 Face incidence lives in one place, the Incidence index of a complex
 (CubeComplex.incidence()). Per dimension k it holds
@@ -22,30 +25,38 @@ Face incidence lives in one place, the Incidence index of a complex
 The rim (ridges in exactly one facet), the maximal cells and closure (the
 cells some cells generate, the one read of a boundary or of a cell's faces)
 are read off the facet table, as positions. Ids are 4-byte array("i")
-entries, and every index array here uses that one typecode. build_complex
-fills the facet table in: its closure computes every cell's facets anyway,
-and hands them over remapped to sorted positions. Products derive theirs
-from their factors' tables (transforms.cartesian_product), and remove_facet
-passes on its input's with one row dropped. from_cells leaves it to be
-built the first time it is asked for, as are the other parts, so a complex
-pays only for what its callers use. Caching it on the complex is sound
+entries, and every index array here uses that one typecode. A complex born
+with a facet table is handed it by the constructor, CubeComplex(dim,
+n_vertices, cells, facets), the one way in: build_complex's closure
+computes every cell's facets anyway and hands them over remapped to sorted
+positions, products derive theirs from their factors' tables
+(transforms.cartesian_product), remove_facet passes on its input's with
+one row dropped, and the doubling merges its two products'
+(sphere_builder._union). Without one (from_cells) the table is built the
+first time it is asked for, as are the other parts, so a complex pays
+only for what its callers use. Caching it on the complex is sound
 because complexes never change after construction.
 
-The structural checks read corner positions and canonicalise nothing,
-and each verdict has one owner. validate decides only that any two cells
-meet in a common face, each pair of maximal cells sharing 2^m corners
-from their positions: an m-subcube of each cell, with the same edges in
-both. Whether the top cells make a closed pseudomanifold is
-pseudomanifold_check's, asked by the callers that need it. A k-cell at v
-spans the link simplex of the corners at v's position with one bit
-flipped, read off star(k). In a 2-complex _link_shapes reads every link
-in one pass over the squares, and manifold_check(C, 2) and
-topology.surface_invariants both read their verdicts off it. In a
-3-complex _solid_link reads one link as "sphere", "disk" or None, from
-side counts, one walk over its triangles and the Euler characteristic,
-for manifold_check(C, 3) and fillball.verify_filling. In a surface,
-_link_cycle reads the squares around a vertex in cyclic order off the same
-spans, for the callers that cut or cross curves there.
+The structural checks read corner positions and canonicalise nothing, and
+each verdict has one owner. validate decides only that any two cells meet
+in a common face, each pair of maximal cells sharing 2^m corners from
+their positions: an m-subcube of each cell, with the same edges in both.
+_validated is the one rule that turns its report into an error: every
+construction that checks what it has built passes the complex, the name of
+what it built and its own error class, and a violation raises that class
+naming the first offending pair; only fillball reads a report itself, to
+word a sphere's defect and a filling's witness. Whether the top cells make
+a closed pseudomanifold is pseudomanifold_check's, asked by the callers
+that need it. A k-cell at v spans the link simplex of the corners at v's
+position with one bit flipped, read off star(k). In a 2-complex
+_link_shapes reads every link in one pass over the squares, and
+manifold_check(C, 2) and topology.surface_invariants both read their
+verdicts off it. In a 3-complex _solid_link reads one link as "sphere",
+"disk" or None, from side counts, one walk over its triangles and the
+Euler characteristic, for manifold_check(C, 3) and
+fillball.verify_filling. In a surface, _link_cycle reads the squares
+around a vertex in cyclic order off the same spans, for the callers that
+cut or cross curves there.
 """
 
 from __future__ import annotations
@@ -180,45 +191,6 @@ def _facet_rows(level: Iterable[tuple[int, ...]], k: int,
     return ids, coeffs
 
 
-class Cube:
-    """A single cube, compared and hashed by canonical form."""
-
-    __slots__ = ("corners", "_canon")
-
-    def __init__(self, corners: Sequence[int], _canon: tuple[int, ...] | None = None):
-        corners = tuple(corners)
-        m = len(corners)
-        if m == 0 or m & (m - 1):
-            raise MalformedCubeError(f"corner array length {m} is not a power of two")
-        if any(v < 0 for v in corners):
-            raise MalformedCubeError("negative vertex id")
-        if len(set(corners)) != m:
-            raise MalformedCubeError(f"repeated corner in cube {corners}")
-        self.corners = corners
-        self._canon = _canon
-
-    @property
-    def dim(self) -> int:
-        return len(self.corners).bit_length() - 1
-
-    @property
-    def canon(self) -> tuple[int, ...]:
-        if self._canon is None:
-            self._canon = canonical(self.corners)
-        return self._canon
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cube):
-            return NotImplemented
-        return self.canon == other.canon
-
-    def __hash__(self) -> int:
-        return hash(self.canon)
-
-    def __repr__(self) -> str:
-        return f"Cube{self.corners}"
-
-
 # ---------------------------------------------------------------------------
 # the complex
 
@@ -263,12 +235,12 @@ class Incidence:
                  "_cofaces", "_star")
 
     def __init__(self, C: "CubeComplex",
-                 facets: dict[int, tuple[array, array]] | None = None):
+                 facets: dict[int, tuple[array, array]]):
         self.dim = C.dim
         self.n_vertices = C.n_vertices
         self.cells = C.cells
         self._position: dict[int, dict[tuple[int, ...], int]] = {}
-        self._facets: dict[int, tuple[array, array]] = dict(facets or {})
+        self._facets: dict[int, tuple[array, array]] = dict(facets)
         self._cofaces: dict[int, tuple[array, array]] = {}
         self._star: dict[int, tuple[array, array]] = {}
 
@@ -333,22 +305,25 @@ class Incidence:
 class CubeComplex:
     """Immutable cube complex, closed under faces, cells stored canonically.
 
-    cells: dict dim -> sorted tuple of canonical corner tuples.
+    cells: dict dim -> sorted tuple of canonical corner tuples. facets,
+    when given, is the finished facet table of the cells (level k -> the
+    pair Incidence.facets(k) returns), which the index then starts from.
     """
 
     __slots__ = ("dim", "n_vertices", "cells", "_maximal", "_incidence")
 
     def __init__(self, dim: int, n_vertices: int,
-                 cells: dict[int, tuple[tuple[int, ...], ...]]):
+                 cells: dict[int, tuple[tuple[int, ...], ...]],
+                 facets: dict[int, tuple[array, array]] | None = None):
         self.dim = dim
         self.n_vertices = n_vertices
         self.cells = cells
         self._maximal: dict[int, tuple[tuple[int, ...], ...]] | None = None
-        self._incidence: Incidence | None = None
+        self._incidence = None if facets is None else Incidence(self, facets)
 
     def incidence(self) -> Incidence:
         if self._incidence is None:
-            self._incidence = Incidence(self)
+            self._incidence = Incidence(self, {})
         return self._incidence
 
     # -- construction ------------------------------------------------------
@@ -411,17 +386,28 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
     (k-1)-cells, which are remapped to sorted positions once that level is
     complete. The complex's Incidence receives the finished facet table.
 
-    Vertex ids must be dense; n_vertices defaults to max id + 1 and is checked.
+    Each corner array must have a power-of-two length 2^k with k <= dim,
+    and distinct, non-negative entries; the first that has not is a
+    MalformedCubeError. Vertex ids must be dense; n_vertices defaults to
+    max id + 1 and is checked.
     """
     ids = [_Ids() for _ in range(dim + 1)]
     used: set[int] = set()
     for corners in top_cubes:
-        cube = Cube(corners)
-        if cube.dim > dim:
+        m = len(corners)
+        if not m or m & (m - 1):
             raise MalformedCubeError(
-                f"cube of dimension {cube.dim} exceeds complex dimension {dim}")
-        used.update(cube.corners)
-        ids[cube.dim][cube.canon]  # numbers the cell if it is new
+                f"corner array length {m} is not a power of two")
+        if min(corners) < 0:
+            raise MalformedCubeError(f"negative vertex id in cube {corners}")
+        if len(set(corners)) != m:
+            raise MalformedCubeError(f"repeated corner in cube {corners}")
+        k = m.bit_length() - 1
+        if k > dim:
+            raise MalformedCubeError(
+                f"cube of dimension {k} exceeds complex dimension {dim}")
+        used.update(corners)
+        ids[k][canonical(corners)]  # numbers the cell if it is new
     cells: dict[int, tuple[tuple[int, ...], ...]] = {}
     facets: dict[int, tuple[array, array]] = {}
     for k in range(dim, -1, -1):
@@ -437,7 +423,7 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
             facets[k] = _facet_rows(level, k, ids[k - 1].__getitem__)
     if n_vertices is None:
         n_vertices = (max(used) + 1) if used else 0
-    if used and (min(used) < 0 or max(used) >= n_vertices):
+    if used and max(used) >= n_vertices:
         raise MalformedCubeError("vertex id out of range")
     missing = n_vertices - len(used)
     if missing:
@@ -446,9 +432,8 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
         raise MalformedCubeError(
             f"vertex ids not dense: {missing} unused ids in [0, {n_vertices}), "
             f"first gap at {gap}")
-    C = CubeComplex(dim, n_vertices, {k: cells[k] for k in range(dim + 1)})
-    C._incidence = Incidence(C, facets)
-    return C
+    return CubeComplex(dim, n_vertices, {k: cells[k] for k in range(dim + 1)},
+                       facets)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +506,19 @@ def validate(C: CubeComplex) -> ValidationReport:
               dict(sorted(Counter(shared.values()).items())),
               len(violations), time.perf_counter() - t0)
     return ValidationReport(not violations, tuple(violations))
+
+
+def _validated(C: CubeComplex, what: str, error: type[Exception]
+               ) -> CubeComplex:
+    """C, once validate finds no violation in it. Otherwise error, naming
+    what C is and validate's first offending pair: the one rule by which
+    every construction that checks what it built reports a failure."""
+    rep = validate(C)
+    if not rep.is_complex:
+        a, b, reason = rep.violations[0]
+        raise error(f"{what} is not a complex; offending pair {a} / {b} "
+                    f"({reason})")
+    return C
 
 
 def pseudomanifold_check(C: CubeComplex) -> bool:

@@ -38,15 +38,14 @@ from typing import Sequence
 from .core import (
     CubeComplex,
     CubeComplexError,
-    Incidence,
     _reachable,
+    _validated,
     build_complex,
     bipartite_classes,
     canonical,
     manifold_check,
     pseudomanifold_check,
     upper_bound_checks,
-    validate,
 )
 from .topology import betti_numbers, homology_sphere_check, surface_invariants
 from .transforms import (
@@ -165,7 +164,10 @@ class StructuralReport:
 class PipelineCensus:
     """Cell bookkeeping for one pipeline run.
 
-    stage_f holds f-vectors of the stages that were materialized.
+    stage_f holds f-vectors of the stages that were materialized; the
+    product cylinder Q x I_k is "cylinder", there exactly when it was
+    built (at most PRODUCT_BUILD_LIMIT cubes), and is otherwise known
+    only by its predicted vertex and cube counts.
     scaffold_vertices counts every vertex the construction pins down
     before any ball is filled (product cylinder, both refining
     cylinders' walls and ends, handlebody disks and far spheres);
@@ -180,16 +182,37 @@ class PipelineCensus:
     pillow_squares: int
     parity_fixes: int
     predicted_cylinder_vertices: int
-    measured_cylinder_vertices: int
     predicted_cylinder_cubes: int
-    measured_cylinder_cubes: int
-    cylinder_built: bool
     scaffold_vertices: int
     growth_constant: float
 
 
 # ---------------------------------------------------------------------------
 # refining cylinder
+
+
+def _place_ball(ball: CubeComplex, sphere_ids: Sequence[int], fresh: int
+                ) -> tuple[list[tuple[int, ...]], int]:
+    """The cubes of a filled ball in scaffold ids, and the next fresh id.
+    The ball's vertices below len(sphere_ids) are its sphere's, and
+    vertex x goes to sphere_ids[x]; each vertex the fill added takes the
+    next fresh id, in order."""
+    added = ball.n_vertices - len(sphere_ids)
+    ids = [*sphere_ids, *range(fresh, fresh + added)]
+    return [tuple(map(ids.__getitem__, c)) for c in ball.cells[3]], \
+        fresh + added
+
+
+def _close_piece(what: str, cubes: list[tuple[int, ...]], n_vertices: int,
+                 want: set[tuple[int, ...]], wanted: str) -> CubeComplex:
+    """The 3-complex the cubes close to, validated, whose rim must be
+    exactly the squares want (canonical); wanted names them in the
+    AssemblyError a piece with another rim raises."""
+    C = _validated(build_complex(3, cubes, n_vertices=n_vertices), what,
+                   AssemblyError)
+    if set(map(C.cells[2].__getitem__, C.incidence().rim())) != want:
+        raise AssemblyError(f"{what} boundary is not {wanted}")
+    return C
 
 
 def _wheel(cycle: Sequence[int], center: int) -> list[tuple[int, ...]]:
@@ -308,7 +331,12 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
 
     Full level fills every pillow and insets a cube into each solid
     cube; on any fill failure the report drops to the structural level
-    with the complete pillow list.  Emits one DEBUG record under
+    with the complete pillow list.  Each filled ball is placed by
+    _place_ball: its sphere's vertices keep their scaffold ids and the
+    ones the fill added take fresh ids, in order.  The inset cubes are
+    closed and checked by _close_piece: a violation of the face property
+    is an AssemblyError naming the first offending pair, and so is a rim
+    other than Q and Q''.  Emits one DEBUG record under
     cubulations.sphere_builder with the level, the pillows, the parity
     fixes, the f-vector of the cylinder (None when not built), the
     seconds, and why it fell back to the structural level: it was asked
@@ -454,12 +482,8 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
             failed.append(len(requests) - 1)
             why = f"FillFailed at request {failed[-1]}: {e}"
             continue
-        l2g = dict(enumerate(used))
-        for lid in range(local.n_vertices, cert.ball.n_vertices):
-            l2g[lid] = nxt
-            nxt += 1
-        all_cubes.extend(tuple(l2g[v] for v in cube)
-                         for cube in cert.ball.cells[3])
+        cubes, nxt = _place_ball(cert.ball, used, nxt)
+        all_cubes.extend(cubes)
 
     census = {
         "pillows": len(requests),
@@ -488,14 +512,8 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     for cube in all_cubes:
         inset.extend(g7.build(cube, nxt))
         nxt += g7.n_new_vertices
-    cyl = build_complex(3, inset, n_vertices=nxt)
-    rep = validate(cyl)
-    if not rep.is_complex:
-        raise AssemblyError(
-            f"pillow fills do not assemble: {rep.violations[:2]}")
     want = set(Q.cells[2]) | {tuple(T0 + x for x in t) for t in Qpp.cells[2]}
-    if set(map(cyl.cells[2].__getitem__, cyl.incidence().rim())) != want:
-        raise AssemblyError("cylinder boundary is not the two ends")
+    cyl = _close_piece("refining cylinder", inset, nxt, want, "the two ends")
     census["inset_cubes"] = len(cyl.cells[3])
     return done(CylinderReport(cyl, Qpp, tuple(requests), "full", (), census))
 
@@ -547,8 +565,11 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     sphere times an interval with the two disk copies identified at one
     end and a filled ball at the other.  The identified end's boundary
     is Qpp again, reached through boundary_map.  The prism's quotient is
-    numbered directly (_quotient_ids), and its cubes and the ball's are
-    closed by one build_complex and checked by one validate.
+    numbered directly (_quotient_ids), the ball is placed on its far end
+    as the refining cylinder places its fills (_place_ball), and the
+    cubes of both are closed and checked by one _close_piece: a
+    violation of the face property is an AssemblyError naming the first
+    offending pair, and so is a rim other than Qpp.
 
     The sphere is checked once, by check_fill_request on its request,
     and one that fails is an AssemblyError saying the curves are not
@@ -642,23 +663,13 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
             pairs[2 * a] = 2 * b
     qmap = _quotient_ids(P, pairs)
 
-    l2g = {x: qmap[2 * x + 1] for x in range(sphere.n_vertices)}
-    fresh = P.n_vertices - len(pairs)
-    for lid in range(sphere.n_vertices, cert.ball.n_vertices):
-        l2g[lid] = fresh
-        fresh += 1
+    # the far end, t = 1, is the sphere the ball fills
+    ball, fresh = _place_ball(cert.ball, qmap[1::2], P.n_vertices - len(pairs))
     cubes = [tuple(map(qmap.__getitem__, cube)) for cube in P.cells[3]]
-    cubes.extend(tuple(l2g[v] for v in cube) for cube in cert.ball.cells[3])
-    H = build_complex(3, cubes, n_vertices=fresh)
-    rep = validate(H)
-    if not rep.is_complex:
-        raise AssemblyError(
-            f"handlebody pieces do not assemble: {rep.violations[:2]}")
-
     bmap = {v: qmap[2 * v] for v in range(Qpp.n_vertices)}
     want = {canonical([bmap[v] for v in t]) for t in Qpp.cells[2]}
-    if set(map(H.cells[2].__getitem__, H.incidence().rim())) != want:
-        raise AssemblyError("handlebody boundary is not the input surface")
+    H = _close_piece("handlebody", cubes + ball, fresh, want,
+                     "the input surface")
     census["fill_cubes"] = len(cert.ball.cells[3])
     return done(HandlebodyReport(H, bmap, sphere, (req,), "full", census))
 
@@ -689,7 +700,9 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     cells are then closed once, by one build_complex.
 
     The result is checked to be a closed pseudomanifold with the homology
-    of S^3 whose vertex links are spheres.  Emits one DEBUG record under
+    of S^3 whose vertex links are spheres; a violation of the face
+    property is an AssemblyError naming the first offending pair (core's
+    one rule, _validated).  Emits one DEBUG record under
     cubulations.sphere_builder with the level, the f-vector and the
     seconds of the gluing (the seams and the closure) and of the checks.
     """
@@ -732,7 +745,7 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     A = build_complex(3, tops, n_vertices=fresh)
     t1 = time.perf_counter()
 
-    if not validate(A).is_complex or not pseudomanifold_check(A):
+    if not pseudomanifold_check(_validated(A, "assembly", AssemblyError)):
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
     if not homology_sphere_check(A, 3):
         # the check's fallback computed these already; this second run,
@@ -832,13 +845,10 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         "sphere_bottom": hbA.sphere.f_vector(),
         "sphere_top": hbB.sphere.f_vector(),
     }
-    build_product = predicted_c <= PRODUCT_BUILD_LIMIT
-    measured_v, measured_c = predicted_v, predicted_c
     stage_s["product"] = None
-    if build_product:
-        P = cartesian_product(Q, interval_complex(k))
-        stage_f["cylinder"] = P.f_vector()
-        measured_v, measured_c = P.f_vector()[0], P.f_vector()[3]
+    if predicted_c <= PRODUCT_BUILD_LIMIT:
+        stage_f["cylinder"] = cartesian_product(
+            Q, interval_complex(k)).f_vector()
         lap("product")
 
     cyl_extra = cyl.census["scaffold_vertices"] - f_Q[0]
@@ -851,10 +861,7 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         pillow_squares=cyl.census["pillow_squares"],
         parity_fixes=cyl.census["parity_fixes"],
         predicted_cylinder_vertices=predicted_v,
-        measured_cylinder_vertices=measured_v,
         predicted_cylinder_cubes=predicted_c,
-        measured_cylinder_cubes=measured_c,
-        cylinder_built=build_product,
         scaffold_vertices=scaffold,
         growth_constant=(scaffold - predicted_v) / n ** 4,
     )
@@ -933,9 +940,7 @@ def _union(P: CubeComplex, E: CubeComplex) -> CubeComplex:
             out_ids += ids[w * lo:]
             out_coeffs += coeffs[w * lo:]
             facets[k] = out_ids, out_coeffs
-    U = CubeComplex(P.dim, P.n_vertices, cells)
-    U._incidence = Incidence(U, facets)
-    return U
+    return CubeComplex(P.dim, P.n_vertices, cells, facets)
 
 
 def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
@@ -945,7 +950,10 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     default), thicken the remaining ball Q by the square I x I, and take
     the boundary.  The output has exactly 4 * f0(S) vertices and at
     least twice as many facets, and is checked to be a homology sphere.
-    A facet that is not a d-cell of S raises AssemblyError.
+    The input must be a closed pseudomanifold: a violation of the face
+    property is an AssemblyError naming the first offending pair (core's
+    one rule, _validated).  A facet that is not a d-cell of S raises
+    AssemblyError.
 
     The boundary is written by its product formula, with bd for the
     boundary: bd(Q x I x I) = Q x bd(I x I)  u  bd(F) x I x I, two
@@ -966,7 +974,8 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     if d < 2:
         raise AssemblyError("dimension raising needs a sphere of dim >= 2")
     t0 = time.perf_counter()
-    if not validate(S).is_complex or not pseudomanifold_check(S):
+    if not pseudomanifold_check(_validated(S, "doubling input",
+                                           AssemblyError)):
         raise AssemblyError("input is not a closed pseudomanifold")
     target = S.cells[d][0] if facet is None else \
         canonical(facet) if len(facet) == 1 << d else None

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CubeComplex, CubeComplexError, build_complex, canonical, \
-    validate
+from .core import CubeComplex, CubeComplexError, _validated, build_complex, \
+    canonical
 from .topology import surface_invariants
 from .transforms import GADGETS, _insert_square_5
 
@@ -404,18 +404,6 @@ def _cubulation_squares(G: CirculantBipartite, R: RotationSurface,
     return tops, base
 
 
-def _checked_complex(tops: list[tuple[int, ...]], n_vertices: int
-                     ) -> CubeComplex:
-    C = build_complex(2, tops, n_vertices=n_vertices)
-    rep = validate(C)
-    if not rep.is_complex:
-        first = rep.violations[0]
-        raise CubeComplexError(
-            f"cubulation is not a complex; offending pair {first[0]} / "
-            f"{first[1]} ({first[2]})")
-    return C
-
-
 def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
                     P: CyclePathSplit) -> CubeComplex:
     """Refine the embedded graph to a square complex.
@@ -428,7 +416,9 @@ def cubulate_cycles(G: CirculantBipartite, R: RotationSurface,
     its hub, then per piece its interior vertex followed by the four
     subdivision vertices.
     """
-    return _checked_complex(*_cubulation_squares(G, R, P))
+    tops, n_vertices = _cubulation_squares(G, R, P)
+    return _validated(build_complex(2, tops, n_vertices=n_vertices),
+                      "cubulation", CubeComplexError)
 
 
 def _build_surface(n: int) -> tuple[CirculantBipartite, RotationSurface,
@@ -456,7 +446,9 @@ def _build_surface(n: int) -> tuple[CirculantBipartite, RotationSurface,
         gadget = GADGETS["square_10"]
         tops.extend(gadget.build(least, n_vertices))
         n_vertices += gadget.n_new_vertices
-    return G, R, report, _checked_complex(tops, n_vertices)
+    return G, R, report, _validated(
+        build_complex(2, tops, n_vertices=n_vertices), "cubulation",
+        CubeComplexError)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ are reproducible byte for byte. Every seam has one rule, _seam_ids: it
 checks that the identification matches cells with cells and numbers the
 glued piece's vertices, the identified ones by their images and the rest by
 fresh ids in increasing order. glue is that rule plus one closure and one
-validate; sphere_builder.assemble_sphere3 applies it to each of its seams.
+validate, through core's one rule for a complex just built (_validated);
+sphere_builder.assemble_sphere3 applies the seam rule to each of its seams.
+Products and remove_facet hand their facet tables to the CubeComplex
+constructor.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from typing import Callable, Sequence
 from .core import (
     CubeComplex,
     CubeComplexError,
-    Incidence,
     _link_cycle,
+    _validated,
     build_complex,
     canonical,
-    validate,
 )
 
 
@@ -136,9 +138,7 @@ def cartesian_product(A: CubeComplex, B: CubeComplex) -> CubeComplex:
         rank = array("i", bytes(4 * len(order)))
         for p, g in enumerate(order):
             rank[g] = p
-    P = CubeComplex(A.dim + B.dim, A.n_vertices * nb, cells)
-    P._incidence = Incidence(P, facets)
-    return P
+    return CubeComplex(A.dim + B.dim, A.n_vertices * nb, cells, facets)
 
 
 def interval_complex(k: int) -> CubeComplex:
@@ -308,17 +308,15 @@ def glue(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]
     cell (_seam_ids). A keeps its ids; an identified vertex of B takes its
     image's, and B's other vertices get fresh ids from A.n_vertices up, in
     increasing order. The maximal cells of both are closed by one
-    build_complex and the result is validated.
+    build_complex, and a result that is not a complex is a GlueError
+    naming the first offending pair.
     """
     ids, fresh = _seam_ids(A, B, pairs, range(A.n_vertices), A.n_vertices)
     tops = list(chain.from_iterable(A.maximal_cells().values()))
     for level in B.maximal_cells().values():
         tops.extend(tuple(map(ids.__getitem__, c)) for c in level)
-    out = build_complex(max(A.dim, B.dim), tops, n_vertices=fresh)
-    rep = validate(out)
-    if not rep.is_complex:
-        raise GlueError(f"gluing produced an invalid complex: {rep.violations[:3]}")
-    return out
+    return _validated(build_complex(max(A.dim, B.dim), tops, n_vertices=fresh),
+                      "gluing of B onto A", GlueError)
 
 
 def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
@@ -429,9 +427,7 @@ def remove_facet(C: CubeComplex, corners: tuple[int, ...]) -> CubeComplex:
     w = 2 * d
     facets[d] = (ids[:w * p] + ids[w * (p + 1):],
                  coeffs[:w * p] + coeffs[w * (p + 1):])
-    Q = CubeComplex(d, C.n_vertices, cells)
-    Q._incidence = Incidence(Q, facets)
-    return Q
+    return CubeComplex(d, C.n_vertices, cells, facets)
 
 
 # ---------------------------------------------------------------------------

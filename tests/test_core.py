@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cubulations import core
 from cubulations.core import (
     BoundReport,
-    Cube,
     CubeComplex,
     CubeComplexError,
     MalformedCubeError,
@@ -110,16 +109,17 @@ def test_canonical_signs_compose_over_the_orbit():
 def test_same_square_different_corner_array():
     # both arrays describe the square with diagonals {0,3} and {1,2}
     assert canonical((0, 2, 1, 3)) == (0, 1, 2, 3)
-    assert Cube((0, 2, 1, 3)) == Cube((0, 1, 2, 3))
+    assert build_complex(2, [(0, 2, 1, 3)]) == build_complex(2, [(0, 1, 2, 3)])
 
 
 def test_malformed_cubes_rejected():
-    with pytest.raises(MalformedCubeError):
-        Cube((0, 1, 2))  # not a power of two
-    with pytest.raises(MalformedCubeError):
-        Cube((0, 1, 1, 2))  # repeated corner
-    with pytest.raises(MalformedCubeError):
-        Cube((0, -1))
+    for dim, corners, why in ((2, (), "length 0 is not a power of two"),
+                              (2, (0, 1, 2), "length 3 is not a power of two"),
+                              (2, (0, 1, 1, 2), "repeated corner"),
+                              (1, (0, -1), "negative vertex id"),
+                              (1, (0, 1, 2, 3), "dimension 2 exceeds")):
+        with pytest.raises(MalformedCubeError, match=why):
+            build_complex(dim, [(0, 1), corners])
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,18 @@ def test_manifold_check_dim3_boundary_c4():
     C = build_complex(3, list(cube_faces(c4)))
     assert C.f_vector() == (16, 32, 24, 8)
     assert manifold_check(C, 3)
+
+
+def test_manifold_check_of_another_dimension_and_above_three():
+    C4 = tuple(range(16))
+    S3 = build_complex(3, list(cube_faces(C4)))
+    assert not manifold_check(S3, 2) and not manifold_check(S3, 4)
+    # d > 3 gives the pseudomanifold verdict: yes on the boundary of the
+    # 5-cube, no on the solid 4-cube, each of whose ridges is in one facet
+    S4 = boundary_complex(build_complex(5, [tuple(range(32))]))
+    assert S4.dim == 4 and pseudomanifold_check(S4)
+    assert manifold_check(S4, 4)
+    assert not manifold_check(build_complex(4, [C4]), 4)
 
 
 def test_upper_bound_checks_on_boundary_cube():

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from cubulations.core import (
     CubeComplex,
+    CubeComplexError,
+    ValidationReport,
     build_complex,
     cube_faces,
     manifold_check,
@@ -20,6 +22,7 @@ from cubulations.core import (
 )
 from cubulations.topology import betti_numbers, surface_invariants
 from cubulations.transforms import (
+    GlueError,
     boundary_complex,
     cartesian_product,
     glue,
@@ -30,6 +33,7 @@ from cubulations.transforms import (
 from cubulations import basis, core, fillball, sphere_builder, topology, \
     transforms
 from cubulations.basis import (
+    BasisError,
     RegularNeighborhoodCert,
     canonical_basis,
     refine_report,
@@ -37,7 +41,8 @@ from cubulations.basis import (
 )
 from cubulations.fileio import dumps_complex
 from cubulations.fillball import FillFailed
-from cubulations.surface_gen import surface_report
+from cubulations.surface_gen import build_graph, cubulate_cycles, \
+    split_paths, surface_report, trace_cycles
 from test_core import assert_checks_match_the_oracles
 from test_fillball import opposite_pinwheel
 from test_topology import (
@@ -659,6 +664,93 @@ def test_assembly_needs_full_pieces(toy_pieces):
 
 
 # ---------------------------------------------------------------------------
+# checked constructions
+
+
+def _torus_and_basis():
+    T = torus_complex(2)
+    return T, canonical_basis(T)
+
+
+def _refined_torus():
+    rep = refine_report(*_torus_and_basis())
+    return rep.complex, rep.basis, rep.edge_chains
+
+
+def _split_surface_11():
+    G = build_graph(11)
+    R = trace_cycles(G)
+    return G, R, split_paths(R)
+
+
+def _toy_assembly():
+    Q = boundary_c3()
+    hb = handlebody(Q, [])
+    return Q, 2, refining_cylinder(Q, Q), hb, hb
+
+
+def _two_squares_on_an_edge():
+    square = build_complex(2, [(0, 1, 2, 3)])
+    return square, square, {0: 0, 1: 1}
+
+
+# Each construction that validates what it built: the name its error gives
+# what it built, the error's type, the construction, and a function that
+# makes arguments it accepts.
+CHECKED_CONSTRUCTIONS = [
+    ("refinement", BasisError, refine_report, _torus_and_basis),
+    ("surgered surface", BasisError, regularize_with_chains, _refined_torus),
+    ("cubulation", CubeComplexError, surface_report, lambda: (11,)),
+    ("cubulation", CubeComplexError, cubulate_cycles, _split_surface_11),
+    ("refining cylinder", AssemblyError, refining_cylinder,
+     lambda: (boundary_c3(), boundary_c3())),
+    ("handlebody", AssemblyError, handlebody, lambda: (boundary_c3(), [])),
+    ("gluing of B onto A", GlueError, glue, _two_squares_on_an_edge),
+    ("assembly", AssemblyError, assemble_sphere3, _toy_assembly),
+    ("doubling input", AssemblyError, induct_dimension,
+     lambda: (boundary_c4(),)),
+]
+
+
+@pytest.mark.parametrize("what, error, construct, arguments",
+                         CHECKED_CONSTRUCTIONS,
+                         ids=[c[2].__name__ for c in CHECKED_CONSTRUCTIONS])
+def test_a_construction_names_the_first_offending_pair(
+        what, error, construct, arguments, monkeypatch):
+    args = arguments()
+    pairs = (((0, 1, 2, 3), (0, 1, 4, 5), "shared-diagonal"),
+             ((0, 1, 2, 3), (2, 3, 6, 7), "shared-diagonal"))
+    monkeypatch.setattr(core, "validate",
+                        lambda C: ValidationReport(False, pairs))
+    with pytest.raises(error) as caught:
+        construct(*args)
+    assert caught.type is error
+    assert str(caught.value) == (
+        f"{what} is not a complex; offending pair (0, 1, 2, 3) / "
+        "(0, 1, 4, 5) (shared-diagonal)")
+
+
+@pytest.mark.parametrize("construct, args, message", [
+    (refining_cylinder, (boundary_c3(), boundary_c3()),
+     "refining cylinder boundary is not the two ends"),
+    (handlebody, (boundary_c3(), []),
+     "handlebody boundary is not the input surface"),
+], ids=["refining_cylinder", "handlebody"])
+def test_a_piece_with_another_rim_is_refused(construct, args, message,
+                                             monkeypatch):
+    # the piece is closed without its first cube: still a complex, but
+    # that cube's faces inside the piece are now on its rim
+    real = sphere_builder.build_complex
+
+    def less_one_cube(dim, tops, n_vertices=None):
+        return real(dim, tops[1:] if dim == 3 else tops, n_vertices=n_vertices)
+
+    monkeypatch.setattr(sphere_builder, "build_complex", less_one_cube)
+    with pytest.raises(AssemblyError, match=f"^{message}$"):
+        construct(*args)
+
+
+# ---------------------------------------------------------------------------
 # pipeline census at n = 11
 
 
@@ -679,9 +771,9 @@ def test_pipeline_census_identities(pipeline11):
     f_Q = census.stage_f["surface"]
     assert census.predicted_cylinder_vertices == (census.k + 1) * f_Q[0]
     assert census.predicted_cylinder_cubes == census.k * f_Q[2]
-    assert census.measured_cylinder_vertices == census.predicted_cylinder_vertices
-    assert census.measured_cylinder_cubes == census.predicted_cylinder_cubes
-    assert census.cylinder_built
+    f_P = census.stage_f["cylinder"]  # the product, built at k = 8
+    assert (f_P[0], f_P[3]) == (census.predicted_cylinder_vertices,
+                                census.predicted_cylinder_cubes)
     assert census.scaffold_vertices <= census.predicted_cylinder_vertices \
         + census.growth_constant * census.n ** 4 + 1e-9
 
@@ -703,8 +795,7 @@ def test_census_is_k_independent(pipeline11):
     d8, d27 = asdict(c8), asdict(c27)
     cylinder_keys = {
         "k", "stage_f", "predicted_cylinder_vertices",
-        "measured_cylinder_vertices", "predicted_cylinder_cubes",
-        "measured_cylinder_cubes", "scaffold_vertices",
+        "predicted_cylinder_cubes", "scaffold_vertices",
     }
     assert {key for key in d8 if d8[key] != d27[key]} <= cylinder_keys
     stages8, stages27 = d8["stage_f"], d27["stage_f"]
@@ -1004,7 +1095,7 @@ def test_sphere_d_picks_the_largest_prime():
     assert isinstance(res, StructuralReport)
     assert census.n == 11
     assert census.k == 11 ** 3
-    assert not census.cylinder_built
+    assert "cylinder" not in census.stage_f  # too large to build
 
 
 def test_sphere_d_budget_errors():
@@ -1020,4 +1111,5 @@ def test_sphere_d_stops_at_structural_level():
     res, census = sphere_d(4, 300_000, k=8, structural=True)
     assert isinstance(res, StructuralReport)
     assert census.d == 4
+    assert census.stage_f["cylinder"][3] == census.predicted_cylinder_cubes
     assert any("full 3-sphere" in note for note in res.notes)
