@@ -41,7 +41,8 @@ The structural checks read corner positions and canonicalise nothing, and
 each verdict has one owner. validate decides only that any two cells meet
 in a common face, each pair of maximal cells sharing 2^m corners from
 their positions: an m-subcube of each cell, with the same edges in both.
-_validated is the one rule that turns its report into an error: every
+That rule on positions is _positions_meet, which the fill search asks
+too. _validated is the one rule that turns its report into an error: every
 construction that checks what it has built passes the complex, the name of
 what it built and its own error class, and a violation raises that class
 naming the first offending pair; only fillball reads a report itself, to
@@ -440,28 +441,45 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
 # validation
 
 def _meets_in_face(ca: tuple[int, ...], cb: tuple[int, ...], n: int) -> bool:
-    """Whether two cells sharing n >= 2 corners meet in a common face, read
-    off the corners' positions. Two corners are a face when their positions
-    differ in one bit in both cells. 2^m corners are one when their
-    positions differ in exactly m bits in each cell (an m-subcube) and the
-    two faces are the same cube: a square is fixed by the corner opposite
-    any one corner, a larger face by its edges."""
-    pa = [p for p, x in enumerate(ca) if x in cb]
+    """Whether two cells sharing n >= 2 corners meet in a common face: the
+    positions of the shared corners in both cells, judged by
+    _positions_meet."""
+    if n & (n - 1):
+        return False
+    return _positions_meet([(p, cb.index(x)) for p, x in enumerate(ca)
+                            if x in cb])
+
+
+def _positions_meet(pairs: list[tuple[int, int]]) -> bool:
+    """Whether the corners two cells share meet as a common face of both,
+    given as pairs (position in one cell, position in the other), at least
+    two, ascending in the first. This is the one face rule: validate asks
+    it through _meets_in_face, and the fill search asks it of each glued
+    cube that shares two or more corners with a new one.
+
+    Two corners are a face when their positions differ in one bit in both
+    cells. 2^m corners are one when their positions differ in exactly m
+    bits in each cell (an m-subcube) and the two faces are the same cube: a
+    square is fixed by the corner opposite any one corner, a larger face by
+    its edges. The first pair is then at the least corner of the subcube in
+    the first cell, and the last pair at the corner opposite it there."""
+    n = len(pairs)
     if n == 2:
-        d = pa[0] ^ pa[1]
-        e = cb.index(ca[pa[0]]) ^ cb.index(ca[pa[1]])
+        (p0, q0), (p1, q1) = pairs
+        d, e = p0 ^ p1, q0 ^ q1
         return not (d & (d - 1) or e & (e - 1))
     m = n.bit_length() - 1
     if n != 1 << m:
         return False
-    pb = [cb.index(ca[p]) for p in pa]
+    pa = [p for p, _ in pairs]
+    pb = [q for _, q in pairs]
     span_a = reduce(or_, pa) ^ reduce(and_, pa)
     span_b = reduce(or_, pb) ^ reduce(and_, pb)
     if span_a.bit_count() != m or span_b.bit_count() != m:
         return False
     if m == 2:
-        return ca[pa[0] ^ span_a] == cb[pb[0] ^ span_b]
-    at = dict(zip(pa, pb))
+        return pb[-1] == pb[0] ^ span_b
+    at = dict(pairs)
     axes = [1 << j for j in range(span_a.bit_length()) if span_a >> j & 1]
     for p in pa:
         for axis in axes:
@@ -481,7 +499,8 @@ def validate(C: CubeComplex) -> ValidationReport:
     and a common face of two cubes induces common faces of all their faces).
     Pairs are counted through a vertex index: only pairs sharing at least
     two vertices can violate, and each is decided from the positions of
-    its shared corners (_meets_in_face). Emits one DEBUG record under
+    its shared corners by the one face rule (_meets_in_face pairs the
+    positions up for _positions_meet). Emits one DEBUG record under
     cubulations.core: maximal cells, pairs by shared-vertex count,
     violations and seconds.
     """

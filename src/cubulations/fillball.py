@@ -40,14 +40,19 @@ and added squares costs a few dictionary lookups. The legality check
 runs only on a move the search is about to take, and it reads only the
 at most six changed squares and the squares around them: the face test
 is a few lookups in the edge and diagonal indexes, edge counts and the
-Euler characteristic change only there, and the connectivity walk
-stops once it has met every square next to the change, which is exact
-because the boundary it starts from is connected. The next boundary is
+Euler characteristic change only there, and connectivity follows
+without a walk when the move drops a square and its added squares are
+connected, since the boundary it starts from is connected (see
+_legal). Every move the search makes drops a square, and its added
+squares are connected unless it is a roof that cancels both faces
+opposite its glued squares; only then does a walk run, and it stops
+once it has met every square next to the change. The next boundary is
 built only for a legal move. A taken move is tested only against the
-glued cubes it shares two or more corners with, which a vertex index
-of the path lists, and each such pair is decided from the positions
-of the shared corners by the rule validate uses (_meets_in_face); a
-cube on the eight corners of a glued one is refused. None of this
+glued cubes it shares two or more corners with: a vertex index of the
+path keeps, per glued cube at the vertex, the vertex's corner position
+in it, so the shared corners come as pairs of positions, and each pair
+of cubes is decided by the rule validate uses (core._positions_meet);
+a cube on the eight corners of a glued one is refused. None of this
 changes which moves are offered, checked or taken, or their order.
 Each call logs one DEBUG record under cubulations.fillball with its
 work counts.
@@ -72,7 +77,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import (
     CubeComplex,
     CubeComplexError,
-    _meets_in_face,
+    _positions_meet,
     _reachable,
     _solid_link,
     build_complex,
@@ -454,35 +459,56 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
     reached, so it already is one, and only the changed squares are
     read: the face test takes a few lookups per added square (see
     _faces_clash), edge and vertex counts change only on the changed
-    squares, and the Euler characteristic by their difference. The
-    walk for connectivity stops once it has met every frontier square:
-    each added square and each survivor across an edge of a dropped
-    one. That is exact: in the connected parent, a shortest path from
-    any survivor to a dropped square passes only survivors, each step
-    over an edge whose two squares both survive and so stay adjacent,
-    and its last survivor is a frontier square.
+    squares, and the Euler characteristic by their difference.
+
+    Connectivity needs no walk when the move drops a square and its
+    added squares are connected across shared edges (after the face
+    test, two added squares that share two corners share an edge of
+    both). Once the edge counts hold, the result is then connected:
+    - The parent is a closed connected surface, so a shortest path from
+      any survivor to a dropped square runs through survivors, each
+      step over an edge whose two squares both survive and so stay
+      adjacent. Its last survivor shares an edge with a dropped square.
+    - After the move that edge has exactly two squares. The only other
+      square on it in the parent was dropped, so the second one is an
+      added square.
+    - Two added squares that share an edge are the only two squares
+      on it, so they are adjacent.
+    The argument needs a dropped square. A move that drops none and
+    adds some is refused: an added square cannot share an edge with the
+    old boundary, whose edges already have two squares each, so the
+    result is never connected. Every move the search makes drops a
+    square, and its added squares are connected but for a roof that
+    cancels both faces opposite its glued squares. For such a move a
+    walk stops once it has met every frontier square: each added square
+    and each survivor across an edge of a dropped one. That is exact by
+    the same argument, whose last survivor is a frontier square.
     """
+    if not drop:
+        return not add
     if not add and len(drop) == len(bd.squares):
         return True
     pairs = bd.pairs
     dropped = set(drop)
     if _faces_clash(bd, dropped, add):
         return False
-    # squares at each edge of a changed square, after the move
-    at: dict[Edge, list[Square]] = {}
-    for sq in (*drop, *add):
+    # per edge of a changed square, its change in squares, and the
+    # added squares on it
+    change: dict[Edge, int] = {}
+    on_added: dict[Edge, list[Square]] = {}
+    for sq in drop:
         for e in pairs[sq][0]:
-            if e not in at:
-                at[e] = [x for x in bd.at_edge.get(e, ())
-                         if x not in dropped]
+            change[e] = change.get(e, 0) - 1
     for f in add:
         for e in pairs[f][0]:
-            at[e].append(f)
+            change[e] = change.get(e, 0) + 1
+            on_added.setdefault(e, []).append(f)
     euler = len(add) - len(drop)
-    for e, sqs in at.items():
-        if len(sqs) not in (0, 2):
+    for e, step in change.items():
+        had = len(bd.at_edge.get(e, ()))
+        if had + step not in (0, 2):
             return False
-        euler -= (len(sqs) > 0) - (e in bd.at_edge)
+        euler -= (had + step > 0) - (had > 0)
     star: dict[int, int] = {}
     for squares, step in ((drop, -1), (add, 1)):
         for sq in squares:
@@ -492,6 +518,17 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
         euler += (n > 0) - (v in bd.star)
     if euler:
         return False
+
+    def joined(f: Square) -> list[Square]:
+        return [g for e in pairs[f][0] for g in on_added[e]]
+
+    # a survivor's edge with a dropped square now has an added one, so
+    # a drop that leaves any survivor adds a square
+    if len(_reachable(add[0], joined)) == len(add):
+        return True
+    # squares at each edge of a changed square, after the move
+    at = {e: [x for x in bd.at_edge.get(e, ()) if x not in dropped]
+          + on_added.get(e, []) for e in change}
     frontier = set(add)
     for sq in drop:
         for e in pairs[sq][0]:
@@ -770,7 +807,8 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
     # per frame: its moves, its index and its corner candidates by vertex
     frames = [(_moves(bd, S.n_vertices, cap, corners, tally), bd, table)]
     cubes: list[tuple[int, ...]] = []
-    near: dict[int, list[int]] = {}     # vertex -> glued cubes at it
+    # vertex -> (glued cube, the vertex's corner position in it)
+    near: dict[int, list[tuple[int, int]]] = {}
     final: frozenset[Square] | None = None
     while frames:
         got = next(frames[-1][0], None)
@@ -791,18 +829,22 @@ def _fill(S: CubeComplex, budget: int, tally: _Tally) -> FillCertificate:
             continue
         # a cube that shares at most one corner with a glued one meets it
         # in a common face, so only those sharing two or more are tested,
-        # by validate's rule; a cube on the eight corners of a glued one
-        # meets it in a face only by being it, and is refused
-        shared = Counter(i for v in cube for i in near.get(v, ()))
-        if any(n == 8 or n > 1 and not _meets_in_face(cube, cubes[i], n)
-               for i, n in shared.items()):
+        # by validate's rule on the shared corners' positions; a cube on
+        # the eight corners of a glued one meets it in a face only by
+        # being it, and is refused
+        shared: dict[int, list[tuple[int, int]]] = {}
+        for p, v in enumerate(cube):
+            for i, q in near.get(v, ()):
+                shared.setdefault(i, []).append((p, q))
+        if any(len(pq) == 8 or len(pq) > 1 and not _positions_meet(pq)
+               for pq in shared.values()):
             tally.collisions += 1
             continue
         tally.glued += 1
         visited.add(nxt)
         tally.states += 1
-        for v in cube:
-            near.setdefault(v, []).append(len(cubes))
+        for p, v in enumerate(cube):
+            near.setdefault(v, []).append((len(cubes), p))
         cubes.append(cube)
         if not nxt:
             final = nxt

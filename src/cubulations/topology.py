@@ -66,7 +66,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
 
 from .core import (
     CubeComplex,
@@ -249,22 +248,17 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
         i, j = _isolate_pivot(M, i, j)
         diag.append(abs(M.get(i, j)))
         M.set(i, j, 0)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                if diag[b] % diag[a]:
-                    g = gcd(diag[a], diag[b])
-                    diag[a], diag[b] = g, diag[a] * diag[b] // g
-                    changed = True
+    # a pivot divides every entry left when it is taken (_isolate_pivot),
+    # and integer row and column operations keep them its multiples, so
+    # the pivots already make an ascending divisibility chain
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:])), diag
     if rows:
         log.debug("smith_invariant_factors: %d x %d, %d nonzeros; pivots "
                   "%d cost-0, %d by Markowitz scan, %d non-unit; %d row and "
                   "%d column operations, %.4f s", rows, len(columns),
                   nonzeros, *found, M.row_ops, M.col_ops,
                   time.perf_counter() - t0)
-    return sorted(diag)
+    return diag
 
 
 def rank_mod_p(columns: list[dict[int, int]], p: int) -> int:

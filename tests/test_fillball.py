@@ -387,6 +387,54 @@ def test_verify_refuses_two_cubes_pinched_together(second, vertex,
                                   (vertex,))
 
 
+# two cubes on a diagonal of a square of the first
+DIAGONAL_PAIR = (tuple(range(8)), (0, 3, 8, 9, 10, 11, 12, 13))
+
+
+@pytest.mark.parametrize("ball, iso, reason, witness", [
+    (boundary_c3(), {v: v for v in range(8)},
+     "ball has dimension 2, not 3", None),
+    (build_complex(3, DIAGONAL_PAIR), {v: v for v in range(14)},
+     "ball is not a valid complex", (*DIAGONAL_PAIR, "shared-diagonal")),
+    (build_complex(3, [tuple(range(8))]), {v: v for v in range(7)},
+     "boundary vertex 7 missing from the map", None),
+    (build_complex(3, [tuple(range(8))]), {v: v for v in range(7)} | {7: 6},
+     "boundary map is not injective on vertices", None),
+    (build_complex(3, [tuple(range(8)), (2, 3, 6, 7, 8, 9, 10, 11)]),
+     {v: v for v in range(12)}, "boundary has 12 vertices, sphere has 8",
+     None),
+])
+def test_verify_refuses_a_ball_or_map_that_does_not_fit(ball, iso, reason,
+                                                        witness):
+    chk = verify_filling(FillCertificate(ball, iso), boundary_c3())
+    assert (chk.ok, chk.reason, chk.witness) == (False, reason, witness)
+
+
+# the one-cube certificate of the cube boundary, whose 26 cells are
+# paired with themselves on lines 3 to 28; each case rewrites some lines
+@pytest.mark.parametrize("lines, message", [
+    ({3: "bmap 0 zero"}, "line 3: malformed bmap line"),
+    ({3: "bmap 0"}, "line 3: malformed bmap line"),
+    ({4: "bmap 1 1 1"}, "line 4: malformed bmap line"),
+    ({28: "bmap 26 25"}, "bmap index pair (26, 25) out of range"),
+    ({28: "bmap 25 -1"}, "bmap index pair (25, -1) out of range"),
+    ({3: "bmap 0 8", 11: "bmap 8 0"},
+     "bmap pair (0, 8) mixes a 0-cell with a 1-cell"),
+    ({4: "bmap 1 2", 5: "bmap 2 1"},
+     "bmap pair (8, 8) contradicts the vertex pairs in the same file"),
+])
+def test_malformed_certificate_file_is_refused(lines, message, tmp_path):
+    text = ["cubecomplex 3 8", "cube 3 0 1 2 3 4 5 6 7"]
+    text += [f"bmap {i} {i}" for i in range(26)]
+    for ln, line in lines.items():
+        text[ln - 1] = line
+    path = tmp_path / "ball.cc"
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(FormatError) as ei:
+        read_certificate(path, boundary_c3())
+    assert (type(ei.value), str(ei.value)) == (FormatError, message)
+
+
 def test_zero_growth_slack_still_fills_shrinking_instances(monkeypatch):
     monkeypatch.setattr(fillball, "GROWTH_SLACK", 0)
     S = pillar_sphere(3)
@@ -495,9 +543,9 @@ def _sphere_by_rebuild(state, drop, add):
 
 
 def _hand_made_moves():
-    """(name, state, drop, add) on the cube boundary, each dropping one
-    square or two. No search has generated a move that only the Euler
-    characteristic or only the connectivity walk rejects, so these do.
+    """(name, state, drop, add) on the cube boundary, each dropping at
+    most two squares. No search has generated a move that only the Euler
+    characteristic or only the connectivity check rejects, so these do.
     """
     cube = tuple(range(8))
     state = frozenset(canonical(f) for f in cube_faces(cube))
@@ -515,9 +563,13 @@ def _hand_made_moves():
     tube = [canonical((lo[a], lo[b], hi[a], hi[b]))
             for lo, hi in zip(ring, ring[1:])
             for a, b in ((0, 1), (1, 3), (3, 2), (2, 0))]
+    # a torus beside the cube, dropping nothing: no edge of it is on the
+    # cube, so every edge keeps two squares, and χ = 2 + 0
+    beside = [tuple(v + 8 for v in sq) for sq in torus_complex(2).cells[2]]
     return [("bump", state, (bottom,), bump),
             ("pinched twin", state, (bottom,), bump + twin),
-            ("torus", state, (bottom, top), tube)]
+            ("torus", state, (bottom, top), tube),
+            ("torus beside", state, (), beside)]
 
 
 def test_local_check_matches_the_rebuild(monkeypatch):
