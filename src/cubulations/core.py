@@ -440,12 +440,10 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
 # ---------------------------------------------------------------------------
 # validation
 
-def _meets_in_face(ca: tuple[int, ...], cb: tuple[int, ...], n: int) -> bool:
-    """Whether two cells sharing n >= 2 corners meet in a common face: the
-    positions of the shared corners in both cells, judged by
+def _meets_in_face(ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
+    """Whether two cells sharing two or more corners meet in a common
+    face: the positions of the shared corners in both cells, judged by
     _positions_meet."""
-    if n & (n - 1):
-        return False
     return _positions_meet([(p, cb.index(x)) for p, x in enumerate(ca)
                             if x in cb])
 
@@ -516,7 +514,7 @@ def validate(C: CubeComplex) -> ValidationReport:
         combinations(members, 2) for members in by_vertex.values()))
     violations: list[tuple[tuple[int, ...], tuple[int, ...], str]] = []
     for (a, b), n in shared.items():
-        if n > 1 and not _meets_in_face(maximal[a], maximal[b], n):
+        if n > 1 and not _meets_in_face(maximal[a], maximal[b]):
             reason = "shared-diagonal" if n == 2 else "non-face intersection"
             violations.append((maximal[a], maximal[b], reason))
     violations.sort()
@@ -567,25 +565,20 @@ def pseudomanifold_check(C: CubeComplex) -> bool:
 # ---------------------------------------------------------------------------
 # links and manifold checks
 
-def _reachable(start: Hashable, neighbors: Callable[[Any], Iterable[Any]],
-               until: Iterable[Hashable] | None = None) -> dict:
+def _reachable(start: Hashable, neighbors: Callable[[Any], Iterable[Any]]
+               ) -> dict:
     """The breadth-first tree from start in the graph given by neighbors:
     each node reached -> the node it was first reached from, start ->
     None, in visiting order, so a node's parent comes before it. Its
-    keys are the nodes reachable from start. Given `until`, the walk
-    stops once it has seen every node of it and returns the tree so
-    far."""
+    keys are the nodes reachable from start."""
     tree: dict = {start: None}
-    left = None if until is None else set(until) - {start}
     todo = deque([start])
-    while todo and (left is None or left):
+    while todo:
         x = todo.popleft()
         for y in neighbors(x):
             if y not in tree:
                 tree[y] = x
                 todo.append(y)
-                if left is not None:
-                    left.discard(y)
     return tree
 
 

@@ -40,14 +40,13 @@ and added squares costs a few dictionary lookups. The legality check
 runs only on a move the search is about to take, and it reads only the
 at most six changed squares and the squares around them: the face test
 is a few lookups in the edge and diagonal indexes, edge counts and the
-Euler characteristic change only there, and connectivity follows
-without a walk when the move drops a square and its added squares are
-connected, since the boundary it starts from is connected (see
-_legal). Every move the search makes drops a square, and its added
-squares are connected unless it is a roof that cancels both faces
-opposite its glued squares; only then does a walk run, and it stops
-once it has met every square next to the change. The next boundary is
-built only for a legal move. A taken move is tested only against the
+Euler characteristic change only there, and connectivity is read off
+the added squares without a walk: the move is connected when it drops a
+square and its added squares are connected, since the boundary it
+starts from is connected, and a move whose added squares are not
+connected swaps a ring of four cube faces for the two opposite ones,
+which the Euler characteristic already refuses (see _legal). The next
+boundary is built only for a legal move. A taken move is tested only against the
 glued cubes it shares two or more corners with: a vertex index of the
 path keeps, per glued cube at the vertex, the vertex's corner position
 in it, so the shared corners come as pairs of positions, and each pair
@@ -461,10 +460,12 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
     _faces_clash), edge and vertex counts change only on the changed
     squares, and the Euler characteristic by their difference.
 
-    Connectivity needs no walk when the move drops a square and its
-    added squares are connected across shared edges (after the face
-    test, two added squares that share two corners share an edge of
-    both). Once the edge counts hold, the result is then connected:
+    Connectivity is decided without a walk, on the moves the search
+    makes: _delta's, whose drop and add are together the six faces of
+    one cube. When the move drops a square and its added squares are
+    connected across shared edges (after the face test, two added
+    squares that share two corners share an edge of both), the result
+    is connected once the edge counts hold:
     - The parent is a closed connected surface, so a shortest path from
       any survivor to a dropped square runs through survivors, each
       step over an edge whose two squares both survive and so stay
@@ -477,12 +478,21 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
     The argument needs a dropped square. A move that drops none and
     adds some is refused: an added square cannot share an edge with the
     old boundary, whose edges already have two squares each, so the
-    result is never connected. Every move the search makes drops a
-    square, and its added squares are connected but for a roof that
-    cancels both faces opposite its glued squares. For such a move a
-    walk stops once it has met every frontier square: each added square
-    and each survivor across an edge of a dropped one. That is exact by
-    the same argument, whose last survivor is a frontier square.
+    result is never connected. A move whose added squares are not
+    connected is refused too, which is exact for a _delta move because
+    the Euler test has already refused every such move that could be
+    legal:
+    - Two faces of a cube share an edge unless they are opposite, so a
+      set of its faces that is not connected is exactly two opposite
+      faces, and the drop is the ring of the other four.
+    - Trading that ring for the two caps removes two squares and the
+      four edges between ring faces, each of which had only ring faces
+      on it, and no vertex, since the caps hold all eight corners: the
+      Euler characteristic rises by 2, and the move is refused before
+      its connectivity is asked.
+    On a move of any other shape this refusal can be wrong, as added
+    squares may be joined through survivors, so the check is exact on
+    _delta moves only.
     """
     if not drop:
         return not add
@@ -524,22 +534,7 @@ def _legal(bd: _Boundary, drop: tuple[Square, ...], add: list[Square]
 
     # a survivor's edge with a dropped square now has an added one, so
     # a drop that leaves any survivor adds a square
-    if len(_reachable(add[0], joined)) == len(add):
-        return True
-    # squares at each edge of a changed square, after the move
-    at = {e: [x for x in bd.at_edge.get(e, ()) if x not in dropped]
-          + on_added.get(e, []) for e in change}
-    frontier = set(add)
-    for sq in drop:
-        for e in pairs[sq][0]:
-            frontier.update(at[e])
-
-    def across(sq: Square) -> list[Square]:
-        return [nb for e in pairs[sq][0]
-                for nb in (at[e] if e in at else bd.at_edge[e])]
-
-    return frontier <= _reachable(min(frontier), across,
-                                  until=frontier).keys()
+    return len(_reachable(add[0], joined)) == len(add)
 
 
 @dataclass
