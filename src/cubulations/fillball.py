@@ -188,8 +188,8 @@ def _opposite(sq: Square, v: int) -> int:
 
 
 class _Boundary:
-    """Index of one boundary state: stars, edge and diagonal incidences,
-    vertex sets. Star and edge lists hold their squares in sorted order.
+    """Index of one boundary state: stars, edge and diagonal incidences.
+    Star and edge lists hold their squares in sorted order.
 
     In a state the search reached, any two squares meet in a common
     face, so a vertex pair is the diagonal of at most one square, and
@@ -202,10 +202,8 @@ class _Boundary:
         self.star: dict[int, list[Square]] = {}
         self.at_edge: dict[Edge, list[Square]] = {}
         self.at_diag: dict[Edge, Square] = {}
-        self.by_vset: dict[frozenset[int], Square] = {}
         for sq in sorted(squares):
             edges, diags = pairs[sq]
-            self.by_vset[frozenset(sq)] = sq
             for v in sq:
                 self.star.setdefault(v, []).append(sq)
             for e in edges:
@@ -227,13 +225,10 @@ class _Boundary:
         bd.star = dict(self.star)
         bd.at_edge = dict(self.at_edge)
         bd.at_diag = dict(self.at_diag)
-        bd.by_vset = dict(self.by_vset)
         for sq in drop:
-            del bd.by_vset[frozenset(sq)]
             for d in pairs[sq][1]:
                 del bd.at_diag[d]
         for sq in add:
-            bd.by_vset[frozenset(sq)] = sq
             for d in pairs[sq][1]:
                 bd.at_diag[d] = sq
         dropped = set(drop)
@@ -268,25 +263,21 @@ def _restack(index: dict, drop: tuple[Square, ...], add: list[Square],
 
 
 def _resolve_corner(bd: _Boundary, known: tuple[int, int, int],
-                    anchor: int) -> tuple[int | None, bool]:
-    """Missing corner of a new cube face with three known vertices.
-
-    The face is (k0, k1, k2, w) with w opposite `anchor` among the
-    known three. A boundary square on all three known vertices must
-    have its fourth vertex opposite the anchor as well, and then that
-    vertex is the only consistent choice for w. Returns (w, ok); ok is
-    False when a boundary square shares the three vertices with the
-    wrong diagonal, which no choice of w can repair.
-    """
-    w: int | None = None
-    for sq in bd.with_three(*known):
-        u = next(x for x in sq if x not in known)
-        if _opposite(sq, anchor) != u:
-            return None, False
-        if w is not None and w != u:
-            return None, False
-        w = u
-    return w, True
+                    anchor: int) -> int | None:
+    """The fourth vertex of the boundary square on the three known
+    vertices, which fixes the corner w of the cube face (k0, k1, k2, w)
+    opposite `anchor`, or None when there is none. In a state the
+    search reached no two squares share three vertices, so there is at
+    most one; the anchor and each other known vertex are an edge of a
+    glued square, so of that square too, and its fourth vertex is
+    opposite the anchor."""
+    found = bd.with_three(*known)
+    if not found:
+        return None
+    (sq,) = found
+    w = next(x for x in sq if x not in known)
+    assert _opposite(sq, anchor) == w
+    return w
 
 
 def _cube_tuple(pos: dict[int, int]) -> tuple[int, ...]:
@@ -295,13 +286,15 @@ def _cube_tuple(pos: dict[int, int]) -> tuple[int, ...]:
 
 def _corner_cube(bd: _Boundary, v: int, A: Square, B: Square, C: Square,
                  nid: int) -> tuple[tuple[int, ...], int] | None:
-    """Cube glued along three squares meeting pairwise in edges at v."""
+    """Cube glued along the three squares at v, or None when the
+    boundary forces two far corners, or one among the seven others. In a
+    state the search reached they form one cycle around v (every edge on
+    two squares, none sharing three vertices), so they meet pairwise in
+    an edge at v alone, on seven distinct vertices."""
     sAB = set(A) & set(B)
     sBC = set(B) & set(C)
     sCA = set(C) & set(A)
-    if not (len(sAB) == 2 and v in sAB and len(sBC) == 2 and v in sBC
-            and len(sCA) == 2 and v in sCA):
-        return None
+    assert all(len(s) == 2 and v in s for s in (sAB, sBC, sCA))
     y = next(u for u in sAB if u != v)
     z = next(u for u in sBC if u != v)
     x = next(u for u in sCA if u != v)
@@ -309,22 +302,19 @@ def _corner_cube(bd: _Boundary, v: int, A: Square, B: Square, C: Square,
     b = _opposite(B, v)
     c = _opposite(C, v)
     corners = [v, x, y, a, z, c, b]
-    if len(set(corners)) != 7:
-        return None
+    assert len(set(corners)) == 7
     # the three faces away from v: (z,c,b,w), (x,a,c,w), (y,a,b,w),
     # with w opposite z, x, y respectively
     w = None
     for known, anchor in (((z, c, b), z), ((x, a, c), x), ((y, a, b), y)):
-        u, ok = _resolve_corner(bd, known, anchor)
-        if not ok:
-            return None
+        u = _resolve_corner(bd, known, anchor)
         if u is not None:
             if w is not None and w != u:
                 return None
             w = u
     if w is None:
         w, nid = nid, nid + 1
-    if w in corners:
+    elif w in corners:
         return None
     pos = {0: v, 1: x, 2: y, 3: a, 4: z, 5: c, 6: b, 7: w}
     return _cube_tuple(pos), nid
@@ -332,25 +322,26 @@ def _corner_cube(bd: _Boundary, v: int, A: Square, B: Square, C: Square,
 
 def _roof_cube(bd: _Boundary, e: tuple[int, int], A: Square, B: Square,
                nid: int) -> tuple[tuple[int, ...], int] | None:
-    """Cube glued along two squares sharing the edge e."""
+    """Cube glued along the two squares on the edge e, or None when the
+    boundary forces one far corner for both side faces. In a state the
+    search reached A and B share only e, and a square on three of the
+    six corners shares at most two with each, so no corner repeats."""
     p, q = e
     a1 = next(u for u in _neighbors(A, p) if u != q)
     a2 = next(u for u in _neighbors(A, q) if u != p)
     b1 = next(u for u in _neighbors(B, p) if u != q)
     b2 = next(u for u in _neighbors(B, q) if u != p)
     corners = [p, q, a1, a2, b1, b2]
-    if len(set(corners)) != 6:
-        return None
+    assert len(set(corners)) == 6
     # side faces (p,a1,b1,w1) and (q,a2,b2,w2), w opposite p resp. q
-    w1, ok1 = _resolve_corner(bd, (p, a1, b1), p)
-    w2, ok2 = _resolve_corner(bd, (q, a2, b2), q)
-    if not (ok1 and ok2):
-        return None
+    w1 = _resolve_corner(bd, (p, a1, b1), p)
+    w2 = _resolve_corner(bd, (q, a2, b2), q)
     if w1 is None:
         w1, nid = nid, nid + 1
     if w2 is None:
         w2, nid = nid, nid + 1
-    if w1 in corners or w2 in corners or w1 == w2:
+    assert w1 not in corners and w2 not in corners
+    if w1 == w2:
         return None
     pos = {0: p, 1: q, 2: a1, 3: a2, 4: b1, 5: b2, 6: w1, 7: w2}
     return _cube_tuple(pos), nid
@@ -388,14 +379,17 @@ Move = tuple[tuple[Square, ...], list[Square]]
 
 
 def _delta(bd: _Boundary, glued: tuple[Square, ...], cube: tuple[int, ...]
-           ) -> Move | None:
+           ) -> Move:
     """The squares the cube's gluing drops from the boundary of bd and
-    adds, or None when the move is rejected before any legality check.
+    adds: the glued squares leave, and each other cube face cancels an
+    equal boundary square or joins the boundary, a lookup per square.
 
-    The glued squares leave the boundary; each remaining cube face
-    cancels an equal boundary square or joins the boundary. A face on
-    the four vertices of a boundary square with the other diagonal can
-    do neither. It costs two lookups per square and walks nothing.
+    No face lies on the vertices of a boundary square with the other
+    diagonal. A face with a fresh corner lies on none. A corner cube's
+    far face and a roof's side face hold three vertices _resolve_corner
+    looked up, so such a square is the one it found; a roof's two other
+    faces each hold an edge of a glued square and one of a side face,
+    which such a square would hold as a diagonal.
     """
     drop = list(glued)
     add: list[Square] = []
@@ -404,8 +398,6 @@ def _delta(bd: _Boundary, glued: tuple[Square, ...], cube: tuple[int, ...]
             continue
         if f in bd.squares:
             drop.append(f)
-        elif frozenset(f) in bd.by_vset:
-            return None
         else:
             add.append(f)
     return tuple(drop), add
@@ -553,10 +545,9 @@ class _Tally:
 
 # A corner candidate: the three squares it glues, its cube, how many
 # fresh ids the cube takes (0, or 1 for its last corner), and its split
-# (see _delta), None when _delta rejects it. The fresh id is the next
-# one of the state it was built in. _delta never rejects a cube with a
-# fresh corner: only its glued squares avoid that corner.
-Corner = tuple[tuple[Square, ...], tuple[int, ...], int, Move | None]
+# (see _delta). The fresh id is the next one of the state it was built
+# in.
+Corner = tuple[tuple[Square, ...], tuple[int, ...], int, Move]
 
 
 def _corner_at(bd: _Boundary, v: int, nid: int) -> Corner | None:
@@ -614,11 +605,10 @@ def _corners(bd: _Boundary, nid: int, cap: int, parent: dict[int, Corner],
     room = cap - len(bd.squares)
     ranked = []
     for v, corner in table.items():
-        move = corner[3]
-        if move is not None:
-            grow = len(move[1]) - len(move[0])
-            if grow <= room:
-                ranked.append(((corner[2], grow, v), corner))
+        drop, add = corner[3]
+        grow = len(add) - len(drop)
+        if grow <= room:
+            ranked.append(((corner[2], grow, v), corner))
     ranked.sort(key=lambda r: r[0])
     return table, [corner for _, corner in ranked]
 
@@ -670,7 +660,7 @@ def _moves(bd: _Boundary, nid: int, cap: int, corners: list[Corner],
               ) -> Move | None:
         tally.candidates += 1
         move = _delta(bd, glued, cube)
-        if move is None or len(state) - len(move[0]) + len(move[1]) > cap:
+        if len(state) - len(move[0]) + len(move[1]) > cap:
             return None
         return move
 

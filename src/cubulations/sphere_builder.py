@@ -13,9 +13,11 @@ ball after one more product layer.  Gluing the five pieces yields a complex
 with the homology of S^3: each seam is checked on its own, against the piece
 it lands on, and the pieces' maximal cells are closed once, together.
 
-Fills go through fillball's search, which is incomplete, so every stage comes
-in two levels: "full" carries the complexes, "structural" carries verified
-FillRequests describing exactly the spheres a full run would have to fill.
+Every piece is made in three steps: a stage (refining_cylinder, handlebody)
+builds its scaffold and the checked FillRequests of the spheres its balls
+fill; assemble_sphere3 fills them all, then closes each piece from its
+scaffold and its balls.  Fill search is incomplete: when it runs out, sphere3
+returns a StructuralReport of the requests, as when it stops before the fills.
 
 induct_dimension raises dimension by doubling: remove one facet from a
 d-sphere S, take the product of the remaining ball with a square, and
@@ -118,42 +120,39 @@ def check_fill_request(req: FillRequest) -> None:
 
 @dataclass(frozen=True)
 class CylinderReport:
-    """Refining cylinder between a surface and its refinement.
-
-    complex is None at the structural level; end is the adjusted
-    refinement Q'' forming the far end.  In the built complex the near
-    end keeps the surface's own vertex ids and the far end sits at
-    offset f0(surface), in Q'' id order.
+    """Refining cylinder between a surface and its refinement, as a
+    scaffold: end is the adjusted refinement Q'' forming the far end, and
+    pillow requests[i]'s vertex x is scaffold vertex sphere_ids[i][x];
+    the vertices the fills add take ids from census["scaffold_vertices"]
+    up.  In the closed cylinder the near end keeps the surface's own
+    vertex ids and the far end sits at offset f0(surface), in Q'' order.
     """
 
-    complex: CubeComplex | None
     end: CubeComplex
     requests: tuple[FillRequest, ...]
-    level: str                     # "full" | "structural"
-    failed: tuple[int, ...]        # request indices whose fill ran out
+    sphere_ids: tuple[tuple[int, ...], ...]
     census: dict[str, int]
 
 
 @dataclass(frozen=True)
 class HandlebodyReport:
-    """Handlebody bounded by Q'': cut along curves, cap, thicken, fill.
+    """Handlebody bounded by Q'', as a scaffold: the genus-0 sphere of
+    Q'' cut along curves and capped, and its one FillRequest.  The solid
+    is the prism sphere x I, whose vertex (x, t) is 2x + t, with pairs
+    identifying vertices of its end t = 0 with their images, and a ball
+    on its end t = 1."""
 
-    boundary_map sends each Q'' vertex to its id in the built complex;
-    sphere is the genus-0 surface whose filling closes the far end.
-    """
-
-    complex: CubeComplex | None
-    boundary_map: dict[int, int] | None
     sphere: CubeComplex
     requests: tuple[FillRequest, ...]
-    level: str
+    pairs: dict[int, int]
     census: dict[str, int]
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """What a full run still has to fill, when the fills are out of reach."""
+    """What a full run has to fill, when it stops before the fill step or
+    the fill step runs out: every request of the three stages, and per
+    stage "full" exactly when all of its requests were filled."""
 
     requests: tuple[FillRequest, ...]
     stage_levels: dict[str, str]
@@ -313,8 +312,8 @@ def _patch_map(Q: CubeComplex, Qp: CubeComplex,
 
 def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
                       Bpp: EdgePathBasis | None = None, *,
-                      chains: dict[Edge, tuple[int, ...]] | None = None,
-                      structural: bool = False) -> CylinderReport:
+                      chains: dict[Edge, tuple[int, ...]] | None = None
+                      ) -> CylinderReport:
     """Cylinder interpolating between Q and its refinement in one step.
 
     Qp is the refinement, with `chains` mapping each base edge to its
@@ -329,18 +328,11 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     10-square split of a patch square (recorded as the parity fixes that
     turn the refinement into the returned end Q'').
 
-    Full level fills every pillow and insets a cube into each solid
-    cube; on any fill failure the report drops to the structural level
-    with the complete pillow list.  Each filled ball is placed by
-    _place_ball: its sphere's vertices keep their scaffold ids and the
-    ones the fill added take fresh ids, in order.  The inset cubes are
-    closed and checked by _close_piece: a violation of the face property
-    is an AssemblyError naming the first offending pair, and so is a rim
-    other than Q and Q''.  Emits one DEBUG record under
-    cubulations.sphere_builder with the level, the pillows, the parity
-    fixes, the f-vector of the cylinder (None when not built), the
-    seconds, and why it fell back to the structural level: it was asked
-    to, or the fill of a pillow ran out of budget (FillFailed).
+    The scaffold is Q, Q'' and the walls; each pillow is one checked
+    FillRequest, with the scaffold ids its ball lands on.  Nothing is
+    filled here: _close_cylinder closes the cylinder from its balls.
+    Emits one DEBUG record under cubulations.sphere_builder with the
+    pillows, the parity fixes, the scaffold's vertices and the seconds.
     """
     t0 = time.perf_counter()
     if chains is None:
@@ -373,14 +365,15 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     if Bpp is not None:
         curve_verts = {v for path in Bpp.curves for v in path}
 
-    # wall sizes, then one 10-square parity fix per odd pillow
+    # wall sizes, then one 10-square parity fix per odd pillow; a wall is
+    # even, as split is empty when every chain is one edge, and one class
+    # of a bipartition, so it holds one end of each edge, when all are even
     wall_half: dict[Edge, int] = {}
     for e, path in chains.items():
         u, v = e
         L = 1 + (len(path) - 1) + (2 if u in split else 1) \
             + (2 if v in split else 1)
-        if L % 2:
-            raise AssemblyError(f"wall over edge {e} has odd length {L}")
+        assert L % 2 == 0
         wall_half[e] = L // 2
 
     # the four edges of each base square, off Q's facet table
@@ -457,12 +450,9 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
             walls[e] = _wheel(cyc, nxt)
             nxt += 1
             n_centers += 1
-    scaffold = nxt
 
     requests: list[FillRequest] = []
-    failed: list[int] = []
-    why = "structural level requested" if structural else ""
-    all_cubes: list[tuple[int, ...]] = []
+    sphere_ids: list[tuple[int, ...]] = []
     for F, edges in zip(Q.cells[2], sides):
         sqs: list[tuple[int, ...]] = [F]
         for e in edges:
@@ -474,16 +464,7 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
         req = FillRequest(local, f"pillow over base square {F}")
         check_fill_request(req)
         requests.append(req)
-        if structural or failed:
-            continue
-        try:
-            cert = fill_ball(local)
-        except FillFailed as e:
-            failed.append(len(requests) - 1)
-            why = f"FillFailed at request {failed[-1]}: {e}"
-            continue
-        cubes, nxt = _place_ball(cert.ball, used, nxt)
-        all_cubes.extend(cubes)
+        sphere_ids.append(tuple(used))
 
     census = {
         "pillows": len(requests),
@@ -491,31 +472,38 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
         "splits": len(mid),
         "wall_centers": n_centers,
         "parity_fixes": len(fixes),
-        "scaffold_vertices": scaffold,
+        "scaffold_vertices": nxt,
     }
+    log.debug("refining_cylinder: %d pillows, %d parity fixes, scaffold "
+              "%d vertices, %.3f s", len(requests), len(fixes), nxt,
+              time.perf_counter() - t0)
+    return CylinderReport(Qpp, tuple(requests), tuple(sphere_ids), census)
 
-    def done(report: CylinderReport) -> CylinderReport:
-        log.debug("refining_cylinder: level %s, %d pillows, %d parity fixes, "
-                  "f %s, %.3f s%s", report.level, len(requests), len(fixes),
-                  report.complex.f_vector() if report.complex else None,
-                  time.perf_counter() - t0,
-                  f"; fell back: {why}" if why else "")
-        return report
 
-    if structural or failed:
-        return done(CylinderReport(None, Qpp, tuple(requests), "structural",
-                                   tuple(failed), census))
-
-    census["filled_cubes"] = len(all_cubes)
+def _close_cylinder(Q: CubeComplex, cyl: CylinderReport,
+                    balls: Sequence[CubeComplex]) -> CubeComplex:
+    """The refining cylinder over Q, from its scaffold and one filled ball
+    per pillow, in request order.  Each ball is placed by _place_ball:
+    its sphere's vertices keep their scaffold ids and the ones the fill
+    added take fresh ids, in order.  A cube is inset into each of the
+    balls' cubes, and the inset cubes are closed and checked by
+    _close_piece: a violation of the face property is an AssemblyError
+    naming the first offending pair, and so is a rim other than Q and Q''.
+    """
+    nxt = cyl.census["scaffold_vertices"]
+    filled: list[tuple[int, ...]] = []
+    for ball, ids in zip(balls, cyl.sphere_ids):
+        cubes, nxt = _place_ball(ball, ids, nxt)
+        filled.extend(cubes)
     inset = []
     g7 = GADGETS["inset_cube_7"]
-    for cube in all_cubes:
+    for cube in filled:
         inset.extend(g7.build(cube, nxt))
         nxt += g7.n_new_vertices
-    want = set(Q.cells[2]) | {tuple(T0 + x for x in t) for t in Qpp.cells[2]}
-    cyl = _close_piece("refining cylinder", inset, nxt, want, "the two ends")
-    census["inset_cubes"] = len(cyl.cells[3])
-    return done(CylinderReport(cyl, Qpp, tuple(requests), "full", (), census))
+    T0 = Q.n_vertices
+    want = set(Q.cells[2]) | {tuple(T0 + x for x in t)
+                              for t in cyl.end.cells[2]}
+    return _close_piece("refining cylinder", inset, nxt, want, "the two ends")
 
 
 # ---------------------------------------------------------------------------
@@ -555,21 +543,16 @@ def _quotient_ids(P: CubeComplex, pairs: dict[int, int]) -> list[int]:
     return ids
 
 
-def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
-               structural: bool = False) -> HandlebodyReport:
+def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]]
+               ) -> HandlebodyReport:
     """Handlebody bounded by Qpp, built by cutting along the given curves.
 
     Cut Qpp along each curve, cap both copies of each cut circle with a
     disk of half the curve's length in subdivided squares; the result
     must be a 2-sphere with evenly many squares.  The solid is that
     sphere times an interval with the two disk copies identified at one
-    end and a filled ball at the other.  The identified end's boundary
-    is Qpp again, reached through boundary_map.  The prism's quotient is
-    numbered directly (_quotient_ids), the ball is placed on its far end
-    as the refining cylinder places its fills (_place_ball), and the
-    cubes of both are closed and checked by one _close_piece: a
-    violation of the face property is an AssemblyError naming the first
-    offending pair, and so is a rim other than Qpp.
+    end (the report's pairs) and a filled ball at the other; nothing is
+    filled here, and _close_handlebody closes the solid from its ball.
 
     The sphere is checked once, by check_fill_request on its request,
     and one that fails is an AssemblyError saying the curves are not
@@ -577,11 +560,8 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
     closed orientable surface.  With no curves the input must already be
     a sphere and the handlebody is a thickened ball: the input itself is
     the sphere, nothing is cut or rebuilt, and the sphere's check is the
-    input's.  The far ball is filled as-is, without cube insets.  Emits
-    one DEBUG record under cubulations.sphere_builder with the level, the
-    f-vectors of the sphere and of the handlebody, the seconds, and why
-    it fell back to the structural level: it was asked to, or the fill
-    ran out of budget (FillFailed).
+    input's.  Emits one DEBUG record under cubulations.sphere_builder
+    with the curves, the f-vector of the sphere and the seconds.
     """
     t0 = time.perf_counter()
     if Qpp.dim != 2:
@@ -603,7 +583,10 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
         S = cut_along_curve(S, c)  # copies sit at base .. base+len-1
         copy_ids.append(tuple(range(base, base + len(c))))
 
-    disk_interiors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # at t = 0 each curve's copy and second disk are identified with the
+    # curve and the first
+    pairs: dict[int, int] = {}
+    extra = 0
     sphere = Qpp
     if curves:
         tops = list(S.cells[2])
@@ -613,9 +596,11 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
             for cycle in (tuple(c), cp):
                 cells, used = _disk_cells(cycle, nxt)
                 tops.extend(cells)
-                sides.append(tuple(range(nxt, nxt + used)))
+                sides.append(range(nxt, nxt + used))
                 nxt += used
-            disk_interiors.append((sides[0], sides[1]))
+            extra += len(sides[0])
+            for a, b in chain(zip(cp, c), zip(sides[1], sides[0])):
+                pairs[2 * a] = 2 * b
         sphere = build_complex(2, tops, n_vertices=nxt)
     req = FillRequest(sphere, "handlebody end")
     try:
@@ -630,48 +615,34 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]], *,
         "disk_squares": sum(5 * (len(c) // 2) for c in curves) * 2,
         "sphere_squares": len(sphere.cells[2]),
         "prism_cubes": len(sphere.cells[2]),
-        "extra_vertices": sphere.n_vertices
-        + sum(len(a) for a, _ in disk_interiors),
+        "extra_vertices": sphere.n_vertices + extra,
     }
+    log.debug("handlebody: %d curves, sphere f %s, %.3f s", len(curves),
+              sphere.f_vector(), time.perf_counter() - t0)
+    return HandlebodyReport(sphere, (req,), pairs, census)
 
-    def done(report: HandlebodyReport, why: str = "") -> HandlebodyReport:
-        log.debug("handlebody: level %s, %d curves, sphere f %s, f %s, "
-                  "%.3f s%s", report.level, len(curves), sphere.f_vector(),
-                  report.complex.f_vector() if report.complex else None,
-                  time.perf_counter() - t0,
-                  f"; fell back: {why}" if why else "")
-        return report
 
-    if structural:
-        return done(HandlebodyReport(None, None, sphere, (req,),
-                                     "structural", census),
-                    "structural level requested")
-
-    try:
-        cert = fill_ball(sphere)
-    except FillFailed as e:
-        return done(HandlebodyReport(None, None, sphere, (req,),
-                                     "structural", census, notes=(str(e),)),
-                    f"FillFailed: {e}")
-
-    P = cartesian_product(sphere, interval_complex(1))  # (x, t) -> 2x + t
-    pairs: dict[int, int] = {}
-    for c, cp, (in1, in2) in zip(curves, copy_ids, disk_interiors):
-        for a, b in zip(cp, c):
-            pairs[2 * a] = 2 * b
-        for a, b in zip(in2, in1):
-            pairs[2 * a] = 2 * b
-    qmap = _quotient_ids(P, pairs)
-
+def _close_handlebody(Qpp: CubeComplex, hb: HandlebodyReport,
+                      ball: CubeComplex
+                      ) -> tuple[CubeComplex, dict[int, int]]:
+    """The handlebody bounded by Qpp, from its scaffold and the ball that
+    fills its sphere, and the map from each Qpp vertex to its id there.
+    The prism's quotient is numbered directly (_quotient_ids), the ball
+    is placed on its far end as the refining cylinder places its fills
+    (_place_ball), without cube insets, and the cubes of both are closed
+    and checked by one _close_piece: a violation of the face property is
+    an AssemblyError naming the first offending pair, and so is a rim
+    other than Qpp."""
+    P = cartesian_product(hb.sphere, interval_complex(1))
+    qmap = _quotient_ids(P, hb.pairs)
     # the far end, t = 1, is the sphere the ball fills
-    ball, fresh = _place_ball(cert.ball, qmap[1::2], P.n_vertices - len(pairs))
-    cubes = [tuple(map(qmap.__getitem__, cube)) for cube in P.cells[3]]
+    cubes, fresh = _place_ball(ball, qmap[1::2], P.n_vertices - len(hb.pairs))
+    prism = [tuple(map(qmap.__getitem__, cube)) for cube in P.cells[3]]
     bmap = {v: qmap[2 * v] for v in range(Qpp.n_vertices)}
     want = {canonical([bmap[v] for v in t]) for t in Qpp.cells[2]}
-    H = _close_piece("handlebody", cubes + ball, fresh, want,
+    H = _close_piece("handlebody", prism + cubes, fresh, want,
                      "the input surface")
-    census["fill_cubes"] = len(cert.ball.cells[3])
-    return done(HandlebodyReport(H, bmap, sphere, (req,), "full", census))
+    return H, bmap
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +653,21 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
                      hb_bottom: HandlebodyReport, hb_top: HandlebodyReport,
                      ) -> CubeComplex:
     """Product cylinder, two refining cylinders and two handlebodies, in
-    one complex.
+    one complex: the fill step, then one close per piece, then the glue.
 
     The same cylinder report serves both ends (the construction is
-    id-for-id identical on either side); the handlebodies may differ, or
-    be one report.  All three reports must be at the full level.
+    id-for-id identical on either side); the handlebodies, bounding
+    cyl.end, may differ, or be one report, which is filled once.  The
+    fill step calls fill_ball on the pillows, then on the bottom sphere,
+    then on the top one, and re-raises the first FillFailed with a note
+    naming the request's index and origin.  _close_cylinder and
+    _close_handlebody then close the pieces from their balls.
 
     The ids are those four glue calls would give, piece after piece.
     The product P = Q x I_k keeps its own: (v, t) is v (k+1) + t.  The
     bottom cylinder's near end lands on P's layer t = 0, the top one's on
     t = k, and each cylinder's other vertices follow, in cylinder id
-    order.  Each handlebody's boundary_map lands on the far end of its
+    order.  Each handlebody's boundary map lands on the far end of its
     cylinder, and its other vertices follow, bottom before top.  Every
     seam is checked and numbered by glue's one rule, transforms._seam_ids,
     against the piece it lands on: the cylinder seams against P, the
@@ -703,19 +678,33 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     of S^3 whose vertex links are spheres; a violation of the face
     property is an AssemblyError naming the first offending pair (core's
     one rule, _validated).  Emits one DEBUG record under
-    cubulations.sphere_builder with the level, the f-vector and the
-    seconds of the gluing (the seams and the closure) and of the checks.
+    cubulations.sphere_builder with the f-vector and the seconds of the
+    whole, of the fills with their count, of the closes with the pieces'
+    f-vectors, of the gluing (the seams and the closure) and the checks.
     """
     t0 = time.perf_counter()
-    if cyl.level != "full" or hb_bottom.level != "full" \
-            or hb_top.level != "full":
-        raise AssemblyError("assembly needs every piece at the full level")
     if k < 1:
         raise AssemblyError("the product cylinder needs at least one layer")
+    hbs = [hb_bottom] if hb_top is hb_bottom else [hb_bottom, hb_top]
+    requests = [*cyl.requests, *chain.from_iterable(hb.requests for hb in hbs)]
+    balls = []
+    for i, req in enumerate(requests):
+        try:
+            balls.append(fill_ball(req.sphere).ball)
+        except FillFailed as e:
+            e.add_note(f"request {i}, {req.origin}, was not filled")
+            e._request = i  # sphere3 reads back how many were filled
+            raise
+    t1 = time.perf_counter()
+
+    n = len(cyl.requests)
+    C = _close_cylinder(Q, cyl, balls[:n])
+    closed = [_close_handlebody(cyl.end, hb, b)
+              for hb, b in zip(hbs, balls[n:])]
+    t2 = time.perf_counter()
+
     nb = Q.n_vertices
     n_end = cyl.end.n_vertices
-    C = cyl.complex
-
     P = cartesian_product(Q, interval_complex(k))
     fresh = P.n_vertices
     on_p = range(fresh)
@@ -733,17 +722,16 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
     m2 = seam("top cylinder seam", P, on_p, C,
               {v: v * (k + 1) + k for v in range(nb)})
     placed = [(C, m1), (C, m2)]
-    for name, hb, m in (("bottom handlebody seam", hb_bottom, m1),
-                        ("top handlebody seam", hb_top, m2)):
-        bmap = hb.boundary_map
-        placed.append((hb.complex, seam(
-            name, C, m, hb.complex, {bmap[x]: nb + x for x in range(n_end)})))
+    for name, (H, bmap), m in (("bottom handlebody seam", closed[0], m1),
+                               ("top handlebody seam", closed[-1], m2)):
+        placed.append((H, seam(
+            name, C, m, H, {bmap[x]: nb + x for x in range(n_end)})))
     tops = list(chain.from_iterable(P.maximal_cells().values()))
     for B, ids in placed:
         for level in B.maximal_cells().values():
             tops.extend(tuple(map(ids.__getitem__, c)) for c in level)
     A = build_complex(3, tops, n_vertices=fresh)
-    t1 = time.perf_counter()
+    t3 = time.perf_counter()
 
     if not pseudomanifold_check(_validated(A, "assembly", AssemblyError)):
         raise AssemblyError("assembled complex is not a closed pseudomanifold")
@@ -755,9 +743,13 @@ def assemble_sphere3(Q: CubeComplex, k: int, cyl: CylinderReport,
                             f"torsion {prof.torsion}, not a 3-sphere's")
     if not manifold_check(A, 3):
         raise AssemblyError("assembled complex has a bad vertex link")
-    t2 = time.perf_counter()
-    log.debug("assemble_sphere3: level full, f %s, %.3f s: glue %.3f s, "
-              "checks %.3f s", A.f_vector(), t2 - t0, t1 - t0, t2 - t1)
+    t4 = time.perf_counter()
+    log.debug("assemble_sphere3: f %s, %.3f s: %d fills %.3f s, close "
+              "%.3f s (cylinder f %s, handlebodies f %s), glue %.3f s, "
+              "checks %.3f s", A.f_vector(), t4 - t0, len(balls), t1 - t0,
+              t2 - t1, C.f_vector(), ", ".join(str(H.f_vector())
+                                               for H, _ in closed),
+              t3 - t2, t4 - t3)
     return A
 
 
@@ -773,18 +765,23 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
     """Run the full 3-sphere pipeline at scale n.
 
     n must be an odd prime at least 11; k (the product cylinder length)
-    defaults to n^3.  Returns the complex and its census on full
-    success, otherwise a StructuralReport whose FillRequests have all
-    been verified against the filling lemma's hypotheses.  The ribbon
-    surgery's regular-neighbourhood certificates are re-checked on the
-    refined surface with verify_neighborhoods before anything is built
-    on it.  At genus 0 there are no curves, and one handlebody, the
-    thickened ball over the refined sphere, serves both ends.
+    defaults to n^3.  The ribbon surgery's regular-neighbourhood
+    certificates are re-checked on the refined surface with
+    verify_neighborhoods before anything is built on it.  At genus 0
+    there are no curves, and one handlebody, the thickened ball over the
+    refined sphere, serves both ends.
+
+    The stages build their scaffolds and checked FillRequests, and
+    assemble_sphere3 fills, closes and glues the pieces.  With structural
+    the run stops before the fill step and returns a StructuralReport of
+    the requests, every stage "structural"; when a fill runs out it
+    returns the same report, whose notes name the failing request and
+    the FillFailed message, a stage "full" when all its requests filled.
 
     Emits one DEBUG record under cubulations.sphere_builder with the
-    stage levels and the seconds of each stage: surface and basis,
+    stage levels, the seconds of each stage: surface and basis,
     refinement, cylinder, handlebodies, product and assembly ("skipped"
-    for a stage that did not run).
+    for a stage that did not run), and the request that was not filled.
     """
     if not _is_odd_prime(n) or n < 11:
         raise AssemblyError("n must be an odd prime at least 11")
@@ -813,27 +810,12 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
                             "refined basis does not hold")
     lap("refinement")
 
-    cyl = refining_cylinder(Q, Q2, B2, chains=chains2,
-                            structural=structural)
+    cyl = refining_cylinder(Q, Q2, B2, chains=chains2)
     lap("cylinder")
     alpha, beta = _split_alpha_beta(B2)
-    hb_structural = structural or cyl.level != "full"
-    hbA = handlebody(cyl.end, alpha, structural=hb_structural)
-    hbB = handlebody(cyl.end, beta, structural=hb_structural) \
-        if B2.curves else hbA
+    hbA = handlebody(cyl.end, alpha)
+    hbB = handlebody(cyl.end, beta) if B2.curves else hbA
     lap("handlebodies")
-    levels = {
-        "refining_cylinder": cyl.level,
-        "handlebody_bottom": hbA.level,
-        "handlebody_top": hbB.level,
-    }
-
-    def done(result, census: PipelineCensus):
-        log.debug("sphere3: n %d, k %d, levels %s; %s", n, k, levels,
-                  ", ".join(f"{stage} {s:.3f} s" if s is not None
-                            else f"{stage} skipped"
-                            for stage, s in stage_s.items()))
-        return result, census
 
     f_Q = Q.f_vector()
     predicted_v = (k + 1) * f_Q[0]
@@ -866,25 +848,41 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         growth_constant=(scaffold - predicted_v) / n ** 4,
     )
 
+    # per stage, the end of its requests in fill order, one for each
+    # handlebody; one handlebody at both ends is filled once
+    requests = cyl.requests + hbA.requests + hbB.requests
+    n_cyl = len(cyl.requests)
+    ends = {"refining_cylinder": n_cyl, "handlebody_bottom": n_cyl + 1,
+            "handlebody_top": n_cyl + 1 + (hbB is not hbA)}
+    filled, S3 = 0, None
+    notes = ["the refining cylinder is built once and used at both ends; "
+             "its pillow fills are shared"]
     stage_s["assembly"] = None
-    if cyl.level == "full" and hbA.level == "full" and hbB.level == "full":
-        S3 = assemble_sphere3(Q, k, cyl, hbA, hbB)
-        bounds = upper_bound_checks(S3)
-        if not bounds.facet_bound_ok or bounds.cube_bound_ok is False:
-            raise AssemblyError("assembled sphere exceeds the facet bounds")
+    if not structural:
+        try:
+            S3 = assemble_sphere3(Q, k, cyl, hbA, hbB)
+        except FillFailed as e:
+            filled = e._request
+            notes.append(f"{e.__notes__[-1]}: {e}")
+        else:
+            bounds = upper_bound_checks(S3)
+            if not bounds.facet_bound_ok or bounds.cube_bound_ok is False:
+                raise AssemblyError("assembled sphere exceeds the facet "
+                                    "bounds")
+            filled = len(requests)
         lap("assembly")
+    levels = {stage: "full" if end <= filled else "structural"
+              for stage, end in ends.items()}
+    log.debug("sphere3: n %d, k %d, levels %s; %s%s", n, k, levels,
+              ", ".join(f"{stage} {s:.3f} s" if s is not None
+                        else f"{stage} skipped"
+                        for stage, s in stage_s.items()),
+              f"; {notes[-1]}" if len(notes) > 1 else "")
+    if S3 is not None:
         stage_f = dict(stage_f)
         stage_f["final"] = S3.f_vector()
-        return done(S3, replace(census, stage_f=stage_f))
-
-    report = StructuralReport(
-        requests=tuple(cyl.requests) + tuple(hbA.requests)
-        + tuple(hbB.requests),
-        stage_levels=levels,
-        notes=("the refining cylinder is built once and used at both ends; "
-               "its pillow fills are shared",),
-    )
-    return done(report, census)
+        return S3, replace(census, stage_f=stage_f)
+    return StructuralReport(requests, levels, tuple(notes)), census
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +946,9 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
 
     Remove the interior of one facet F (the first in canonical order by
     default), thicken the remaining ball Q by the square I x I, and take
-    the boundary.  The output has exactly 4 * f0(S) vertices and at
-    least twice as many facets, and is checked to be a homology sphere.
+    the boundary.  The output has exactly 4 * f0(S) vertices, and
+    4 (f_d(S) - 1) + 2d facets by the product formula below, at least
+    twice as many as S for d >= 2; it is checked to be a homology sphere.
     The input must be a closed pseudomanifold: a violation of the face
     property is an AssemblyError naming the first offending pair (core's
     one rule, _validated).  A facet that is not a d-cell of S raises
@@ -1000,8 +999,6 @@ def induct_dimension(S: CubeComplex, facet=None) -> CubeComplex:
     # out has 4 * n ids by construction; count the vertices it has
     if len(out.cells[0]) != 4 * S.n_vertices:
         raise AssemblyError("vertex count is off; input was not a sphere")
-    if len(out.cells[d + 1]) < 2 * len(S.cells[d]):
-        raise AssemblyError("facet count did not double")
     if not homology_sphere_check(out, d + 1):
         raise AssemblyError("doubling lost the sphere homology")
     t5 = time.perf_counter()

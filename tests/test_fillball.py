@@ -464,7 +464,7 @@ def test_gadget_corpus_fills_or_fails_explicitly():
     assert outcomes["pinwheel_pair"][0] == "failed"
 
 
-def _next_boundary_by_rebuild(state, bd, glued, cube):
+def _next_boundary_by_rebuild(state, glued, cube):
     """Boundary after gluing, or None when the move is illegal, decided by
     rebuilding the edge index of the whole next boundary and walking all
     of it. The reference for fillball's local check (_delta, _legal)."""
@@ -480,8 +480,7 @@ def _next_boundary_by_rebuild(state, bd, glued, cube):
                 return None
             drop.add(f)
         else:
-            hit = bd.by_vset.get(frozenset(f))
-            if hit is not None:
+            if any(set(f) == set(sq) for sq in state):
                 return None  # same four vertices, incompatible diagonal
             add.append(f)
     return _sphere_by_rebuild(state, drop, add)
@@ -589,7 +588,7 @@ def test_local_check_matches_the_rebuild(monkeypatch):
     mismatches = []
 
     def check(state, bd, glued, cube, move):
-        want = _next_boundary_by_rebuild(state, bd, glued, cube)
+        want = _next_boundary_by_rebuild(state, glued, cube)
         if move is None:
             got, kind = None, "rejected early"
         else:
@@ -656,6 +655,53 @@ def test_face_test_matches_set_intersections():
     assert verdicts[True] > 1000 and verdicts[False] > 200, verdicts
 
 
+def _square(a, b, c, d):
+    """The square with a's neighbours b and c, and d opposite a."""
+    return canonical((a, b, c, d))
+
+
+def _hand_made(*squares):
+    return fillball._Boundary(frozenset(squares), fillball._Pairs())
+
+
+def test_corner_and_roof_cubes_refuse_the_corners_a_boundary_forces():
+    """The far corners a boundary forces on a candidate cube: two
+    different ones, one among the cube's other corners, or one for both
+    side faces of a roof, each planted on a hand-made boundary next to
+    the same squares without the fault."""
+    # the corner at v = 0: A, B, C meet pairwise in the edges 0-2, 0-3,
+    # 0-1; their far corners are a = 4, b = 5, c = 6
+    A, B, C = _square(0, 1, 2, 4), _square(0, 2, 3, 5), _square(0, 3, 1, 6)
+    on_zcb = _square(3, 6, 5, 7)    # fixes w = 7, opposite z = 3
+    on_xac = _square(1, 4, 6, 8)    # fixes w = 8, opposite x = 1
+
+    def far_corner(*more):
+        """The corner cube's far corner and next fresh id, or None."""
+        bd = _hand_made(A, B, C, *more)
+        got = fillball._corner_cube(bd, 0, *bd.star[0], 9)
+        return got and (sorted(got[0][:7]), got[0][7], got[1])
+
+    seven = [0, 1, 2, 3, 4, 5, 6]
+    assert far_corner() == (seven, 9, 10)                  # w fresh
+    assert far_corner(on_zcb) == (seven, 7, 9)
+    assert far_corner(on_xac) == (seven, 8, 9)
+    assert far_corner(on_zcb, on_xac) is None              # w = 7 and 8
+    assert far_corner(_square(3, 6, 5, 4)) is None         # w = a = 4
+
+    # the roof on the edge 0-1: A = (0, 1, 2, 3), B = (0, 1, 4, 5)
+    A, B = _square(0, 1, 2, 3), _square(0, 1, 4, 5)
+    side_p = _square(0, 2, 4, 6)    # fixes w1 = 6, opposite p = 0
+    side_q = _square(1, 3, 5, 6)    # fixes w2 = 6, opposite q = 1
+
+    def roof(*more):
+        return fillball._roof_cube(_hand_made(A, B, *more), (0, 1), A, B, 7)
+
+    assert roof() == ((0, 1, 2, 3, 4, 5, 7, 8), 9)
+    assert roof(side_p) == ((0, 1, 2, 3, 4, 5, 6, 7), 8)
+    assert roof(side_q) == ((0, 1, 2, 3, 4, 5, 7, 6), 8)
+    assert roof(side_p, side_q) is None                    # w1 = w2 = 6
+
+
 def _moves_by_rebuild(state, nid, cap):
     """The reference move generation: the state indexed afresh, every
     corner candidate built, and each move's legality decided by a
@@ -710,7 +756,7 @@ def _moves_by_rebuild(state, nid, cap):
 
 
 def _index(bd):
-    return bd.squares, bd.star, bd.at_edge, bd.at_diag, bd.by_vset
+    return bd.squares, bd.star, bd.at_edge, bd.at_diag
 
 
 def test_frames_match_a_fresh_generation(monkeypatch):
