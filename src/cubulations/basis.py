@@ -1404,9 +1404,10 @@ def _verify_edge_paths(Q: CubeComplex, B: EdgePathBasis) -> bool:
         (i, ti), (j, tj) = occ
         pi, ni = B.curves[i][ti - 1], B.curves[i][(ti + 1) % len(B.curves[i])]
         pj, nj = B.curves[j][tj - 1], B.curves[j][(tj + 1) % len(B.curves[j])]
+        # surface_invariants read every link a circle, so the squares at v
+        # close up into one cycle
         cycle = _link_cycle(Q, v)
-        if cycle is None:
-            raise BasisError(f"link of vertex {v} is not a single circle")
+        assert cycle is not None
         _, spokes = cycle
         at = [spokes.index(u) for u in (pi, ni, pj, nj)]
         around = sorted(range(4), key=lambda t: at[t])

@@ -49,15 +49,15 @@ naming the first offending pair; only fillball reads a report itself, to
 word a sphere's defect and a filling's witness. Whether the top cells make
 a closed pseudomanifold is pseudomanifold_check's, asked by the callers
 that need it. A k-cell at v spans the link simplex of the corners at v's
-position with one bit flipped, read off star(k). In a 2-complex
-_link_shapes reads every link in one pass over the squares, and
-manifold_check(C, 2) and topology.surface_invariants both read their
-verdicts off it. In a 3-complex _solid_link reads one link as "sphere",
-"disk" or None, from side counts, one walk over its triangles and the
-Euler characteristic, for manifold_check(C, 3) and
-fillball.verify_filling. In a surface, _link_cycle reads the squares
-around a vertex in cyclic order off the same spans, for the callers that
-cut or cross curves there.
+position with one bit flipped, read off star(k) (_link_spans), and
+vertex_link closes those simplices under faces. _link_shapes reads every
+link of a 2- or 3-complex as "sphere", "disk" or None in one pass, from
+the number of cells of each dimension at each vertex, the coface counts
+and one union-find over the top cells' corners, and manifold_check(C, 2)
+and (C, 3), topology.surface_invariants and fillball.verify_filling all
+read their verdicts off it. In a surface, _link_cycle reads the squares
+around a vertex in cyclic order off the spans, for the callers that cut
+or cross curves there.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations
-from operator import and_, itemgetter, or_
+from itertools import chain, combinations, compress
+from operator import add, and_, eq, itemgetter, not_, or_, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 
@@ -650,117 +650,105 @@ def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:
 
 
 def _link_shapes(C: CubeComplex) -> list[str | None]:
-    """Per vertex of the 2-complex C, "cycle" or "path" when its link is a
-    single cycle, or a single path with at least one edge; None otherwise.
+    """Per vertex v of the d-complex C, d = 2 or 3, "sphere" when its link
+    is a (d-1)-sphere, "disk" when it is a (d-1)-disk, None otherwise.
+    Every link is read in one pass, off counts the incidence index holds.
 
-    All links are read in one pass over the squares. The link vertices at
-    v are the darts of the edges at v: dart 2e + s sits at corner s of
-    edge e. A square (a, b, c, d), boundary walk a-b-d-c, with facets
-    ac, bd, ab, cd, gives one link edge at each corner, between the darts
-    of its two edges there; squares that give the same pair give one link
-    edge. A link is a single cycle or path exactly when it has a dart,
-    every dart has degree 1 or 2, and it is connected: its darts less the
-    merges a union-find makes along its link edges number one. A dart of
-    degree 1 makes it a path."""
-    squares = C.cells.get(2, ())
-    ends = list(chain.from_iterable(C.cells.get(1, ())))
-    ids, _ = C.incidence().facets(2)
-    links: set[tuple[int, int]] = set()
-    it = iter(ids)
-    for (a, b, c, d), ac, bd, ab, cd in zip(squares, it, it, it, it):
-        # a is the least corner and b < c, so a is the low end of ab and
-        # ac, and b and c the high ends
-        ab, ac, bd, cd = 2 * ab, 2 * ac, 2 * bd + (b > d), 2 * cd + (c > d)
-        links.update(((ab, ac) if ab < ac else (ac, ab),
-                      (ab + 1, bd) if ab < bd else (bd, ab + 1),
-                      (ac + 1, cd) if ac < cd else (cd, ac + 1),
-                      (bd ^ 1, cd ^ 1) if bd < cd else (cd ^ 1, bd ^ 1)))
-    degree = [0] * len(ends)
-    parent = list(range(len(ends)))
-    merges = [0] * C.n_vertices
-    for x, y in links:
-        degree[x] += 1
-        degree[y] += 1
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            merges[ends[x]] += 1
-    darts = [0] * C.n_vertices
-    for v in ends:
-        darts[v] += 1
-    shapes: list[str | None] = [
-        "cycle" if darts[v] - merges[v] == 1 else None
-        for v in range(C.n_vertices)]
-    for v, k in zip(ends, degree):
-        if not 0 < k < 3:
-            shapes[v] = None
-        elif k == 1 and shapes[v]:
-            shapes[v] = "path"
-    return shapes
+    One rule serves both dimensions. Write n_k(v) for the number of
+    k-cells at v and chi(v) = n_1(v) - n_2(v) + ... + (-1)^(d-1) n_d(v).
+    The link of v is
+      - a sphere when every k-cell at v, 0 < k < d, lies in a (k+1)-cell,
+        every (d-1)-cell at v lies in two d-cells, the d-cells at v are
+        connected across the (d-1)-cells at v, and chi(v) = 1 + (-1)^(d-1)
+        (0 for a circle, 2 for a 2-sphere);
+      - a disk when the same holds but that some (d-1)-cell at v lies in
+        one d-cell (none in more than two), and chi(v) = 1.
+    The coface counts are read off cofaces(k). Connectivity is one
+    union-find over the corners of the d-cells, node 2^d c + (v's position
+    in d-cell c), which merges the two nodes at each corner of every
+    (d-1)-cell in two d-cells: the d-cells at v are connected when their
+    n_d(v) nodes less the merges at v number one.
 
-
-def _solid_link(C: CubeComplex, v: int) -> str | None:
-    """The link of v in the 3-complex C: "sphere" when it is a 2-sphere,
-    "disk" when it is a disk, None otherwise. Squares at v that span the
-    same pair give one link edge, as in vertex_link.
-
-    The link must be pure (every link vertex on a link edge, every link
-    edge on a triangle), every link edge must lie on at most two
-    triangles, and the triangles must be connected across shared edges
-    (one walk). Cutting such a link apart at each vertex where the
-    triangles around it make more than one fan leaves a connected
-    surface, closed exactly when every link edge lies on two triangles,
-    and raises the Euler characteristic by one per extra fan. A closed
-    connected surface has Euler characteristic at most 2, and only the
-    sphere has 2; one with boundary at most 1, and only the disk has 1.
-    So a closed link of characteristic 2 is a sphere, with nothing cut,
-    and a link with boundary of characteristic 1 a disk."""
-    ptr, _ = C.incidence().star(1)
-    n_verts = ptr[v + 1] - ptr[v]      # one link vertex per edge at v
-    edges = {(a, b) if a < b else (b, a) for a, b in _link_spans(C, v, 2)}
-    tris = list({tuple(sorted(s)) for s in _link_spans(C, v, 3)})
-    on: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(tris):
-        for side in ((a, b), (a, c), (b, c)):
-            on.setdefault(side, []).append(i)
-    if not tris or on.keys() != edges \
-            or any(len(t) > 2 for t in on.values()) \
-            or len(set(chain.from_iterable(edges))) != n_verts:
-        return None
-
-    def across(i: int) -> list[int]:
-        a, b, c = tris[i]
-        return on[a, b] + on[a, c] + on[b, c]
-
-    if len(_reachable(0, across)) != len(tris):
-        return None
-    chi = n_verts - len(edges) + len(tris)
-    if all(len(t) == 2 for t in on.values()):
-        return "sphere" if chi == 2 else None
-    return "disk" if chi == 1 else None
+    Why this decides the link. On a complex that validate accepts, the
+    k-cells at v give the (k-1)-simplices of v's link one to one: two
+    k-cells at v that span the same simplex share v and its k neighbours,
+    k + 1 corners that are no face of either for k >= 2, so validate
+    refuses them. Where two do, the counts read the link those cells make
+    counted with multiplicity, where vertex_link keeps one. So the counts
+    are the link's own, and the conditions say that the link is pure,
+    that each (d-2)-simplex lies on at most two facets, and that the
+    facets are connected across them. For d = 2 that is a cycle (chi 0)
+    or a path (chi 1). For d = 3, cutting the link apart at each vertex
+    where the triangles around it make more than one fan leaves a
+    connected surface, closed exactly when no edge lies on one triangle,
+    and each extra fan raises chi by one. A closed connected surface has
+    chi at most 2, and only the sphere has 2; one with boundary at most
+    1, and only the disk has 1. So a closed link of chi 2 is a sphere,
+    with nothing cut, and a link with boundary of chi 1 is a disk."""
+    d, inc, verts = C.dim, C.incidence(), range(C.n_vertices)
+    n = [list(map(Counter(chain.from_iterable(C.cells[k])).__getitem__, verts))
+         for k in range(1, d + 1)]
+    chi = list(map(sub, n[0], n[1]))
+    if d == 3:
+        chi = list(map(add, chi, n[2]))
+    bad: set[int] = set()
+    rim: set[int] = set()
+    for k in range(1, d - 1):
+        ptr, _ = inc.cofaces(k)
+        for cell in compress(C.cells[k], map(eq, ptr, ptr[1:])):
+            bad.update(cell)
+    # the (d-1)-cells in two d-cells, and their two, in pairs
+    ptr, owners = inc.cofaces(d - 1)
+    counts = list(map(sub, ptr[1:], ptr))
+    ridges = C.cells[d - 1]
+    if counts.count(2) < len(counts):
+        two = list(map((2).__eq__, counts))
+        for cell, m in compress(zip(ridges, counts), map(not_, two)):
+            (rim if m == 1 else bad).update(cell)
+        ridges = compress(ridges, two)
+        owners = [c for lo in compress(ptr, two) for c in owners[lo:lo + 2]]
+    tops, w = C.cells[d], 1 << d
+    parent = list(range(w * len(tops)))
+    parts = n[-1]
+    pairs = iter(owners)
+    for ridge, a, b in zip(ridges, pairs, pairs):
+        ta = tops[a]
+        tb = tops[b]
+        a *= w
+        b *= w
+        for x in ridge:
+            p = a + ta.index(x)
+            q = b + tb.index(x)
+            while parent[p] != p:
+                p = parent[p]
+            while parent[q] != q:
+                q = parent[q]
+            if p != q:
+                parent[p] = q
+                parts[x] -= 1
+    sphere_chi = 1 + (-1) ** (d - 1)
+    return [None if m != 1 or v in bad
+            else ("disk" if x == 1 else None) if v in rim
+            else "sphere" if x == sphere_chi else None
+            for v, m, x in zip(verts, parts, chi)]
 
 
 def manifold_check(C: CubeComplex, d: int) -> bool:
     """Whether every vertex link of the d-complex C is a (d-1)-sphere, for
-    d <= 3: for d = 1 every vertex id lies on exactly two edges, for d = 2
-    every shape _link_shapes reads is "cycle", and for d = 3 every shape
-    _solid_link reads is "sphere". For d > 3 only the pseudomanifold
-    conditions are verified (partial check, as documented)."""
+    d <= 3: for d <= 1 every vertex id lies on exactly two edges, and for
+    d = 2 and 3 every shape _link_shapes reads is "sphere". For d > 3 only
+    the pseudomanifold conditions are verified (partial check, as
+    documented)."""
     if d != C.dim:
         return False
     if d > 3:
         return pseudomanifold_check(C)
-    if d == 1:
+    if d < 2:
         count = [0] * C.n_vertices
         for v in chain.from_iterable(C.cells.get(1, ())):
             count[v] += 1
         return bool(count) and all(c == 2 for c in count)
-    if d == 2:
-        return all(s == "cycle" for s in _link_shapes(C))
-    return all(_solid_link(C, v) == "sphere" for v in range(C.n_vertices))
+    return all(s == "sphere" for s in _link_shapes(C))
 
 
 def upper_bound_checks(C: CubeComplex) -> BoundReport:

@@ -76,9 +76,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import (
     CubeComplex,
     CubeComplexError,
+    _link_shapes,
     _positions_meet,
     _reachable,
-    _solid_link,
     build_complex,
     canonical,
     validate,
@@ -858,11 +858,12 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
     homology of a ball: acyclic if its chain complex reduces to nothing
     (topology._reduce), and otherwise by its Betti numbers. Then reads
     its boundary in its own ids (_rim_cells), checks that its vertex links
-    are 2-spheres inside and disks on the boundary (core._solid_link),
-    maps the boundary through boundary_iso and compares it cell by cell
-    with S in every dimension. The certificate's producer is not trusted, so
-    external certificates go through the same gate. Returns a report; the
-    witness on a cell mismatch is an unmatched cell, on a link a vertex.
+    are 2-spheres inside and disks on the boundary (core._link_shapes
+    reads them all in one pass), maps the boundary through boundary_iso
+    and compares it cell by cell with S in every dimension. The
+    certificate's producer is not trusted, so external certificates go
+    through the same gate. Returns a report; the witness on a cell
+    mismatch is an unmatched cell, on a link a vertex.
     """
     ball = cert.ball
     if ball.dim != 3:
@@ -881,9 +882,9 @@ def verify_filling(cert: FillCertificate, S: CubeComplex) -> FillCheck:
                              f"ball homology {prof.betti} differs from a ball")
     bdry = _rim_cells(ball)
     on_rim = {v for (v,) in bdry[0]}
-    for v in range(ball.n_vertices):
+    for v, shape in enumerate(_link_shapes(ball)):
         want = "disk" if v in on_rim else "sphere"
-        if _solid_link(ball, v) != want:
+        if shape != want:
             return FillCheck(False, f"link of vertex {v} is not a {want}",
                              (v,))
     iso = cert.boundary_iso

@@ -85,10 +85,6 @@ Edge = tuple[int, int]
 
 log = logging.getLogger(__name__)
 
-# a product cylinder beyond this many cubes is censused but not materialized
-PRODUCT_BUILD_LIMIT = 20_000
-
-
 class AssemblyError(CubeComplexError):
     pass
 
@@ -163,10 +159,11 @@ class StructuralReport:
 class PipelineCensus:
     """Cell bookkeeping for one pipeline run.
 
-    stage_f holds f-vectors of the stages that were materialized; the
-    product cylinder Q x I_k is "cylinder", there exactly when it was
-    built (at most PRODUCT_BUILD_LIMIT cubes), and is otherwise known
-    only by its predicted vertex and cube counts.
+    stage_f holds the f-vectors of the stages, each read off the complex
+    built, but for the product cylinder Q x I_k, "cylinder", which is
+    never built here: a product's j-cells are the j-cells of Q at each of
+    the k + 1 levels and the (j-1)-cells of Q times each of the k
+    intervals, so f_j = (k + 1) f_j(Q) + k f_(j-1)(Q).
     scaffold_vertices counts every vertex the construction pins down
     before any ball is filled (product cylinder, both refining
     cylinders' walls and ends, handlebody disks and far spheres);
@@ -226,20 +223,19 @@ def _wheel(cycle: Sequence[int], center: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _vertex_images(chains: dict[Edge, tuple[int, ...]]) -> dict[int, int]:
-    """Surface vertex -> refinement vertex, from the chain endpoints.
+def _check_chain_ends(chains: dict[Edge, tuple[int, ...]]) -> None:
+    """Refuse chains whose ends give a surface vertex two images.
 
     Chains run low endpoint first, so (u, v) with u < v starts at the
     image of u.  Disagreement between two chains at a shared endpoint
     means the chains do not belong to this surface.
     """
-    vmap: dict[int, int] = {}
+    image: dict[int, int] = {}
     for (u, v), path in chains.items():
         for q, x in ((u, path[0]), (v, path[-1])):
-            if vmap.setdefault(q, x) != x:
+            if image.setdefault(q, x) != x:
                 raise AssemblyError(
                     f"chain endpoints disagree at surface vertex {q}")
-    return vmap
 
 
 def _patch_map(Q: CubeComplex, Qp: CubeComplex,
@@ -359,7 +355,7 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     else:
         raise AssemblyError("every base edge must be subdivided evenly")
 
-    vmap = _vertex_images(chains)
+    _check_chain_ends(chains)
     patches = _patch_map(Q, Qp, chains)
     curve_verts: set[int] = set()
     if Bpp is not None:
@@ -780,8 +776,8 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
 
     Emits one DEBUG record under cubulations.sphere_builder with the
     stage levels, the seconds of each stage: surface and basis,
-    refinement, cylinder, handlebodies, product and assembly ("skipped"
-    for a stage that did not run), and the request that was not filled.
+    refinement, cylinder, handlebodies and assembly ("skipped" when it did
+    not run), and the request that was not filled.
     """
     if not _is_odd_prime(n) or n < 11:
         raise AssemblyError("n must be an odd prime at least 11")
@@ -826,12 +822,9 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         "end": cyl.end.f_vector(),
         "sphere_bottom": hbA.sphere.f_vector(),
         "sphere_top": hbB.sphere.f_vector(),
+        "cylinder": tuple((k + 1) * f + k * g
+                          for f, g in zip((*f_Q, 0), (0, *f_Q))),
     }
-    stage_s["product"] = None
-    if predicted_c <= PRODUCT_BUILD_LIMIT:
-        stage_f["cylinder"] = cartesian_product(
-            Q, interval_complex(k)).f_vector()
-        lap("product")
 
     cyl_extra = cyl.census["scaffold_vertices"] - f_Q[0]
     scaffold = predicted_v + 2 * cyl_extra \

@@ -179,18 +179,17 @@ C_BOUND = 1.2      # (III): the measured c must stay at or below this
 class PropertyReport:
     property_i: bool
     property_ii: bool
-    property_iii: bool | None
+    property_iii: bool
     witness_i: tuple | None
     witness_ii: tuple | None
-    n_paths: int | None
-    c_measured: float | None
+    n_paths: int
+    c_measured: float
 
     def all_hold(self) -> bool:
-        return (self.property_i and self.property_ii
-                and self.property_iii is not False)
+        return self.property_i and self.property_ii and self.property_iii
 
 
-def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None
+def check_properties(R: RotationSurface, split: "CyclePathSplit"
                      ) -> PropertyReport:
     """(I): each window j,?,k occurs once per parity class. (II): windows of
     up to WINDOW_LIMIT steps are simple. (III): measured path count from
@@ -227,9 +226,6 @@ def check_properties(R: RotationSurface, split: "CyclePathSplit | None" = None
                 break
         if not ok_ii:
             break
-    if split is None:
-        return PropertyReport(ok_i, ok_ii, None, witness_i, witness_ii,
-                              None, None)
     n_paths = sum(len(c.pieces) for c in split.cycles)
     c_measured = n_paths / (2 * R.graph.n)
     ok_iii = c_measured <= C_BOUND
@@ -476,6 +472,6 @@ def surface_report(n: int) -> tuple[CubeComplex, SurfaceReport]:
         genus=genus,
         f_vector=C.f_vector(),
         properties=props,
-        c_measured=props.c_measured or 0.0,
+        c_measured=props.c_measured,
         even_squares=len(C.cells[2]) % 2 == 0,
     )

@@ -5,9 +5,10 @@ in core fixes the chain convention. So is every fact about a square surface
 that other modules ask for: orientation_assignment orients the squares by
 their boundary coefficients in facets(2), across the squares on each edge
 in cofaces(1), and _is_closed (every edge in exactly two squares) reads
-cofaces(1). Whether every vertex link is a cycle or a path is read in one
-pass over the squares by core._link_shapes, the same pass that
-manifold_check(C, 2) reads.
+cofaces(1). Whether every vertex link is a circle or an arc is read in one
+pass by core._link_shapes, the reader that manifold_check(C, 2) and (C, 3)
+and fillball.verify_filling ask of surfaces and solids alike, and
+surface_invariants reads closedness off the same verdicts.
 
 Homology is exact over the integers at every size. A connected closed
 orientable surface is certified directly (see _surface_profile). Any other
@@ -583,15 +584,18 @@ def betti_numbers(C: CubeComplex) -> HomologyProfile:
 
 def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
     """(closed, orientable, genus) of a 2-complex whose vertex links are
-    cycles or paths, as core._link_shapes reads them in one pass; the
+    circles or arcs, as core._link_shapes reads them in one pass; the
     first vertex whose link is neither raises NonSurfaceLinkError naming
-    it. Genus is reported for connected closed orientable surfaces."""
+    it. There every edge lies in one or two squares; an edge in one makes
+    the links at both its ends arcs, and an arc ends on such an edge, so
+    C is closed when it has a square and no link is an arc. Genus is
+    reported for connected closed orientable surfaces."""
     if C.dim != 2:
         raise CubeComplexError("surface_invariants needs a 2-complex")
     shapes = _link_shapes(C)
     if None in shapes:
         raise NonSurfaceLinkError(shapes.index(None))
-    closed = _is_closed(C)
+    closed = bool(C.cells[2]) and "disk" not in shapes
     orientable, _, _ = orientation_assignment(C)
     genus: int | None = None
     if closed and orientable and _connected_skeleton(C):

@@ -19,6 +19,7 @@ from cubulations.basis import (
     CurveOnSurface,
     EdgePathBasis,
     FanEvent,
+    RegularNeighborhoodCert,
     _crossing_sign,
     _edge,
     _edge_event_key,
@@ -38,7 +39,7 @@ from cubulations.basis import (
 from cubulations.core import build_complex, cube_faces, validate
 from cubulations.surface_gen import surface_report
 from cubulations.topology import betti_numbers, surface_invariants
-from cubulations.transforms import glue, torus_complex
+from cubulations.transforms import glue, remove_facet, torus_complex
 from test_topology import pivots_checked_by_full_scan, smith_record_counts
 
 
@@ -621,6 +622,52 @@ def test_wrong_genus_fails_verification():
                                           B.handle_edges, B.spur_edges))
 
 
+def _deeper(c, k):
+    """c, k lanes deeper on every edge it crosses: a parallel copy."""
+    return CurveOnSurface(tuple(x._replace(depth=x.depth + k)
+                                for x in c.crossings))
+
+
+def _lanes_swapped(c):
+    """c with the lanes of its two crossings of the first edge it crosses
+    twice swapped: the strands cross beside that edge."""
+    at = {}
+    for i, x in enumerate(c.crossings):
+        at.setdefault(x.edge, []).append(i)
+    i, j = next(ids for ids in at.values() if len(ids) == 2)
+    ev = list(c.crossings)
+    ev[i], ev[j] = (ev[i]._replace(vertex=ev[j].vertex, depth=ev[j].depth),
+                    ev[j]._replace(vertex=ev[i].vertex, depth=ev[i].depth))
+    return CurveOnSurface(tuple(ev))
+
+
+@pytest.mark.parametrize("forge, record", [
+    # a crosses each of its edges three times: refused before any
+    # arrangement is computed
+    (lambda a, b: (CurveOnSurface(a.crossings * 3), b), None),
+    # a with the lanes of its two crossings of one edge swapped crosses
+    # itself once, and b once
+    (lambda a, b: (_lanes_swapped(a), b), ("rejected", "2", "24", "2", "0")),
+    # a and a parallel copy: partners that never cross
+    (lambda a, b: (a, _deeper(a, 1)), ("rejected", "2", "20", "0", "0")),
+], ids=["edge-crossed-thrice", "self-crossing", "partners-apart"])
+def test_curve_verification_refuses_a_planted_fault(caplog, forge, record,
+                                                     counted_arrangements):
+    T = torus_complex(2)
+    B = canonical_basis(T)
+    del counted_arrangements[:]
+    forged = CurveBasis(B.genus, forge(*B.curves), B.intersection_matrix,
+                        B.handle_edges, B.spur_edges)
+    with caplog.at_level(logging.DEBUG, logger="cubulations.basis"):
+        assert not verify_basis(T, forged)
+    [m] = [RECORD.match(r.getMessage()) for r in caplog.records
+           if r.name == "cubulations.basis"]
+    # verdict, curves, crossing events, curve-pair crossings, loop edges
+    assert len(counted_arrangements) == (record is not None)
+    if record is not None:
+        assert m.groups()[:5] == record
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -655,6 +702,35 @@ def test_edge_path_verification_rejects_a_stray_edge():
     stray = build_complex(2, [*T.cells[2], (0, 10)], n_vertices=16)
     assert stray.euler_characteristic() == -1
     assert not verify_basis(stray, B)
+
+
+TORUS_PATHS = ((0, 1, 2, 3), (0, 4, 8, 12))
+
+
+@pytest.mark.parametrize("make, paths", [
+    (lambda: build_complex(3, [tuple(range(8))]), EdgePathBasis(1, TORUS_PATHS)),
+    (lambda: build_complex(2, [(0, 1, 2, 3)]), EdgePathBasis(0, ())),
+    (lambda: torus_complex(2), EdgePathBasis(2, TORUS_PATHS)),
+    (lambda: torus_complex(2), EdgePathBasis(1, TORUS_PATHS[:1])),
+    (lambda: torus_complex(2), EdgePathBasis(1, ((0, 1), TORUS_PATHS[1]))),
+    (lambda: torus_complex(2),
+     EdgePathBasis(1, ((0, 1, 2, 3, 2, 1), TORUS_PATHS[1]))),
+    (lambda: torus_complex(2),
+     EdgePathBasis(1, ((0, 5, 10, 15), TORUS_PATHS[1]))),
+    # a square's boundary, which meets the row along an edge
+    (lambda: torus_complex(2),
+     EdgePathBasis(1, (TORUS_PATHS[0], (0, 4, 5, 1)))),
+    # two rows: partners that never meet
+    (lambda: torus_complex(2),
+     EdgePathBasis(1, (TORUS_PATHS[0], (4, 5, 6, 7)))),
+], ids=["solid", "disk", "genus", "one-curve", "short", "not-simple",
+        "not-edges", "touching", "apart"])
+def test_edge_path_verification_refuses_a_planted_fault(make, paths):
+    assert not verify_basis(make(), paths)
+
+
+def test_edge_path_verification_of_a_sphere_needs_no_curves():
+    assert verify_basis(boundary_c3(), EdgePathBasis(0, ()))
 
 
 def test_edge_path_verification_rejects_a_wedge_of_tori():
@@ -749,6 +825,74 @@ def test_refinement_growth_slope():
 
 # ---------------------------------------------------------------------------
 # ribbon surgery and neighborhood certificates
+
+
+def _double_torus():
+    """Two copies of torus_complex(2) less the square on 10, 11, 14, 15,
+    glued along its boundary, with a row and a column of each copy: a
+    genus-2 surface and an edge-path basis of it. The second copy's
+    vertex x off the seam has id 16 + (the number of its ids below x off
+    the seam)."""
+    T = torus_complex(2)
+    seam = (10, 11, 14, 15)
+    half = remove_facet(T, seam)
+    P = glue(half, half, {v: v for v in seam})
+    ids = dict(zip([v for v in range(16) if v not in seam], range(16, 28)))
+    ids.update((v, v) for v in seam)
+    curves = TORUS_PATHS + tuple(tuple(map(ids.__getitem__, c))
+                                 for c in TORUS_PATHS)
+    return P, EdgePathBasis(2, curves)
+
+
+def test_edge_path_verification_refuses_a_vertex_on_three_curves():
+    P, B = _double_torus()
+    assert surface_invariants(P) == (True, True, 2)
+    assert verify_basis(P, B)
+    # the first row in place of the second copy's: vertex 0 is on the
+    # first row, the first column and the copy of the row
+    a, b, _, d = B.curves
+    assert not verify_basis(P, EdgePathBasis(2, (a, b, a, d)))
+
+
+def _flank_cert(Q, path):
+    """The certificate regularize_with_chains would write for path: per
+    path edge, the two squares on it."""
+    inc = Q.incidence()
+    edge_id, (ptr, owners) = inc.position(1), inc.cofaces(1)
+    cols = []
+    for k in range(len(path)):
+        e = edge_id[_edge(path[k], path[(k + 1) % len(path)])]
+        cols.append(tuple(Q.cells[2][j] for j in owners[ptr[e]:ptr[e + 1]]))
+    return RegularNeighborhoodCert(0, tuple(cols))
+
+
+@pytest.mark.parametrize("path, forge, witness", [
+    ((0, 1, 2, 3), None, None),
+    # one column short
+    ((0, 1, 2, 3), lambda cols: cols[:-1], (0,)),
+    # around one square, which flanks every edge of the path
+    ((0, 1, 5, 4), None, (0, 1, 4, 5)),
+    # along the seam's edge 10-11, where the stars have six squares
+    ((8, 9, 10, 11), None, "star"),
+    # a square that is not in the surface
+    ((0, 1, 2, 3), lambda cols: [((90, 91, 92, 93), cols[0][1]), *cols[1:]],
+     (90, 91, 92, 93)),
+], ids=["holds", "short", "one-square", "seam-star", "not-a-square"])
+def test_neighborhood_check_refuses_a_planted_fault(path, forge, witness):
+    Q, _ = _double_torus()
+    B = EdgePathBasis(1, (path,))
+    cert = _flank_cert(Q, path)
+    if forge is not None:
+        cert = RegularNeighborhoodCert(0, tuple(forge(list(cert.columns))))
+    assert verify_neighborhoods(Q, B, [cert]) is (witness is None)
+    if witness == (90, 91, 92, 93):
+        return  # refused before the cell-by-cell check
+    got = basis._check_cert(basis._curve_stars(Q, B), path, cert)
+    if witness == "star":
+        # a square at vertex 10 on neither column there
+        assert 10 in got and not set(got) & {8, 9, 11}
+    else:
+        assert got == witness
 
 
 def test_torus_surgery_end_to_end():

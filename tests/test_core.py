@@ -15,8 +15,8 @@ from cubulations.core import (
     OddCycleError,
     ValidationReport,
     _link_shapes,
+    _link_spans,
     _reachable,
-    _solid_link,
     bipartite_classes,
     build_complex,
     canonical,
@@ -646,20 +646,40 @@ def manifold_check_by_links(C, d):
                               for v in range(C.n_vertices))
 
 
-def assert_checks_match_the_oracles(C):
-    """validate, violations in order, manifold_check in C's dimension (2 or
-    3) and the verdict on every vertex link agree with the oracles."""
-    assert validate(C) == _validate_by_canonicalising(C)
-    if C.dim in (2, 3):
-        assert manifold_check(C, C.dim) == manifold_check_by_links(C, C.dim)
-        links = [vertex_link(C, v) for v in range(C.n_vertices)]
-    if C.dim == 2:
-        assert _link_shapes(C) == [
-            "cycle" if link_is_single_cycle(link)
-            else "path" if link_is_path(link) else None for link in links]
+def repeats_a_link_simplex(C, v):
+    """Whether two cells of C at v span the same link simplex."""
+    spans = [frozenset(s) for k in range(1, C.dim + 1)
+             for s in _link_spans(C, v, k)]
+    return len(set(spans)) < len(spans)
+
+
+def link_verdict(C, link):
+    """The oracle's verdict on a vertex link of the 2- or 3-complex C, in
+    _link_shapes' words."""
     if C.dim == 3:
-        assert [_solid_link(C, v) for v in range(C.n_vertices)] == [
-            link_shape(link) for link in links]
+        return link_shape(link)
+    return "sphere" if link_is_single_cycle(link) \
+        else "disk" if link_is_path(link) else None
+
+
+def assert_checks_match_the_oracles(C):
+    """validate, violations in order, agrees with its oracle. In C's
+    dimension, 2 or 3, the verdict on every vertex link whose cells span
+    distinct link simplices agrees with the simplicial link's, and so
+    does manifold_check when no vertex has repeated ones. A complex with
+    repeated link simplices at some vertex is refused by validate."""
+    rep = validate(C)
+    assert rep == _validate_by_canonicalising(C)
+    if C.dim not in (2, 3):
+        return
+    repeats = [repeats_a_link_simplex(C, v) for v in range(C.n_vertices)]
+    assert not (rep.is_complex and any(repeats))
+    shapes = _link_shapes(C)
+    assert [s for s, r in zip(shapes, repeats) if not r] == [
+        link_verdict(C, vertex_link(C, v))
+        for v, r in enumerate(repeats) if not r]
+    if not any(repeats):
+        assert manifold_check(C, C.dim) == manifold_check_by_links(C, C.dim)
 
 
 @st.composite
@@ -783,7 +803,7 @@ RP2_6 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
 ])
 def test_apex_link_of_a_cubical_cone(triangles, sphere):
     C = _cubical_cone(triangles)
-    assert (_solid_link(C, 0) == "sphere") is sphere
+    assert (_link_shapes(C)[0] == "sphere") is sphere
     assert_checks_match_the_oracles(C)
 
 
@@ -805,7 +825,7 @@ TWIN_OCTAHEDRA = OCTAHEDRON + [(a, b, c) for a in (10, 11)
 ])
 def test_apex_link_shapes(triangles, shape):
     C = _cubical_cone(triangles)
-    assert _solid_link(C, 0) == shape
+    assert _link_shapes(C)[0] == shape
     assert_checks_match_the_oracles(C)
 
 
@@ -820,16 +840,34 @@ def _block(n):
 
 
 def test_solid_link_of_a_block_and_of_a_pinch():
-    cube = _block(1)
-    assert [_solid_link(cube, v) for v in range(8)] == ["disk"] * 8
-    block = _block(2)
-    assert _solid_link(block, 13) == "sphere"    # the centre
-    assert [v for v in range(27) if _solid_link(block, v) != "disk"] == [13]
+    cube, block = _block(1), _block(2)
+    assert _link_shapes(cube) == ["disk"] * 8
+    shapes = _link_shapes(block)
+    assert shapes[13] == "sphere"    # the centre
+    assert [v for v in range(27) if shapes[v] != "disk"] == [13]
     pinch = build_complex(3, [tuple(range(8)), tuple(range(7, 15))])
-    assert _solid_link(pinch, 7) is None
-    assert _solid_link(pinch, 0) == _solid_link(pinch, 14) == "disk"
+    shapes = _link_shapes(pinch)
+    assert shapes[7] is None
+    assert shapes[0] == shapes[14] == "disk"
     for C in (cube, block, pinch):
         assert_checks_match_the_oracles(C)
+
+
+@pytest.mark.parametrize("dim, tops", [
+    # two squares on the edges 01 and 02: a circle of two link edges
+    (2, [(0, 1, 2, 3), (0, 1, 2, 4)]),
+    # two cubes on seven shared corners: two triangles on one boundary
+    (3, [tuple(range(8)), (0, 1, 2, 3, 4, 5, 6, 8)]),
+], ids=["two-squares", "two-cubes"])
+def test_cells_on_one_link_simplex_count_with_multiplicity(dim, tops):
+    # the cells at vertex 0 give the same link simplex twice; the reader
+    # counts both, where the simplicial link keeps one, and validate
+    # refuses the complex
+    C = build_complex(dim, tops)
+    assert not validate(C).is_complex
+    assert repeats_a_link_simplex(C, 0)
+    assert _link_shapes(C)[0] == "sphere"
+    assert link_verdict(C, vertex_link(C, 0)) == "disk"
 
 
 def test_boundary_c4_matches_the_oracles():

@@ -205,7 +205,7 @@ def defaulted_knobs(sources: dict[str, str]) -> list[str]:
 # Parameters and dataclass fields with a default on the package's public
 # names. A default is a knob, a second way to call a function, so the
 # count may fall, and this bound with it, but it may not rise.
-MAX_DEFAULTED_KNOBS = 15
+MAX_DEFAULTED_KNOBS = 14
 
 
 def test_no_new_defaulted_knob():

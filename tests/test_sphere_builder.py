@@ -271,10 +271,15 @@ def test_fill_request_of_a_non_surface_is_an_assembly_error():
 
 
 def test_fill_request_decides_closedness_once(monkeypatch):
+    # surface_invariants reads closedness off the link verdicts, so
+    # _is_closed is asked only of a complex that is no surface
     calls = _count_calls(monkeypatch, "_is_closed")
-    Q = boundary_c3()
-    check_fill_request(FillRequest(Q, "cube boundary"))
-    assert calls == [(Q,)]
+    check_fill_request(FillRequest(boundary_c3(), "cube boundary"))
+    assert calls == []
+    S = glue(boundary_c3(), boundary_c3(), {0: 0})
+    with pytest.raises(AssemblyError, match="wedge: input is not a surface"):
+        check_fill_request(FillRequest(S, "wedge"))
+    assert calls == [(S,)]
 
 
 def test_cylinder_is_deterministic(toy_pieces, toy_closed):
@@ -839,7 +844,11 @@ def test_pipeline_census_identities(pipeline11):
     f_Q = census.stage_f["surface"]
     assert census.predicted_cylinder_vertices == (census.k + 1) * f_Q[0]
     assert census.predicted_cylinder_cubes == census.k * f_Q[2]
-    f_P = census.stage_f["cylinder"]  # the product, built at k = 8
+    # the product formula, against the product built at k = 8
+    Q, _ = surface_report(census.n)
+    assert census.stage_f["cylinder"] == cartesian_product(
+        Q, interval_complex(census.k)).f_vector()
+    f_P = census.stage_f["cylinder"]
     assert (f_P[0], f_P[3]) == (census.predicted_cylinder_vertices,
                                 census.predicted_cylinder_cubes)
     assert census.scaffold_vertices <= census.predicted_cylinder_vertices \
@@ -902,7 +911,7 @@ def test_sphere3_logs_one_debug_record(caplog):
         "'handlebody_bottom': 'structural', 'handlebody_top': "
         "'structural'}; ")
     for stage in ("surface and basis", "refinement", "cylinder",
-                  "handlebodies", "product"):
+                  "handlebodies"):
         assert re.search(stage + r" \d+\.\d{3} s", msg), stage
     assert msg.endswith(", assembly skipped")
 
@@ -1221,7 +1230,11 @@ def test_sphere_d_picks_the_largest_prime():
     assert isinstance(res, StructuralReport)
     assert census.n == 11
     assert census.k == 11 ** 3
-    assert "cylinder" not in census.stage_f  # too large to build
+    # the product formula, (k + 1) f_j(Q) + k f_(j-1)(Q), with nothing built
+    f_Q, k = census.stage_f["surface"], census.k
+    assert census.stage_f["cylinder"] == (
+        (k + 1) * f_Q[0], (k + 1) * f_Q[1] + k * f_Q[0],
+        (k + 1) * f_Q[2] + k * f_Q[1], k * f_Q[2])
 
 
 def test_sphere_d_budget_errors():

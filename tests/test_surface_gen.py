@@ -165,13 +165,7 @@ def test_properties_hold(n):
     rep = check_properties(R, split)
     assert rep.property_i and rep.property_ii and rep.property_iii
     assert rep.witness_i is None and rep.witness_ii is None
-    assert rep.c_measured is not None and rep.c_measured <= 1.2
-
-
-def test_property_checks_without_split():
-    rep = check_properties(trace_cycles(build_graph(11)))
-    assert rep.property_i and rep.property_ii
-    assert rep.property_iii is None and rep.c_measured is None
+    assert rep.c_measured <= 1.2
 
 
 def test_property_i_negative_control():
@@ -181,7 +175,7 @@ def test_property_i_negative_control():
         TracedCycle("even", ((0, 0, 1),) * 4, (0, 4, 1, 5)),
         TracedCycle("even", ((0, 0, 1),) * 4, (0, 6, 1, 7)),
     ))
-    rep = check_properties(doctored)
+    rep = check_properties(doctored, CyclePathSplit(()))
     assert not rep.property_i
     assert rep.witness_i is not None
     parity, pair, first, second = rep.witness_i
@@ -192,7 +186,7 @@ def test_property_ii_negative_control():
     G = CirculantBipartite(4, 1)
     doctored = RotationSurface(G, (
         TracedCycle("even", ((0, 0, 1),) * 6, (0, 4, 1, 5, 0, 6)),))
-    rep = check_properties(doctored)
+    rep = check_properties(doctored, CyclePathSplit(()))
     assert not rep.property_ii
     assert rep.witness_ii is not None
 

@@ -8,10 +8,11 @@ runs in this process under a sys.settrace hook that traces frames of
 src/cubulations only. A line is executable when some code object compiled
 from the file maps bytecode to it (co_lines). Each never-run line is named
 under the innermost function or class whose code holds it, then each file
-gets one count, "<file>: <never run> of <executable> lines never run". The
-package must not be imported before the hook is set, or its module-level
-lines read as never run; so nothing here imports it. Uses the standard
-library only; pytest is the suite's own runner.
+gets one count, "<file>: <never run> of <executable> lines never run", and
+the last line is the package's, "package: <never run> of <executable>
+lines never run". The package must not be imported before the hook is
+set, or its module-level lines read as never run; so nothing here imports
+it. Uses the standard library only; pytest is the suite's own runner.
 """
 
 from __future__ import annotations
@@ -79,8 +80,10 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def report(hit: dict[str, set[int]]) -> list[str]:
-    """Per package file, its never-run lines by function, then its count."""
+    """Per package file, its never-run lines by function, then its count;
+    last the package's count."""
     out = []
+    never = lines_total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         owner = executable_lines(path)
         ran = hit.get(str(path), set())
@@ -91,8 +94,11 @@ def report(hit: dict[str, set[int]]) -> list[str]:
         for name, lines in missed.items():
             out.append(f"{path.name}:{name}: {len(lines)} never run: "
                        + ", ".join(map(str, lines)))
-        out.append(f"{path.name}: {sum(map(len, missed.values()))} of "
-                   f"{len(owner)} lines never run")
+        count = sum(map(len, missed.values()))
+        out.append(f"{path.name}: {count} of {len(owner)} lines never run")
+        never += count
+        lines_total += len(owner)
+    out.append(f"package: {never} of {lines_total} lines never run")
     return out
 
 
