@@ -50,6 +50,7 @@ import logging
 import time
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -79,17 +80,12 @@ def _edge(a: int, b: int) -> Edge:
 
 def oriented_face_cycles(C: CubeComplex) -> list[tuple[int, ...]]:
     """Vertex cycle of every square, all faces coherently oriented."""
-    ok, signs, conflict = orientation_assignment(C)
-    if not ok:
+    signs, conflict, _ = orientation_assignment(C)
+    if conflict is not None:
         raise BasisError(f"surface is not orientable: conflict {conflict}")
-    cycles = []
-    for sq in C.cells[2]:
-        a, b, c, d = sq  # corners in bitmask order; boundary walk a-b-d-c
-        cyc = (a, b, d, c)
-        if signs[sq] < 0:
-            cyc = tuple(reversed(cyc))
-        cycles.append(cyc)
-    return cycles
+    # corners in bitmask order; boundary walk a-b-d-c
+    return [(a, b, d, c) if sign > 0 else (c, d, b, a)
+            for (a, b, c, d), sign in zip(C.cells[2], signs)]
 
 
 def _face_adjacency(C: CubeComplex) -> dict[Edge, list[int]]:
@@ -175,10 +171,7 @@ def _boundary_circle(face_cycles: list[tuple[int, ...]],
         fan = []
         i = (i + 1) % 4
     darts[0] = darts[0].with_fan(fan)
-    counts: dict[Edge, int] = {}
-    for d in darts:
-        counts[d.edge] = counts.get(d.edge, 0) + 1
-    assert all(v == 2 for v in counts.values())
+    assert all(v == 2 for v in Counter(d.edge for d in darts).values())
     return darts
 
 
@@ -212,11 +205,8 @@ class Crossing(NamedTuple):
 class CurveOnSurface:
     crossings: tuple[Crossing, ...]  # cyclic transversal crossing sequence
 
-    def edges_crossed(self) -> dict[Edge, int]:
-        out: dict[Edge, int] = {}
-        for c in self.crossings:
-            out[c.edge] = out.get(c.edge, 0) + 1
-        return out
+    def edges_crossed(self) -> Counter[Edge]:
+        return Counter(c.edge for c in self.crossings)
 
     def reversed_(self) -> "CurveOnSurface":
         return CurveOnSurface(tuple(

@@ -390,8 +390,10 @@ def build_complex(dim: int, top_cubes: Iterable[Sequence[int]],
     Each corner array must have a power-of-two length 2^k with k <= dim,
     and distinct, non-negative entries; the first that has not is a
     MalformedCubeError. Vertex ids must be dense; n_vertices defaults to
-    max id + 1 and is checked.
+    max id + 1 and is checked, and may not be negative.
     """
+    if n_vertices is not None and n_vertices < 0:
+        raise MalformedCubeError(f"negative vertex count {n_vertices}")
     ids = [_Ids() for _ in range(dim + 1)]
     used: set[int] = set()
     for corners in top_cubes:

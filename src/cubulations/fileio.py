@@ -61,6 +61,9 @@ def loads_complex(text: str) -> CubeComplex:
     except ValueError:
         raise FormatError(f"line {ln}: dimension and vertex count must be "
                           "integers") from None
+    if dim < 0 or n_vertices < 0:
+        raise FormatError(f"line {ln}: dimension and vertex count must not "
+                          "be negative")
     tops: list[tuple[int, ...]] = []
     for ln, parts in lines[1:]:
         if parts[0] != "cube":
@@ -71,6 +74,9 @@ def loads_complex(text: str) -> CubeComplex:
             corners = tuple(int(p) for p in parts[2:])
         except (IndexError, ValueError):
             raise FormatError(f"line {ln}: malformed cube line") from None
+        if not 0 <= k <= dim:
+            raise FormatError(f"line {ln}: cube dimension {k} out of "
+                              f"range 0..{dim}")
         if len(corners) != 1 << k:
             raise FormatError(f"line {ln}: a {k}-cube needs {1 << k} "
                               f"corners, got {len(corners)}")

@@ -967,9 +967,8 @@ def read_certificate(path: str | Path, S: CubeComplex) -> FillCertificate:
     cc_lines: list[str] = []
     pairs: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("bmap"):
-            parts = stripped.split()
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] == ["bmap"]:
             try:
                 i, j = int(parts[1]), int(parts[2])
             except (IndexError, ValueError):

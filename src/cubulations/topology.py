@@ -4,15 +4,18 @@ Boundary matrices are read off the complex's incidence index, whose docstring
 in core fixes the chain convention. So is every fact about a square surface
 that other modules ask for: orientation_assignment orients the squares by
 their boundary coefficients in facets(2), across the squares on each edge
-in cofaces(1), and _is_closed (every edge in exactly two squares) reads
-cofaces(1). Whether every vertex link is a circle or an arc is read in one
-pass by core._link_shapes, the reader that manifold_check(C, 2) and (C, 3)
-and fillball.verify_filling ask of surfaces and solids alike, and
-surface_invariants reads closedness off the same verdicts.
+in cofaces(1), and counts the components it seeds; _is_closed (every edge
+in exactly two squares) reads cofaces(1). Whether every vertex link is a
+circle or an arc is read in one pass by core._link_shapes, the reader that
+manifold_check(C, 2) and (C, 3) and fillball.verify_filling ask of
+surfaces and solids alike. surface_invariants, the one verdict on a square
+surface, reads closedness off those link verdicts, and orientability and
+connectedness off the one orientation walk.
 
-Homology is exact over the integers at every size. A connected closed
-orientable surface is certified directly (see _surface_profile). Any other
-complex is first reduced, then eliminated:
+Homology is exact over the integers at every size. A surface that
+surface_invariants certifies connected, closed and orientable has its
+homology read off its genus (see _surface_profile). Any other complex is
+first reduced, then eliminated:
 
   1. The chain complex is augmented by a (-1)-cell that is the single face
      of every vertex, with coefficient 1. Its homology is the reduced
@@ -68,13 +71,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .core import (
-    CubeComplex,
-    CubeComplexError,
-    _link_shapes,
-    _reachable,
-    pseudomanifold_check,
-)
+from .core import CubeComplex, CubeComplexError, _link_shapes
 
 log = logging.getLogger(__name__)
 
@@ -90,17 +87,6 @@ class HomologyProfile:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     euler: int
-
-
-def boundary_columns(C: CubeComplex, k: int) -> list[dict[int, int]]:
-    """Columns of partial_k: column j maps the index in C.cells[k - 1] of
-    each facet of the j-th k-cell to its coefficient."""
-    if not 1 <= k <= C.dim:
-        raise CubeComplexError(f"boundary dimension {k} out of range 1..{C.dim}")
-    ids, coeffs = C.incidence().facets(k)
-    w = 2 * k
-    return [dict(zip(ids[i:i + w], coeffs[i:i + w]))
-            for i in range(0, len(ids), w)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +447,27 @@ def _reduces_to_nothing(C: CubeComplex, drop: int | None = None) -> bool:
 
 def orientation_assignment(
     C: CubeComplex,
-) -> tuple[bool, dict[tuple[int, ...], int], tuple | None]:
+) -> tuple[list[int], tuple | None, int]:
     """Try to orient all squares consistently: two squares on an edge are
     coherent when their boundary coefficients on it, each times its
     square's sign, cancel. Each square's edges and coefficients are read
-    off facets(2), the squares on an edge off cofaces(1). Returns (ok,
-    signs, conflict); the conflict witness is (square, square, edge) for
-    debugging glue mistakes. Components are seeded in cell order, so the
+    off facets(2), the squares on an edge off cofaces(1). Returns (signs,
+    conflict, parts): the sign of each square in C.cells[2] order, none
+    on a conflict, whose witness is (square, square, edge) for debugging
+    glue mistakes; and the components the walk seeds, squares connected
+    across edges (up to a conflict). Seeds go in cell order, so the
     output is deterministic."""
     squares = C.cells.get(2, ())
     inc = C.incidence()
     ids, coeffs = inc.facets(2)
     ptr, owners = inc.cofaces(1)
     sign = [0] * len(squares)
+    parts = 0
     for seed in range(len(squares)):
         if sign[seed]:
             continue
         sign[seed] = 1
+        parts += 1
         stack = [seed]
         while stack:
             cur = stack.pop()
@@ -493,9 +483,9 @@ def orientation_assignment(
                         sign[other] = want
                         stack.append(other)
                     elif sign[other] != want:
-                        return (False, {},
-                                (squares[cur], squares[other], C.cells[1][e]))
-    return True, dict(zip(squares, sign)), None
+                        return ([], (squares[cur], squares[other],
+                                     C.cells[1][e]), parts)
+    return sign, None, parts
 
 
 def _is_closed(C: CubeComplex) -> bool:
@@ -506,39 +496,51 @@ def _is_closed(C: CubeComplex) -> bool:
         ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
 
 
-def _is_closed_oriented_surface(C: CubeComplex) -> bool:
-    """Whether C is a connected closed orientable pure 2-complex. All
-    certificate conditions are checked, not assumed."""
-    # pseudomanifold_check: pure, every edge in two squares, dual graph
-    # connected (needed for the rank F-1 witness)
-    if C.dim != 2 or not pseudomanifold_check(C) or not _connected_skeleton(C):
-        return False
-    ok, signs, _ = orientation_assignment(C)
-    if not ok:
-        return False
-    # the orientation vector must lie in ker(partial_2); verify by summation
-    acc = [0] * len(C.cells[1])
-    for cell, col in zip(C.cells[2], boundary_columns(C, 2)):
-        for e, coeff in col.items():
-            acc[e] += signs[cell] * coeff
-    return not any(acc)
+def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
+    """(closed, orientable, genus) of a 2-complex whose vertex links are
+    circles or arcs, as core._link_shapes reads them in one pass; the
+    first vertex whose link is neither raises NonSurfaceLinkError naming
+    it. There every edge lies in one or two squares; an edge in one makes
+    the links at both its ends arcs, and an arc ends on such an edge, so
+    C is closed when it has a square and no link is an arc. Genus is
+    reported for connected closed orientable surfaces, and connected is
+    one part of the orientation walk: a circle or an arc is connected, so
+    the squares at each vertex are connected across its edges, and every
+    edge lies in a square, so the squares are connected across edges
+    exactly when C is."""
+    if C.dim != 2:
+        raise CubeComplexError("surface_invariants needs a 2-complex")
+    shapes = _link_shapes(C)
+    if None in shapes:
+        raise NonSurfaceLinkError(shapes.index(None))
+    closed = bool(C.cells[2]) and "disk" not in shapes
+    _, conflict, parts = orientation_assignment(C)
+    orientable = conflict is None
+    genus: int | None = None
+    if closed and orientable and parts == 1:
+        chi = C.euler_characteristic()
+        assert (2 - chi) % 2 == 0
+        genus = (2 - chi) // 2
+    return closed, orientable, genus
 
 
 def _surface_profile(C: CubeComplex) -> HomologyProfile | None:
-    """Exact integral homology of a certified connected closed orientable
-    surface: rank(partial_1) = V-1 and rank(partial_2) = F-1, both witnessed
-    by unit triangular minors, so every invariant factor is 1 and the answer
-    is torsion-free without running SNF."""
-    if not _is_closed_oriented_surface(C):
+    """Exact integral homology of a 2-complex that surface_invariants
+    certifies a connected closed orientable surface of genus g, or None.
+    The link verdicts count the cells at v with multiplicity, so they are
+    the links of the CW complex the facet tables describe; all circles
+    make it a closed surface, and a connected orientable one of genus g
+    has H = (Z, Z^2g, Z). The signs need no check that they make a cycle:
+    every edge lies on exactly two squares, and the walk set their signs
+    so that their coefficients on it cancel."""
+    if C.dim != 2:
         return None
-    f = C.f_vector()
-    v, e, fc = f
-    b1 = e - (v - 1) - (fc - 1)
-    return HomologyProfile(
-        betti=(1, b1, 1),
-        torsion=((), (), ()),
-        euler=C.euler_characteristic(),
-    )
+    try:
+        _, _, genus = surface_invariants(C)
+    except NonSurfaceLinkError:
+        return None
+    return None if genus is None else HomologyProfile(
+        (1, 2 * genus, 1), ((), (), ()), C.euler_characteristic())
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +550,9 @@ def betti_numbers(C: CubeComplex) -> HomologyProfile:
     """Betti numbers and torsion invariant factors of the integral
     homology, exact at every size.
 
-    A connected closed orientable surface takes its certified path.
-    Otherwise the augmented chain complex is reduced (_reduce, which emits
+    A 2-complex that surface_invariants certifies a connected closed
+    orientable surface of genus g is (1, 2g, 1) with no torsion, and
+    nothing is reduced (_surface_profile). Otherwise the augmented chain complex is reduced (_reduce, which emits
     one DEBUG record), and the integer Smith normal form of the boundary
     on the cells left gives the ranks and the torsion (see the module
     docstring). The augmentation's (-1)-cell takes one class from H_0, so
@@ -580,39 +583,6 @@ def betti_numbers(C: CubeComplex) -> HomologyProfile:
                     for k in range(C.dim + 1))
     return HomologyProfile(betti=tuple(betti), torsion=torsion,
                            euler=C.euler_characteristic())
-
-
-def surface_invariants(C: CubeComplex) -> tuple[bool, bool, int | None]:
-    """(closed, orientable, genus) of a 2-complex whose vertex links are
-    circles or arcs, as core._link_shapes reads them in one pass; the
-    first vertex whose link is neither raises NonSurfaceLinkError naming
-    it. There every edge lies in one or two squares; an edge in one makes
-    the links at both its ends arcs, and an arc ends on such an edge, so
-    C is closed when it has a square and no link is an arc. Genus is
-    reported for connected closed orientable surfaces."""
-    if C.dim != 2:
-        raise CubeComplexError("surface_invariants needs a 2-complex")
-    shapes = _link_shapes(C)
-    if None in shapes:
-        raise NonSurfaceLinkError(shapes.index(None))
-    closed = bool(C.cells[2]) and "disk" not in shapes
-    orientable, _, _ = orientation_assignment(C)
-    genus: int | None = None
-    if closed and orientable and _connected_skeleton(C):
-        chi = C.euler_characteristic()
-        assert (2 - chi) % 2 == 0
-        genus = (2 - chi) // 2
-    return closed, orientable, genus
-
-
-def _connected_skeleton(C: CubeComplex) -> bool:
-    if not C.n_vertices:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(C.n_vertices)}
-    for a, b in C.cells.get(1, ()):
-        adj[a].append(b)
-        adj[b].append(a)
-    return len(_reachable(0, adj.__getitem__)) == C.n_vertices
 
 
 def homology_sphere_check(C: CubeComplex, d: int) -> bool:

@@ -29,7 +29,6 @@ from cubulations.core import (
     vertex_link,
 )
 from cubulations.fileio import FormatError, dumps_complex, loads_complex
-from cubulations.topology import boundary_columns
 from cubulations.transforms import boundary_complex
 
 SOLID_CUBE = (0, 1, 2, 3, 4, 5, 6, 7)
@@ -37,6 +36,16 @@ SOLID_CUBE = (0, 1, 2, 3, 4, 5, 6, 7)
 
 def boundary_c3() -> CubeComplex:
     return build_complex(2, list(cube_faces(SOLID_CUBE)))
+
+
+def boundary_columns(C: CubeComplex, k: int) -> list[dict[int, int]]:
+    """Columns of partial_k as the incidence index holds them: column j
+    maps the index in C.cells[k - 1] of each facet of the j-th k-cell to
+    its coefficient."""
+    ids, coeffs = C.incidence().facets(k)
+    w = 2 * k
+    return [dict(zip(ids[i:i + w], coeffs[i:i + w]))
+            for i in range(0, len(ids), w)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +148,8 @@ def test_solid_cube_f_vector():
     assert C.f_vector() == (8, 12, 6, 1)
     assert C.euler_characteristic() == 1
     assert not pseudomanifold_check(C)  # squares lie in one cube only
+    # a square with a dangling edge is not pure
+    assert not pseudomanifold_check(build_complex(2, [(0, 1, 2, 3), (3, 4)]))
 
 
 def test_build_deduplicates_symmetric_copies():
@@ -149,6 +160,8 @@ def test_build_deduplicates_symmetric_copies():
 def test_build_requires_dense_ids():
     with pytest.raises(MalformedCubeError, match="dense"):
         build_complex(2, [(0, 1, 2, 4)])
+    with pytest.raises(MalformedCubeError, match="negative vertex count -3"):
+        build_complex(2, [], n_vertices=-3)
     C = build_complex(2, [(0, 1, 2, 3)], n_vertices=4)
     assert C.n_vertices == 4
 

@@ -64,3 +64,20 @@ def test_malformed_inputs_rejected():
         loads_complex("cubecomplex 2 4\ncube 2 0 1 2 x\n")
     with pytest.raises(FormatError):  # ids not dense
         loads_complex("cubecomplex 2 9\ncube 2 0 1 2 3\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cubecomplex 2 4\ncube -1 0\n", "line 2: cube dimension -1 out of "
+     "range 0..2"),
+    ("cubecomplex 2 4\ncube 100000000 0\n", "line 2: cube dimension "
+     "100000000 out of range 0..2"),
+    ("cubecomplex -1 0\n", "line 1: dimension and vertex count must not "
+     "be negative"),
+    ("cubecomplex 2 -3\ncube 2 0 1 2 3\n", "line 1: dimension and vertex "
+     "count must not be negative"),
+], ids=["negative-cube", "huge-cube", "negative-dimension",
+        "negative-vertex-count"])
+def test_out_of_range_numbers_are_format_errors(text, message):
+    with pytest.raises(FormatError) as ei:
+        loads_complex(text)
+    assert (type(ei.value), str(ei.value)) == (FormatError, message)

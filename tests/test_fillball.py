@@ -330,6 +330,17 @@ def test_tampered_certificate_file_rejected(tmp_path):
         read_certificate(path, S)
 
 
+def test_a_line_that_only_starts_with_bmap_is_no_map_line(tmp_path):
+    S = pillar_sphere(1)
+    path = tmp_path / "ball.cc"
+    write_certificate(fill_ball(S), S, path)
+    text = path.read_text()
+    path.write_text(text.replace("bmap ", "bmapx ", 1))
+    with pytest.raises(FormatError, match="expected a 'cube' line, got "
+                                          "'bmapx'"):
+        read_certificate(path, S)
+
+
 def test_certificate_map_that_misses_the_boundary_is_a_fill_error(tmp_path):
     S = boundary_c3()
     ball = fill_ball(S).ball

@@ -29,12 +29,12 @@ from cubulations.surface_gen import (
     trace_cycles,
 )
 from cubulations.topology import (
-    boundary_columns,
     rank_over_q,
     smith_invariant_factors,
     surface_invariants,
 )
 from cubulations.transforms import apply_gadget
+from test_core import boundary_columns
 
 PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
           71, 73, 79, 83, 89, 97, 101]

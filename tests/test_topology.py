@@ -2,10 +2,12 @@
 
 import logging
 import re
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubulations import core
 from cubulations.core import (
     CubeComplex,
     CubeComplexError,
@@ -20,11 +22,9 @@ from cubulations.topology import (
     HomologyProfile,
     NonSurfaceLinkError,
     _choose_pivot,
-    _connected_skeleton,
     _isolate_pivot,
     _SparseMat,
     betti_numbers,
-    boundary_columns,
     homology_sphere_check,
     orientation_assignment,
     rank_mod_p,
@@ -33,8 +33,10 @@ from cubulations.topology import (
     surface_invariants,
 )
 from cubulations.sphere_builder import sphere3
+from cubulations.surface_gen import surface_report
 from cubulations.transforms import remove_facet, torus_complex
 from test_core import (
+    boundary_columns,
     link_is_path,
     link_is_single_cycle,
     repeats_a_link_simplex,
@@ -77,6 +79,18 @@ def klein_4x4():
     for j in range(4):
         tops.append((v(3, j), v(0, -j), v(3, j + 1), v(0, -j - 1)))
     return build_complex(2, tops)
+
+
+def two_spheres():
+    """Two disjoint cube boundaries."""
+    return build_complex(2, list(cube_faces(tuple(range(8))))
+                         + list(cube_faces(tuple(range(8, 16)))))
+
+
+def pinched_spheres():
+    """Two cube boundaries that share vertex 7."""
+    return build_complex(2, list(cube_faces(tuple(range(8))))
+                         + list(cube_faces(tuple(range(7, 15)))))
 
 
 def relabel(C, mapping):
@@ -197,13 +211,6 @@ def test_rank_of_boundary2_of_cube_boundary():
     assert rank_mod_p(cols, 2) == 5
     assert rank_mod_p(cols, 97) == 5
     assert rank_over_q(cols) == 5
-
-
-def test_boundary_matrix_k_out_of_range():
-    with pytest.raises(CubeComplexError):
-        boundary_columns(boundary_c3(), 3)
-    with pytest.raises(CubeComplexError):
-        boundary_columns(boundary_c3(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +554,9 @@ def test_betti_invariant_under_relabeling(perm):
 def test_surface_invariants_sphere_and_torus():
     assert surface_invariants(boundary_c3()) == (True, True, 0)
     assert surface_invariants(torus_4x4()) == (True, True, 1)
+    # closed and orientable, but in two parts
+    assert surface_invariants(two_spheres()) == (True, True, None)
+    assert orientation_assignment(two_spheres())[1:] == (None, 2)
 
 
 def test_surface_invariants_disk():
@@ -558,8 +568,8 @@ def test_surface_invariants_disk():
 def test_surface_invariants_klein_bottle():
     closed, orientable, genus = surface_invariants(klein_4x4())
     assert closed and not orientable and genus is None
-    ok, _, witness = orientation_assignment(klein_4x4())
-    assert not ok and witness is not None
+    signs, witness, _ = orientation_assignment(klein_4x4())
+    assert signs == [] and witness is not None
 
 
 def test_surface_invariants_pinched_vertex_error():
@@ -568,9 +578,31 @@ def test_surface_invariants_pinched_vertex_error():
         surface_invariants(C)
 
 
+def test_surface_invariants_needs_a_2_complex():
+    with pytest.raises(CubeComplexError, match="needs a 2-complex"):
+        surface_invariants(boundary_c4())
+
+
+def _connected_by_edges(C):
+    """Whether the edges of C join all its vertices, by a walk of its own
+    over C.cells[1]."""
+    adj = {v: [] for v in range(C.n_vertices)}
+    for a, b in C.cells[1]:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, todo = {0}, [0]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == C.n_vertices
+
+
 def _surface_invariants_by_links(C, skip):
     """surface_invariants, deciding each vertex but those in skip from its
-    simplicial link."""
+    simplicial link, orientability by the edge walk below and
+    connectedness by the vertices' own walk."""
     for v in range(C.n_vertices):
         link = vertex_link(C, v)
         if v not in skip and not (link_is_single_cycle(link)
@@ -579,9 +611,9 @@ def _surface_invariants_by_links(C, skip):
     ptr, _ = C.incidence().cofaces(1)
     closed = bool(C.cells.get(2)) and all(
         ptr[e + 1] - ptr[e] == 2 for e in range(len(ptr) - 1))
-    orientable, _, _ = orientation_assignment(C)
+    orientable = _orientation_by_edge_walk(C)[0]
     genus = None
-    if closed and orientable and _connected_skeleton(C):
+    if closed and orientable and _connected_by_edges(C):
         genus = (2 - C.euler_characteristic()) // 2
     return closed, orientable, genus
 
@@ -617,21 +649,21 @@ def test_surface_invariants_match_the_link_oracle(C):
 
 @pytest.mark.parametrize("make", [
     lambda: build_complex(2, [(0, 1, 2, 3), (3, 4, 5, 6)]),
-    lambda: build_complex(2, list(cube_faces(tuple(range(8))))
-                          + list(cube_faces(tuple(range(7, 15))))),
+    pinched_spheres,
     lambda: build_complex(2, [(0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7)]),
     lambda: build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5)]),
     lambda: build_complex(2, [(0, 1, 2, 3), (0, 1, 3, 2)]),
-    boundary_c3, torus_4x4, klein_4x4,
+    boundary_c3, torus_4x4, klein_4x4, two_spheres,
 ], ids=["pinched-squares", "pinched-spheres", "edge-in-three", "disk",
-        "twisted-pair", "sphere", "torus", "klein"])
+        "twisted-pair", "sphere", "torus", "klein", "two-spheres"])
 def test_surface_invariants_fixed_cases_match_the_oracle(make):
     assert_surface_invariants_match_the_oracle(make())
 
 
 def _orientation_by_edge_walk(C):
     """orientation_assignment, walking each square's boundary a-b-d-c and
-    indexing the squares on every edge by that walk."""
+    indexing the squares on every edge by that walk: (ok, sign per square,
+    conflict, components seeded)."""
     squares = C.cells.get(2, ())
     edge_use = {}
     for idx, (a, b, c, d) in enumerate(squares):
@@ -641,10 +673,12 @@ def _orientation_by_edge_walk(C):
             key = (u, v) if u < v else (v, u)
             edge_use.setdefault(key, []).append((idx, 1 if u < v else -1))
     sign = {}
+    parts = 0
     for seed in range(len(squares)):
         if seed in sign:
             continue
         sign[seed] = 1
+        parts += 1
         stack = [seed]
         while stack:
             cur = stack.pop()
@@ -662,17 +696,20 @@ def _orientation_by_edge_walk(C):
                         sign[other] = want
                         stack.append(other)
                     elif sign[other] != want:
-                        return False, {}, (squares[cur], squares[other], key)
-    return True, {squares[i]: s for i, s in sign.items()}, None
+                        return (False, {}, (squares[cur], squares[other], key),
+                                parts)
+    return True, {squares[i]: s for i, s in sign.items()}, None, parts
 
 
 def assert_orientation_matches_the_edge_walk(C):
-    """The same verdict and signs; a conflict names two squares on its
-    edge."""
-    ok, signs, witness = orientation_assignment(C)
-    want_ok, want_signs, _ = _orientation_by_edge_walk(C)
-    assert (ok, signs) == (want_ok, want_signs)
-    if not ok:
+    """The same verdict, signs and components; a conflict names two
+    squares on its edge. A component either has a conflict or has none,
+    whatever order it is walked in, so both walks stop in the same one."""
+    signs, witness, parts = orientation_assignment(C)
+    want_ok, want_signs, _, want_parts = _orientation_by_edge_walk(C)
+    got = (witness is None, dict(zip(C.cells.get(2, ()), signs)), parts)
+    assert got == (want_ok, want_signs, want_parts)
+    if witness is not None:
         a, b, (u, v) = witness
         assert a != b and {u, v} <= set(a) and {u, v} <= set(b)
         assert (u, v) in C.cells[1]
@@ -696,7 +733,9 @@ def pillows_11():
     torus_4x4,
     lambda: torus_complex(2),
     boundary_c3,
-], ids=["klein", "edge-in-three", "torus", "torus-product", "sphere"])
+    two_spheres,
+], ids=["klein", "edge-in-three", "torus", "torus-product", "sphere",
+        "two-spheres"])
 def test_orientation_fixed_cases_match_the_edge_walk(make):
     assert_orientation_matches_the_edge_walk(make())
 
@@ -704,6 +743,73 @@ def test_orientation_fixed_cases_match_the_edge_walk(make):
 @pytest.mark.parametrize("index", [0, 42])
 def test_orientation_of_pillows_matches_the_edge_walk(pillows_11, index):
     assert_orientation_matches_the_edge_walk(pillows_11[index].sphere)
+
+
+@cache
+def census_surface(n):
+    return surface_report(n)[0]
+
+
+def double_torus():
+    from test_basis import _double_torus
+    return _double_torus()[0]
+
+
+# connected closed orientable surfaces of genus 0, 1, 1, 2, 0, 61 and 73
+SURFACE_PATH_CASES = {
+    "sphere": boundary_c3,
+    "torus-product": lambda: torus_complex(2),
+    "torus": torus_4x4,
+    "double-torus": double_torus,
+    "Q11": lambda: census_surface(11),
+    "Q31": lambda: census_surface(31),
+    "Q37": lambda: census_surface(37),
+}
+
+
+@pytest.mark.parametrize("name", [*SURFACE_PATH_CASES, "pillow"])
+def test_surface_path_matches_the_reduction(name, pillows_11, monkeypatch):
+    """The profile read off surface_invariants' genus is the one the
+    reduction and Smith normal form compute."""
+    C = pillows_11[0].sphere if name == "pillow" \
+        else SURFACE_PATH_CASES[name]()
+    _, _, genus = surface_invariants(C)
+    fast = topology._surface_profile(C)
+    assert fast == HomologyProfile((1, 2 * genus, 1), ((), (), ()),
+                                   C.euler_characteristic())
+    assert betti_numbers(C) == fast
+    monkeypatch.setattr(topology, "_surface_profile", lambda C: None)
+    assert betti_numbers(C) == fast
+
+
+@pytest.mark.parametrize("make, betti", [
+    (klein_4x4, (1, 1, 0)),
+    (lambda: build_complex(2, [(0, 1, 2, 3), (2, 3, 4, 5)]), (1, 0, 0)),
+    (two_spheres, (2, 0, 2)),
+    (pinched_spheres, (1, 0, 2)),
+], ids=["klein", "disk", "two-spheres", "pinched-spheres"])
+def test_surface_path_refuses_other_complexes(make, betti):
+    C = make()
+    assert topology._surface_profile(C) is None
+    assert betti_numbers(C).betti == betti
+
+
+def test_the_surface_path_walks_the_squares_once(monkeypatch):
+    """betti_numbers on a surface runs one orientation walk and no
+    pseudomanifold check: topology does not import one."""
+    walks = []
+    walk = topology.orientation_assignment
+    monkeypatch.setattr(topology, "orientation_assignment",
+                        lambda C: walks.append(C) or walk(C))
+
+    def refuse(C):
+        raise AssertionError("betti_numbers ran pseudomanifold_check")
+
+    monkeypatch.setattr(core, "pseudomanifold_check", refuse)
+    assert not hasattr(topology, "pseudomanifold_check")
+    C = torus_complex(2)
+    assert betti_numbers(C).betti == (1, 2, 1)
+    assert len(walks) == 1 and walks[0] is C
 
 
 def test_euler_equals_alternating_betti_sum():
