@@ -56,7 +56,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .core import CubeComplex, CubeComplexError, _link_cycle, _reachable, \
-    _ring_walk, _validated, build_complex
+    _ring_arcs, _ring_walk, _validated, build_complex
 from .topology import NonSurfaceLinkError, _is_closed, \
     orientation_assignment, smith_invariant_factors, surface_invariants
 from .transforms import _insert_square_5
@@ -1198,11 +1198,7 @@ def _cut_and_ribbon(P: _Patch, path: list[int],
     for k in range(L):
         v, p, nx = path[k], path[k - 1], path[(k + 1) % L]
         ring, spokes = _ring(P, v)
-        i, j = spokes.index(p), spokes.index(nx)
-        d = len(ring)
-        cuts.append((v, tuple(
-            [ring[(lo + 1 + t) % d] for t in range((hi - lo) % d)]
-            for lo, hi in ((i, j), (j, i)))))
+        cuts.append((v, _ring_arcs(ring, spokes.index(p), spokes.index(nx))))
     # rings are read on the uncut state; only then is anything rewritten
     for v, arcs in cuts:
         for arc in arcs:

@@ -57,7 +57,7 @@ and one union-find over the top cells' corners, and manifold_check(C, 2)
 and (C, 3), topology.surface_invariants and fillball.verify_filling all
 read their verdicts off it. In a surface, _link_cycle reads the squares
 around a vertex in cyclic order off the spans, for the callers that cut
-or cross curves there.
+or cross curves there, and _ring_arcs splits it between two spokes.
 """
 
 from __future__ import annotations
@@ -639,6 +639,15 @@ def _ring_walk(around: Iterable[tuple[int, Sequence[int]]]
             break
         ring.append(cur)
     return (ring, spokes) if len(ring) == len(around) else None
+
+
+def _ring_arcs(ring: Sequence[int], i: int, j: int
+               ) -> tuple[list[int], list[int]]:
+    """The two arcs the spokes at i != j split a ring of _ring_walk into:
+    the squares after spoke i up to ring[j], then the rest."""
+    d = len(ring)
+    return tuple([ring[(lo + 1 + t) % d] for t in range((hi - lo) % d)]
+                 for lo, hi in ((i, j), (j, i)))
 
 
 def _link_cycle(C: CubeComplex, v: int) -> tuple[list[int], list[int]] | None:

@@ -976,8 +976,8 @@ def read_certificate(path: str | Path, S: CubeComplex) -> FillCertificate:
             if len(parts) != 3:
                 raise FormatError(f"line {ln}: malformed bmap line")
             pairs.append((i, j))
-        else:
-            cc_lines.append(raw)
+            raw = ""  # a blank line in its place keeps the line numbers
+        cc_lines.append(raw)
     ball = loads_complex("\n".join(cc_lines))
     s_cells = _global_index(S.cells)
     b_cells = _global_index(_rim_cells(ball))

@@ -8,10 +8,11 @@ F of Q sits a pillow, the 2-sphere made of F at the bottom, the patch of Q''
 over F at the top, and subdivided walls over the edges of F.  Filling every
 pillow with solid cubes and insetting a cube into each produces the cylinder.
 The two Q'' ends are then closed by handlebodies: cut Q'' along half of a
-basis of curves, cap with disks, and the result is a sphere which bounds a
-ball after one more product layer.  Gluing the five pieces yields a complex
-with the homology of S^3: each seam is checked on its own, against the piece
-it lands on, and the pieces' maximal cells are closed once, together.
+basis of curves, all at once off the one index of Q'', and cap with disks;
+the result is a sphere which bounds a ball after one more product layer.
+Gluing the five pieces yields a complex with the homology of S^3: each
+seam is checked on its own, against the piece it lands on, and the pieces'
+maximal cells are closed once, together.
 
 Every piece is made in three steps: a stage (refining_cylinder, handlebody)
 builds its scaffold and the checked FillRequests of the spheres its balls
@@ -56,7 +57,7 @@ from .transforms import (
     _seam_ids,
     boundary_complex,
     cartesian_product,
-    cut_along_curve,
+    cut_along_curves,
     interval_complex,
 )
 from .transforms import remove_facet as _remove_facet
@@ -177,8 +178,6 @@ class PipelineCensus:
     pillows: int
     pillow_squares: int
     parity_fixes: int
-    predicted_cylinder_vertices: int
-    predicted_cylinder_cubes: int
     scaffold_vertices: int
     growth_constant: float
 
@@ -322,7 +321,9 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     smaller bipartition class is split in two, which makes every wall an
     even cycle and every pillow an even sphere after at most one
     10-square split of a patch square (recorded as the parity fixes that
-    turn the refinement into the returned end Q'').
+    turn the refinement into the returned end Q'').  Bpp's curves must
+    be edge paths of Qp; a fix splits a square clear of them, keeping
+    its four edges, so they stay edge paths of Q''.
 
     The scaffold is Q, Q'' and the walls; each pillow is one checked
     FillRequest, with the scaffold ids its ball lands on.  Nothing is
@@ -360,6 +361,12 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
     curve_verts: set[int] = set()
     if Bpp is not None:
         curve_verts = {v for path in Bpp.curves for v in path}
+        edge_id = Qp.incidence().position(1)
+        for path in Bpp.curves:
+            for e in map(canonical, zip(path, path[1:] + path[:1])):
+                if e not in edge_id:
+                    raise AssemblyError(f"basis curve step {e} is not an "
+                                        "edge of the refinement")
 
     # wall sizes, then one 10-square parity fix per odd pillow; a wall is
     # even, as split is empty when every chain is one edge, and one class
@@ -402,14 +409,6 @@ def refining_cylinder(Q: CubeComplex, Qp: CubeComplex,
         Qpp = Qp
     if (len(Qpp.cells[2]) - len(Q.cells[2])) % 2:
         raise AssemblyError("parity fixes failed to preserve square parity")
-    if curve_verts:
-        edge_id = Qpp.incidence().position(1)
-        for path in Bpp.curves:
-            for i in range(len(path)):
-                e = tuple(sorted((path[i], path[(i + 1) % len(path)])))
-                if e not in edge_id:
-                    raise AssemblyError(
-                        "a parity fix destroyed a basis curve edge")
 
     # global id layout: base copy, then Q'' at offset f0, then verticals,
     # wall centers, and finally whatever the fills add
@@ -543,12 +542,14 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]]
                ) -> HandlebodyReport:
     """Handlebody bounded by Qpp, built by cutting along the given curves.
 
-    Cut Qpp along each curve, cap both copies of each cut circle with a
-    disk of half the curve's length in subdivided squares; the result
-    must be a 2-sphere with evenly many squares.  The solid is that
-    sphere times an interval with the two disk copies identified at one
-    end (the report's pairs) and a filled ball at the other; nothing is
-    filled here, and _close_handlebody closes the solid from its ball.
+    Cut Qpp along all its curves at once (cut_along_curves, which gives
+    curve i's copies the ids after those of the curves before it), cap
+    both copies of each cut circle with a disk of half the curve's
+    length in subdivided squares; the result must be a 2-sphere with
+    evenly many squares.  The solid is that sphere times an interval
+    with the two disk copies identified at one end (the report's pairs)
+    and a filled ball at the other; nothing is filled here, and
+    _close_handlebody closes the solid from its ball.
 
     The sphere is checked once, by check_fill_request on its request,
     and one that fails is an AssemblyError saying the curves are not
@@ -567,17 +568,10 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]]
         if not (closed and orientable):
             raise AssemblyError(
                 "handlebody needs a closed orientable surface")
-
-    S = Qpp
-    copy_ids: list[tuple[int, ...]] = []
     for c in curves:
-        c = tuple(c)
         if len(c) % 2:
             raise AssemblyError(f"curve length {len(c)} is odd; the capping "
                                 "disk needs an even cycle")
-        base = S.n_vertices
-        S = cut_along_curve(S, c)  # copies sit at base .. base+len-1
-        copy_ids.append(tuple(range(base, base + len(c))))
 
     # at t = 0 each curve's copy and second disk are identified with the
     # curve and the first
@@ -585,9 +579,12 @@ def handlebody(Qpp: CubeComplex, curves: Sequence[Sequence[int]]
     extra = 0
     sphere = Qpp
     if curves:
+        S = cut_along_curves(Qpp, curves)
         tops = list(S.cells[2])
-        nxt = S.n_vertices
-        for c, cp in zip(curves, copy_ids):
+        copy, nxt = Qpp.n_vertices, S.n_vertices
+        for c in curves:
+            cp = range(copy, copy + len(c))
+            copy += len(c)
             sides = []
             for cycle in (tuple(c), cp):
                 cells, used = _disk_cells(cycle, nxt)
@@ -814,20 +811,18 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
     lap("handlebodies")
 
     f_Q = Q.f_vector()
-    predicted_v = (k + 1) * f_Q[0]
-    predicted_c = k * f_Q[2]
+    f_P = tuple((k + 1) * f + k * g for f, g in zip((*f_Q, 0), (0, *f_Q)))
     stage_f: dict[str, tuple[int, ...]] = {
         "surface": f_Q,
         "refined": Q2.f_vector(),
         "end": cyl.end.f_vector(),
         "sphere_bottom": hbA.sphere.f_vector(),
         "sphere_top": hbB.sphere.f_vector(),
-        "cylinder": tuple((k + 1) * f + k * g
-                          for f, g in zip((*f_Q, 0), (0, *f_Q))),
+        "cylinder": f_P,
     }
 
     cyl_extra = cyl.census["scaffold_vertices"] - f_Q[0]
-    scaffold = predicted_v + 2 * cyl_extra \
+    scaffold = f_P[0] + 2 * cyl_extra \
         + hbA.census["extra_vertices"] + hbB.census["extra_vertices"]
     census = PipelineCensus(
         n=n, k=k, d=3,
@@ -835,10 +830,8 @@ def sphere3(n: int, k: int | None = None, *, structural: bool = False
         pillows=cyl.census["pillows"],
         pillow_squares=cyl.census["pillow_squares"],
         parity_fixes=cyl.census["parity_fixes"],
-        predicted_cylinder_vertices=predicted_v,
-        predicted_cylinder_cubes=predicted_c,
         scaffold_vertices=scaffold,
-        growth_constant=(scaffold - predicted_v) / n ** 4,
+        growth_constant=(scaffold - f_P[0]) / n ** 4,
     )
 
     # per stage, the end of its requests in fill order, one for each

@@ -7,6 +7,9 @@ glued piece's vertices, the identified ones by their images and the rest by
 fresh ids in increasing order. glue is that rule plus one closure and one
 validate, through core's one rule for a complex just built (_validated);
 sphere_builder.assemble_sphere3 applies the seam rule to each of its seams.
+cut_along_curves reads a family of vertex-disjoint curves off the uncut
+surface's one index, numbers each curve's copies after the curves before
+it, and ends in one build_complex.
 Products and remove_facet hand their facet tables to the CubeComplex
 constructor.
 """
@@ -23,6 +26,7 @@ from .core import (
     CubeComplex,
     CubeComplexError,
     _link_cycle,
+    _ring_arcs,
     _validated,
     build_complex,
     canonical,
@@ -319,78 +323,68 @@ def glue(A: CubeComplex, B: CubeComplex, pairs: dict[int, int]
                       "gluing of B onto A", GlueError)
 
 
-def cut_along_curve(S: CubeComplex, curve: Sequence[int]) -> CubeComplex:
-    """Cut a closed surface along a simple closed edge path.
+def cut_along_curves(S: CubeComplex, curves: Sequence[Sequence[int]]
+                     ) -> CubeComplex:
+    """Cut a closed surface along simple closed edge paths that share no
+    vertex, all read off S's one index and closed by one build_complex.
 
-    Each curve vertex's link cycle is split by the two incident curve edges
-    into two arcs; squares on one arc keep the vertex, squares on the other
-    get a fresh copy. Arc sides are propagated through the squares flanking
-    each curve edge, which is consistent exactly when the curve is
-    two-sided. f0 and f1 each grow by the curve length, so chi is unchanged.
+    At each curve vertex its two curve edges split its link cycle into
+    two arcs (_ring_arcs): squares on one keep the vertex, squares on the
+    other get a fresh copy. The kept side starts at the lower, in
+    S.cells[2], of the two squares on the edge that closes the curve. It
+    is carried across each curve edge, from one of its two squares to
+    the other, and comes back to itself exactly when the curve is
+    two-sided. Curve i's copies take the ids from S.n_vertices plus the
+    lengths of the curves before it, so f0 and f1 grow by the lengths
+    and chi is unchanged. That lower square is the one choice that rests
+    on the order of the squares, and a square that meets no earlier curve
+    keeps its corners, so its place among the others: the cut equals the
+    cuts along the curves one at a time, in order, whenever no square
+    meets two curves.
     """
     if S.dim != 2:
-        raise CutError("cut_along_curve needs a 2-complex")
-    L = len(curve)
-    if L < 3:
-        raise CutError("curve too short")
-    if len(set(curve)) != L:
-        raise CutError("curve is not simple")
+        raise CutError("cut_along_curves needs a 2-complex")
     edge_pos = S.incidence().position(1)
-    for t in range(L):
-        e = canonical((curve[t], curve[(t + 1) % L]))
-        if e not in edge_pos:
-            raise CutError(f"curve step {e} is not an edge of the complex")
-
-    curve_pos = {v: i for i, v in enumerate(curve)}
-    squares = S.cells.get(2, ())
-    ptr, owners = S.incidence().cofaces(1)
-
-    # the two arcs of each curve vertex's link, as square index sets; the
-    # first holds the lower of the two squares on the edge to the previous
-    # curve vertex
-    arcs_of: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    for i, v in enumerate(curve):
-        prev = curve[(i - 1) % L]
-        nxt = curve[(i + 1) % L]
-        cycle = _link_cycle(S, v)
-        if cycle is None:
-            raise CutError(f"link of curve vertex {v} is not a single cycle")
-        ring, spokes = cycle
-        if prev not in spokes or nxt not in spokes:
-            raise CutError(f"curve vertex {v} has no square on a curve edge")
-        d = len(ring)
-        p, n = spokes.index(prev), spokes.index(nxt)
-        a1, a2 = (frozenset(ring[(lo + 1 + t) % d] for t in range((hi - lo) % d))
-                  for lo, hi in ((p, n), (n, p)))
-        arcs_of[v] = (a1, a2) if ring[(p + 1) % d] < ring[p] else (a2, a1)
-
-    # propagate which arc keeps the original id; anchor at curve[0]
-    side_of: dict[int, int] = {curve[0]: 0}
-    for i in range(L):
-        v = curve[i]
-        nxt = curve[(i + 1) % L]
-        e = edge_pos[canonical((v, nxt))]
-        flank = owners[ptr[e]:ptr[e + 1]]
-        if len(flank) != 2:
-            raise CutError(f"curve edge ({v},{nxt}) not interior to the surface")
-        kept_v = arcs_of[v][side_of[v]]
-        sq_keep = next(idx for idx in flank if idx in kept_v)
-        want = 0 if sq_keep in arcs_of[nxt][0] else 1
-        if nxt in side_of:
-            if side_of[nxt] != want:
-                raise CutError("curve is one-sided; cut undefined")
-        else:
-            side_of[nxt] = want
-
-    copy_id = {v: S.n_vertices + i for i, v in enumerate(curve)}
-    tops: list[tuple[int, ...]] = []
-    for idx, cell in enumerate(squares):
-        new = list(cell)
-        for pos, w in enumerate(cell):
-            if w in curve_pos and idx not in arcs_of[w][side_of[w]]:
-                new[pos] = copy_id[w]
-        tops.append(tuple(new))
-    return build_complex(2, tops, n_vertices=S.n_vertices + L)
+    tops = list(S.cells.get(2, ()))
+    fresh = S.n_vertices
+    on_curves: set[int] = set()
+    for curve in curves:
+        L = len(curve)
+        if L < 3:
+            raise CutError("curve too short")
+        if len(set(curve)) != L:
+            raise CutError("curve is not simple")
+        if not on_curves.isdisjoint(curve):
+            raise CutError("two curves share a vertex")
+        on_curves.update(curve)
+        sq = None  # the kept square on the edge into v
+        for i, v in enumerate(curve):
+            prev, nxt = curve[i - 1], curve[(i + 1) % L]
+            e = canonical((v, nxt))
+            if e not in edge_pos:
+                raise CutError(f"curve step {e} is not an edge of the complex")
+            cycle = _link_cycle(S, v)
+            if cycle is None:
+                raise CutError(f"link of curve vertex {v} is not a single "
+                               "cycle")
+            ring, spokes = cycle
+            if prev not in spokes or nxt not in spokes:
+                raise CutError(f"curve vertex {v} has no square on a curve "
+                               "edge")
+            p = spokes.index(prev)
+            if sq is None:
+                first = sq = min(ring[p], ring[(p + 1) % len(ring)])
+            # a1 ends and a2 starts with the two squares around the spoke
+            # nxt, which are all the squares on the edge to nxt
+            a1, a2 = _ring_arcs(ring, p, spokes.index(nxt))
+            cut, sq = (a2, a1[-1]) if sq in a1 else (a1, a2[0])
+            for idx in cut:
+                tops[idx] = tuple(fresh + i if w == v else w
+                                  for w in tops[idx])
+        if sq != first:
+            raise CutError("curve is one-sided; cut undefined")
+        fresh += L
+    return build_complex(2, tops, n_vertices=fresh)
 
 
 def boundary_complex(C: CubeComplex) -> CubeComplex:

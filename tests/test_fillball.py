@@ -446,6 +446,17 @@ def test_malformed_certificate_file_is_refused(lines, message, tmp_path):
     assert (type(ei.value), str(ei.value)) == (FormatError, message)
 
 
+def test_a_ball_error_names_the_line_of_the_file(tmp_path):
+    # the 26 bmap lines first, then a cube one corner short, on line 28
+    text = ["cubecomplex 3 8", *(f"bmap {i} {i}" for i in range(26)),
+            "cube 3 0 1 2 3 4 5 6"]
+    path = tmp_path / "ball.cc"
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(FormatError, match="^line 28: a 3-cube needs 8 "
+                                          "corners, got 7"):
+        read_certificate(path, boundary_c3())
+
+
 def test_zero_growth_slack_still_fills_shrinking_instances(monkeypatch):
     monkeypatch.setattr(fillball, "GROWTH_SLACK", 0)
     S = pillar_sphere(3)

@@ -44,6 +44,7 @@ from cubulations.fileio import dumps_complex
 from cubulations.fillball import FillFailed
 from cubulations.surface_gen import build_graph, cubulate_cycles, \
     split_paths, surface_report, trace_cycles
+from test_basis import _double_torus
 from test_core import assert_checks_match_the_oracles
 from test_fillball import opposite_pinwheel
 from test_topology import (
@@ -414,6 +415,40 @@ def test_handlebody_structural_level():
     check_fill_request(hb.requests[0])
     assert len(hb.pairs) == 13
     assert all(a % 2 == b % 2 == 0 and a > b for a, b in hb.pairs.items())
+
+
+def test_genus_two_handlebodies_are_spheres():
+    # the double torus cut along both rows, or along both columns
+    P, B = _double_torus()
+    for curves in sphere_builder._split_alpha_beta(B):
+        hb = handlebody(P, curves)
+        assert hb.sphere.f_vector() == (72, 140, 70)
+        check_fill_request(hb.requests[0])
+
+
+@pytest.fixture(scope="module")
+def refined_torus():
+    """The torus, its own refinement regularized, with its basis and edge
+    chains, and the refining cylinder over it."""
+    T = torus_complex(2)
+    rep = refine_report(T, canonical_basis(T))
+    Q2, B2, _, chains = regularize_with_chains(rep.complex, rep.basis,
+                                               rep.edge_chains)
+    return T, Q2, B2, chains, refining_cylinder(T, Q2, B2, chains=chains)
+
+
+def test_cylinder_and_handlebodies_over_a_refinement(refined_torus):
+    _, _, B2, _, cyl = refined_torus
+    assert (cyl.census["pillows"], cyl.census["parity_fixes"]) == (16, 16)
+    assert cyl.end.f_vector() == (1072, 2144, 1072)
+    for req in cyl.requests:
+        check_fill_request(req)
+    (alpha,), (beta,) = sphere_builder._split_alpha_beta(B2)
+    for curve, f in ((alpha, (1194, 2384, 1192)),
+                     (beta, (1234, 2464, 1232))):
+        hb = handlebody(cyl.end, [curve])
+        assert hb.sphere.f_vector() == f
+        check_fill_request(hb.requests[0])
 
 
 def _one_record(caplog, run):
@@ -842,16 +877,12 @@ def test_pipeline_structural_outcome(pipeline11):
 def test_pipeline_census_identities(pipeline11):
     _, census = pipeline11
     f_Q = census.stage_f["surface"]
-    assert census.predicted_cylinder_vertices == (census.k + 1) * f_Q[0]
-    assert census.predicted_cylinder_cubes == census.k * f_Q[2]
+    f_P = census.stage_f["cylinder"]
+    assert (f_P[0], f_P[3]) == ((census.k + 1) * f_Q[0], census.k * f_Q[2])
     # the product formula, against the product built at k = 8
     Q, _ = surface_report(census.n)
-    assert census.stage_f["cylinder"] == cartesian_product(
-        Q, interval_complex(census.k)).f_vector()
-    f_P = census.stage_f["cylinder"]
-    assert (f_P[0], f_P[3]) == (census.predicted_cylinder_vertices,
-                                census.predicted_cylinder_cubes)
-    assert census.scaffold_vertices <= census.predicted_cylinder_vertices \
+    assert f_P == cartesian_product(Q, interval_complex(census.k)).f_vector()
+    assert census.scaffold_vertices <= f_P[0] \
         + census.growth_constant * census.n ** 4 + 1e-9
 
 
@@ -870,10 +901,7 @@ def test_census_is_k_independent(pipeline11):
     res8, c8 = pipeline11
     _, c27 = sphere3(11, k=27, structural=True)
     d8, d27 = asdict(c8), asdict(c27)
-    cylinder_keys = {
-        "k", "stage_f", "predicted_cylinder_vertices",
-        "predicted_cylinder_cubes", "scaffold_vertices",
-    }
+    cylinder_keys = {"k", "stage_f", "scaffold_vertices"}
     assert {key for key in d8 if d8[key] != d27[key]} <= cylinder_keys
     stages8, stages27 = d8["stage_f"], d27["stage_f"]
     assert {key for key in stages8 if stages8[key] != stages27.get(key)} \
@@ -1250,7 +1278,8 @@ def test_sphere_d_stops_at_structural_level():
     res, census = sphere_d(4, 300_000, k=8, structural=True)
     assert isinstance(res, StructuralReport)
     assert census.d == 4
-    assert census.stage_f["cylinder"][3] == census.predicted_cylinder_cubes
+    assert census.stage_f["cylinder"][3] == \
+        census.k * census.stage_f["surface"][2]
     assert any("full 3-sphere" in note for note in res.notes)
 
 
@@ -1303,6 +1332,16 @@ def test_cylinder_refuses_chains_that_are_not_the_base_edges():
     moved = {**_identity_chains(Q), (0, 1): (5, 1)}
     _refused("chain endpoints disagree at surface vertex 0",
              refining_cylinder, Q, Q, None, chains=moved)
+
+
+def test_cylinder_refuses_curves_that_are_not_edge_paths(refined_torus):
+    # alpha at every other vertex steps across squares, not along edges
+    T, Q2, B2, chains, _ = refined_torus
+    alpha, beta = B2.curves
+    skipping = basis.EdgePathBasis(1, (alpha[::2], beta))
+    _refused(f"basis curve step {tuple(sorted(alpha[0:3:2]))} is "
+             "not an edge of the refinement", refining_cylinder, T, Q2,
+             skipping, chains=chains)
 
 
 def test_patch_map_refuses_walls_that_do_not_cut_the_base_squares():

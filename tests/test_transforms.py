@@ -13,6 +13,7 @@ from cubulations.core import (
     manifold_check,
     validate,
 )
+from cubulations.fileio import dumps_complex
 from cubulations.topology import betti_numbers, surface_invariants
 from cubulations.transforms import (
     GADGETS,
@@ -21,15 +22,17 @@ from cubulations.transforms import (
     apply_gadget,
     boundary_complex,
     cartesian_product,
-    cut_along_curve,
+    cut_along_curves,
     glue,
     interval_complex,
     remove_facet,
     torus_complex,
     warmup_complex,
 )
+from test_basis import _double_torus
 from test_core import _check_handed_facet_table, small_complexes, \
     tangled_complexes
+from test_topology import klein_4x4
 
 SOLID_CUBE = tuple(range(8))
 
@@ -327,7 +330,7 @@ def test_glue_seam_only_validation():
 
 def test_cut_torus_meridian_gives_annulus():
     T = torus_complex(2)
-    cut = cut_along_curve(T, [0, 1, 2, 3])
+    cut = cut_along_curves(T, [[0, 1, 2, 3]])
     assert cut.f_vector() == (20, 36, 16)
     assert cut.euler_characteristic() == 0
     assert validate(cut).is_complex
@@ -337,7 +340,7 @@ def test_cut_torus_meridian_gives_annulus():
 
 def test_cut_sphere_equator_gives_two_disks():
     S = boundary_c3()
-    cut = cut_along_curve(S, [0, 1, 3, 2])
+    cut = cut_along_curves(S, [[0, 1, 3, 2]])
     assert cut.f_vector() == (12, 16, 6)
     assert cut.euler_characteristic() == 2
     assert betti_numbers(cut).betti == (2, 0, 0)
@@ -351,7 +354,7 @@ def test_glue_then_cut_recovers_disjoint_pieces():
     S = glue(A, B, {0: 0, 1: 1, 2: 2, 3: 3})
     assert S.f_vector() == (12, 20, 10)
     assert betti_numbers(S).betti == (1, 0, 1)
-    cut = cut_along_curve(S, [0, 1, 3, 2])
+    cut = cut_along_curves(S, [[0, 1, 3, 2]])
     fa, fb = A.f_vector(), B.f_vector()
     assert cut.f_vector() == tuple(x + y for x, y in zip(fa, fb))
     assert betti_numbers(cut).betti == (2, 0, 0)
@@ -373,23 +376,58 @@ def test_glue_then_cut_recovers_disjoint_pieces():
 ], ids=["meridian", "longitude"])
 def test_cut_of_the_torus_is_pinned(curve, squares):
     # which side of each curve vertex keeps its id is part of the output
-    cut = cut_along_curve(torus_complex(2), curve)
+    cut = cut_along_curves(torus_complex(2), [curve])
     assert (cut.n_vertices, cut.cells[2]) == (20, squares)
 
 
 def test_cut_errors():
     T = torus_complex(2)
+    with pytest.raises(CutError, match="needs a 2-complex"):
+        cut_along_curves(solid_cube(), [[0, 1, 3, 2]])
     with pytest.raises(CutError, match="single cycle"):
-        cut_along_curve(build_complex(2, [(0, 1, 2, 3)]), [0, 1, 3, 2])
+        cut_along_curves(build_complex(2, [(0, 1, 2, 3)]), [[0, 1, 3, 2]])
     stray = build_complex(2, [*T.cells[2], (0, 10)], n_vertices=16)
     with pytest.raises(CutError, match="no square on a curve edge"):
-        cut_along_curve(stray, [0, 10, 9, 8, 4])
+        cut_along_curves(stray, [[0, 10, 9, 8, 4]])
     with pytest.raises(CutError, match="simple"):
-        cut_along_curve(T, [0, 1, 0, 1])
+        cut_along_curves(T, [[0, 1, 0, 1]])
     with pytest.raises(CutError, match="not an edge"):
-        cut_along_curve(T, [0, 5, 10, 15])
+        cut_along_curves(T, [[0, 5, 10, 15]])
     with pytest.raises(CutError, match="short"):
-        cut_along_curve(T, [0, 1])
+        cut_along_curves(T, [[0, 1]])
+    with pytest.raises(CutError, match="one-sided"):
+        cut_along_curves(klein_4x4(), [[0, 4, 8, 12]])
+    P, B = _double_torus()
+    row, column = B.curves[:2]
+    with pytest.raises(CutError, match="two curves share a vertex"):
+        cut_along_curves(P, [row, column])
+
+
+def _double_torus_family(k):
+    """The double torus and, for k = 0, its two rows, for k = 1 its two
+    columns."""
+    P, B = _double_torus()
+    return P, B.curves[k::2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _double_torus_family(0),
+    lambda: _double_torus_family(1),
+    lambda: (torus_complex(2), [(0, 1, 2, 3), (8, 9, 10, 11)]),
+], ids=["double-torus-rows", "double-torus-columns", "torus-meridians"])
+def test_one_pass_cut_equals_the_sequential_cuts(make):
+    S, curves = make()
+    # no square meets two curves, the condition under which the two agree
+    assert all(sum(not set(c).isdisjoint(sq) for c in curves) < 2
+               for sq in S.cells[2])
+    one_by_one = S
+    for c in curves:
+        one_by_one = cut_along_curves(one_by_one, [c])
+    cut = cut_along_curves(S, curves)
+    assert dumps_complex(cut) == dumps_complex(one_by_one)
+    assert cut.f_vector() == (S.f_vector()[0] + sum(map(len, curves)),
+                              S.f_vector()[1] + sum(map(len, curves)),
+                              S.f_vector()[2])
 
 
 # ---------------------------------------------------------------------------
